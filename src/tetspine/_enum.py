@@ -1,24 +1,11 @@
-"""Backtracking enumeration kernel for simple subsets of spine faces.
-
-The compiled extension `_enumcore` implements the same search; callers go
-through `enumerate_masks`, which picks the fast kernel when it is importable
-and the mask width fits in 64 bits.
-"""
+"""Backtracking enumeration kernel for simple subsets of spine faces."""
 
 from __future__ import annotations
 
 from typing import Sequence
 
-try:
-    from . import _enumcore
 
-    HAVE_COMPILED = True
-except ImportError:  # pragma: no cover - depends on the build environment
-    _enumcore = None
-    HAVE_COMPILED = False
-
-
-def enumerate_masks_pure(num_faces: int, edge_germs: Sequence[tuple[int, int, int]]) -> list[int]:
+def enumerate_masks(num_faces: int, edge_germs: Sequence[tuple[int, int, int]]) -> list[int]:
     """All face bitmasks whose per-edge germ counts avoid the value 1.
 
     Each entry of edge_germs lists the 3 faces incident to one spine edge,
@@ -105,8 +92,3 @@ def enumerate_masks_pure(num_faces: int, edge_germs: Sequence[tuple[int, int, in
     out.sort()
     return out
 
-
-def enumerate_masks(num_faces: int, edge_germs: Sequence[tuple[int, int, int]]) -> list[int]:
-    if HAVE_COMPILED and num_faces <= 62:
-        return _enumcore.enumerate_masks(num_faces, [tuple(g) for g in edge_germs])
-    return enumerate_masks_pure(num_faces, edge_germs)

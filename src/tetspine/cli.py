@@ -161,16 +161,7 @@ def cmd_pachner(args) -> int:
         return 2
     idx = int(idx_text)
     try:
-        if kind == "23":
-            if idx >= len(tri.triangle_classes):
-                print(f"error: triangle class {idx} out of range", file=sys.stderr)
-                return 2
-            out = pachner_23(tri, idx)
-        else:
-            if idx >= len(tri.edge_classes):
-                print(f"error: edge class {idx} out of range", file=sys.stderr)
-                return 2
-            out = pachner_32(tri, idx)
+        out = pachner_23(tri, idx) if kind == "23" else pachner_32(tri, idx)
     except MoveNotApplicableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,11 +22,12 @@ from .errors import (
 )
 from .homology import h1
 from .triangulation import (
+    FACE_EDGES,
     FACE_VERTS,
     Triangulation,
-    _SignedDSU,
     edge_slot,
     perm_inverse,
+    signed_edge_classes,
 )
 
 Pair = tuple[int, int]
@@ -107,85 +108,35 @@ def kappa_expected(p: int, q: int) -> int:
 # ---- layered construction --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Convention:
-    """Labeling choices for the folds and layers.
-
-    The values below are not free: they were fixed once by searching the
-    whole choice space for the assignment under which the finished
-    triangulations pass the self-check battery (tetrahedron count, single
-    vertex, first homology, census counts) on a spread of (p, q) inputs.
-    """
-
-    init_faces: tuple[int, int]  # fold face i of tetrahedron 0 onto face j
-    init_perm: tuple[int, int, int, int]
-    sa_first: bool  # which free face starts as boundary slot A
-    roles_r: tuple[int, int]  # (x, y) edge indices on slot A when the first letter is r
-    layer_flip: bool  # endpoint labeling when laying a tetrahedron over an edge
-    layer_swap: bool  # which fresh face becomes the new slot A
-    close_rule: tuple[str, str, str]  # corner images (xy, xd, yd) for a final r
-
-
-_MIRROR = {"xy": "xy", "xd": "yd", "yd": "xd"}
-
-
-def _rule_for(letter: str, rule_r: tuple[str, str, str]) -> dict[str, str]:
-    if letter == "r":
-        return {"xy": rule_r[0], "xd": rule_r[1], "yd": rule_r[2]}
-    return {
-        "xy": _MIRROR[rule_r[0]],
-        "xd": _MIRROR[rule_r[2]],
-        "yd": _MIRROR[rule_r[1]],
-    }
-
-
-def _face_edges(f: int) -> list[tuple[int, int]]:
-    a, b, c = FACE_VERTS[f]
-    return [(a, b), (a, c), (b, c)]
-
-
-class _PartialClasses:
-    """Signed edge classes of a gluing dict that may leave faces open."""
-
-    def __init__(self, n: int, gluings: dict) -> None:
-        dsu = _SignedDSU(6 * n)
-        for (t, f), (t2, _, perm) in gluings.items():
-            verts = FACE_VERTS[f]
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    a, b = verts[i], verts[j]
-                    a2, b2 = perm[a], perm[b]
-                    s = 0 if a2 < b2 else 1
-                    if not dsu.union(edge_slot(t, a, b), edge_slot(t2, a2, b2), s):
-                        raise ConstructionInvariantError(
-                            "edge identified with itself reversed during layering"
-                        )
-        self._dsu = dsu
-
-    def root(self, t: int, u: int, v: int) -> int:
-        return self._dsu.find(edge_slot(t, u, v))[0]
-
-    def rel_sign(self, slot_a: tuple[int, int, int], slot_b: tuple[int, int, int]) -> int:
-        ra, sa = self._dsu.find(edge_slot(*slot_a))
-        rb, sb = self._dsu.find(edge_slot(*slot_b))
-        if ra != rb:
-            raise ConstructionInvariantError("boundary edges expected in one class")
-        return 1 if (sa ^ sb) == 0 else -1
+# The labeling choices for the folds and layers are not free: they were
+# fixed once by searching the whole choice space (which faces the first fold
+# joins and by which permutation, which free face starts as boundary slot A,
+# the x/y roles, the endpoint labeling of each layer, which fresh face becomes
+# the new slot A, and the closing corner map) for the assignment under which
+# the finished triangulations pass the self-check battery (tetrahedron count,
+# single vertex, first homology, census counts) on a spread of (p, q) inputs.
+_INIT_PERM = (1, 2, 3, 0)  # folds face 0 of tetrahedron 0 onto face 1
+_ROLES_R = (1, 2)  # (x, y) edge indices on slot A when the first letter is r
+# corner images of the closing fold, keyed by the last-applied letter word[0]
+_CLOSE_RULE = {
+    "r": {"xy": "yd", "xd": "xd", "yd": "xy"},
+    "l": {"xy": "xd", "xd": "xy", "yd": "yd"},
+}
 
 
 def _resolve_roles(
-    classes: _PartialClasses,
+    class_of: list[int],
     slot: tuple[int, int],
     role_x: tuple[int, int, int],
     role_y: tuple[int, int, int],
 ) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
     """The x-role, y-role, and diagonal edge of one boundary triangle."""
     t, f = slot
-    rx = classes.root(*role_x)
-    ry = classes.root(*role_y)
+    rx = class_of[edge_slot(*role_x)]
+    ry = class_of[edge_slot(*role_y)]
     ex = ey = ed = None
-    for (u, v) in _face_edges(f):
-        r = classes.root(t, u, v)
+    for (u, v) in FACE_EDGES[f]:
+        r = class_of[edge_slot(t, u, v)]
         if r == rx:
             ex = (u, v)
         elif r == ry:
@@ -199,7 +150,7 @@ def _resolve_roles(
     return ex, ey, ed
 
 
-def _build_with_convention(params: LensParams, conv: _Convention) -> Triangulation:
+def _build_layered(params: LensParams) -> Triangulation:
     word = params.word
     gluings: dict = {}
 
@@ -208,48 +159,45 @@ def _build_with_convention(params: LensParams, conv: _Convention) -> Triangulati
         gluings[(tb, fb)] = (ta, fa, perm_inverse(perm))
 
     # initial block: one tetrahedron with two faces folded together
-    i, j = conv.init_faces
-    glue(0, i, 0, j, conv.init_perm)
-    free = sorted(x for x in range(4) if x not in (i, j))
-    if conv.sa_first:
-        sa, sb = (0, free[0]), (0, free[1])
-    else:
-        sa, sb = (0, free[1]), (0, free[0])
+    glue(0, 0, 0, 1, _INIT_PERM)
+    sa, sb = (0, 2), (0, 3)
     n = 1
 
     first = word[-1]
-    edges_sa = _face_edges(sa[1])
-    ix, iy = conv.roles_r if first == "r" else (conv.roles_r[1], conv.roles_r[0])
+    edges_sa = FACE_EDGES[sa[1]]
+    ix, iy = _ROLES_R if first == "r" else (_ROLES_R[1], _ROLES_R[0])
     role_x = (sa[0], *edges_sa[ix])
     role_y = (sa[0], *edges_sa[iy])
 
     # middle letters, one layered tetrahedron each, right to left
     for ch in reversed(word[1:-1]):
-        classes = _PartialClasses(n, gluings)
-        exa, eya, eda = _resolve_roles(classes, sa, role_x, role_y)
-        exb, eyb, _ = _resolve_roles(classes, sb, role_x, role_y)
+        class_of, sign_of = signed_edge_classes(n, gluings.items())
+        exa, eya, eda = _resolve_roles(class_of, sa, role_x, role_y)
+        exb, eyb, _ = _resolve_roles(class_of, sb, role_x, role_y)
         bury_a, bury_b = (eya, eyb) if ch == "r" else (exa, exb)
         ta, fa = sa
         tb, fb = sb
         third_a = next(v for v in FACE_VERTS[fa] if v not in bury_a)
         third_b = next(v for v in FACE_VERTS[fb] if v not in bury_b)
-        rel = classes.rel_sign((ta, *bury_a), (tb, *bury_b))
-        a_pair = (bury_a[1], bury_a[0]) if conv.layer_flip else bury_a
-        swap_b = conv.layer_flip ^ (rel == -1)
-        b_pair = (bury_b[1], bury_b[0]) if swap_b else bury_b
-        glue(n, 3, ta, fa, (a_pair[0], a_pair[1], third_a, fa))
+        # both buried edges lie in one class; b's endpoints are swapped when
+        # its ascending order runs against a's
+        if sign_of[edge_slot(ta, *bury_a)] == sign_of[edge_slot(tb, *bury_b)]:
+            b_pair = bury_b
+        else:
+            b_pair = (bury_b[1], bury_b[0])
+        glue(n, 3, ta, fa, (bury_a[0], bury_a[1], third_a, fa))
         glue(n, 2, tb, fb, (b_pair[0], b_pair[1], fb, third_b))
         if ch == "r":
             role_y = (ta, *eda)
         else:
             role_x = (ta, *eda)
-        sa, sb = ((n, 1), (n, 0)) if conv.layer_swap else ((n, 0), (n, 1))
+        sa, sb = (n, 0), (n, 1)
         n += 1
 
     # final letter: fold the two boundary triangles onto each other
-    classes = _PartialClasses(n, gluings)
-    exa, eya, eda = _resolve_roles(classes, sa, role_x, role_y)
-    exb, eyb, edb = _resolve_roles(classes, sb, role_x, role_y)
+    class_of, _ = signed_edge_classes(n, gluings.items())
+    exa, eya, eda = _resolve_roles(class_of, sa, role_x, role_y)
+    exb, eyb, edb = _resolve_roles(class_of, sb, role_x, role_y)
     corners_a = {
         "xy": (set(exa) & set(eya)).pop(),
         "xd": (set(exa) & set(eda)).pop(),
@@ -260,29 +208,18 @@ def _build_with_convention(params: LensParams, conv: _Convention) -> Triangulati
         "xd": (set(exb) & set(edb)).pop(),
         "yd": (set(eyb) & set(edb)).pop(),
     }
-    rule = _rule_for(word[0], conv.close_rule)
+    rule = _CLOSE_RULE[word[0]]
     vmap = {corners_a[name]: corners_b[rule[name]] for name in ("xy", "xd", "yd")}
     vmap[sa[1]] = sb[1]
     glue(sa[0], sa[1], sb[0], sb[1], tuple(vmap[k] for k in range(4)))
     return Triangulation(n, gluings)
 
 
-_CONVENTION = _Convention(
-    init_faces=(0, 1),
-    init_perm=(1, 2, 3, 0),
-    sa_first=True,
-    roles_r=(1, 2),
-    layer_flip=False,
-    layer_swap=False,
-    close_rule=("yd", "xd", "xy"),
-)
-
-
 def build_Tpq(p: int, q: int) -> Triangulation:
     """Closed 1-vertex triangulation of the (p, q) lens space, S - 3 tetrahedra."""
     params = lens_params(p, q)
     try:
-        tri = _build_with_convention(params, _CONVENTION)
+        tri = _build_layered(params)
     except TetspineError as exc:
         raise ConstructionInvariantError(
             f"building T_({p},{q}) failed: {exc}"

@@ -24,6 +24,14 @@ FACE_VERTS: tuple[tuple[int, int, int], ...] = tuple(
     tuple(v for v in range(4) if v != f) for f in range(4)
 )
 IDENTITY: Perm = (0, 1, 2, 3)
+# the three edges of face f, each as an ascending vertex pair
+FACE_EDGES: tuple[tuple[tuple[int, int], ...], ...] = tuple(
+    ((a, b), (a, c), (b, c)) for a, b, c in FACE_VERTS
+)
+# edge_slot's offset of edge {u, v} within its tetrahedron, for either vertex order
+_PAIR_OFFSET: tuple[tuple[int, ...], ...] = tuple(
+    tuple(PAIR_INDEX.get((min(u, v), max(u, v)), -1) for v in range(4)) for u in range(4)
+)
 
 
 def perm_inverse(p: Perm) -> Perm:
@@ -80,12 +88,7 @@ class _SignedDSU:
             s ^= self.sign[y]
             self.parent[y] = x
             self.sign[y] = s
-        acc = 0
-        # recompute accumulated sign for the original element
-        # (path compression already rewired everything onto the root)
-        if path:
-            acc = self.sign[path[0]]
-        return x, acc
+        return x, s
 
     def union(self, x: int, y: int, s: int) -> bool:
         """Join x ~ y with relative sign s; False reports a sign conflict."""
@@ -101,6 +104,37 @@ class _SignedDSU:
         if self.rank[rx] == self.rank[ry]:
             self.rank[rx] += 1
         return True
+
+
+def signed_edge_classes(
+    n: int, gluings: Iterable[tuple[tuple[int, int], tuple[int, int, Perm]]]
+) -> tuple[list[int], list[int]]:
+    """Signed classes of the 6n edge slots under the given face gluings.
+
+    gluings yields ((t, f), (t2, f2, perm)) pairs; any face not given stays
+    open. Returns (class_of, sign_of) indexed by edge slot: classes are
+    numbered in order of their smallest slot, and sign_of[s] is +1 when slot
+    s's ascending vertex order agrees with that smallest slot's.  Raises
+    GluingError when a slot is identified with itself reversed.
+    """
+    dsu = _SignedDSU(6 * n)
+    for (t, f), (t2, _, perm) in gluings:
+        for a, b in FACE_EDGES[f]:
+            a2, b2 = perm[a], perm[b]
+            slot = 6 * t + _PAIR_OFFSET[a][b]
+            if not dsu.union(slot, 6 * t2 + _PAIR_OFFSET[a2][b2], 0 if a2 < b2 else 1):
+                raise GluingError(
+                    f"edge {(a, b)} of tetrahedron {t} is identified with itself reversed"
+                )
+    class_of = [0] * (6 * n)
+    sign_of = [0] * (6 * n)
+    first: dict[int, tuple[int, int]] = {}  # root -> (class index, sign of smallest slot)
+    for slot in range(6 * n):
+        root, sign = dsu.find(slot)
+        idx, rep_sign = first.setdefault(root, (len(first), sign))
+        class_of[slot] = idx
+        sign_of[slot] = 1 if sign == rep_sign else -1
+    return class_of, sign_of
 
 
 class _DSU:
@@ -245,42 +279,17 @@ class Triangulation:
 
     @cached_property
     def _edge_data(self) -> tuple[tuple[EdgeClass, ...], list[int], list[int]]:
-        n = self.n
-        dsu = _SignedDSU(6 * n)
-        for t in range(n):
-            for f in range(4):
-                t2, f2, perm = self._table[t][f]
-                verts = FACE_VERTS[f]
-                for i in range(3):
-                    for j in range(i + 1, 3):
-                        a, b = verts[i], verts[j]
-                        a2, b2 = perm[a], perm[b]
-                        s = 0 if (a2 < b2) else 1
-                        if not dsu.union(edge_slot(t, a, b), edge_slot(t2, a2, b2), s):
-                            pair = EDGE_PAIRS[edge_slot(t, a, b) % 6]
-                            raise GluingError(
-                                f"edge {pair} of tetrahedron {t} is identified with "
-                                "itself reversed"
-                            )
-        groups: dict[int, list[int]] = {}
-        for s in range(6 * n):
-            root, _ = dsu.find(s)
-            groups.setdefault(root, []).append(s)
-        classes = []
-        class_of = [0] * (6 * n)
-        sign_of = [0] * (6 * n)
-        for idx, members in enumerate(sorted(groups.values(), key=lambda m: m[0])):
-            rep = members[0]
-            _, srep = dsu.find(rep)
-            signs = []
-            for m in members:
-                _, sm = dsu.find(m)
-                sg = 1 if (sm ^ srep) == 0 else -1
-                signs.append(sg)
-                class_of[m] = idx
-                sign_of[m] = sg
-            classes.append(EdgeClass(idx, tuple(members), tuple(signs)))
-        return tuple(classes), class_of, sign_of
+        class_of, sign_of = signed_edge_classes(
+            self.n, (((t, f), self._table[t][f]) for t in range(self.n) for f in range(4))
+        )
+        members: list[list[int]] = [[] for _ in range(max(class_of) + 1)]
+        for slot, idx in enumerate(class_of):
+            members[idx].append(slot)
+        classes = tuple(
+            EdgeClass(idx, tuple(m), tuple(sign_of[slot] for slot in m))
+            for idx, m in enumerate(members)
+        )
+        return classes, class_of, sign_of
 
     @property
     def edge_classes(self) -> tuple[EdgeClass, ...]:

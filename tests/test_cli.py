@@ -122,8 +122,11 @@ def open_lens_text():
 def test_pachner_rejections(tmp_path, capsys):
     path = write(tmp_path, "t52.txt", T52)
     assert main(["pachner", path, "--move", "banana"]) == 2
+    capsys.readouterr()
     assert main(["pachner", path, "--move", "23:99"]) == 2
+    assert "no triangle class 99" in capsys.readouterr().err
     assert main(["pachner", path, "--move", "32:99"]) == 2
+    assert "no edge class 99" in capsys.readouterr().err
     # T_{5,2} has one tet, so no 2-3 move applies anywhere
     assert main(["pachner", path, "--move", "23:0"]) == 2
     capsys.readouterr()

@@ -1,3 +1,4 @@
+import hashlib
 from math import gcd
 
 import pytest
@@ -14,6 +15,7 @@ from tetspine.lens import (
     tau_expected,
 )
 from tetspine.spine import dual_spine, enumerate_simple_subpolyhedra, t_manifold
+from tetspine.triangulation import serialize_triangulation
 
 
 def test_params_frozen_cases():
@@ -97,3 +99,16 @@ def test_build_52_is_single_tet_with_vanishing_t():
 def test_mirror_builds_agree_on_h1():
     for p, q in [(7, 2), (7, 5), (9, 2), (9, 7)]:
         assert h1(build_Tpq(p, q)) == (0, [p])
+
+
+def test_frozen_gluings():
+    # pins the exact labeling of every layered triangulation, not just its
+    # invariants: sha256 over the serialized T_(p,q), p-then-q order
+    digest = hashlib.sha256()
+    for p in range(4, 26):
+        for q in range(1, p):
+            if gcd(p, q) == 1:
+                digest.update(serialize_triangulation(build_Tpq(p, q)).encode())
+    assert digest.hexdigest() == (
+        "b5462961e548733a75b1a81e3b0982b60f55d6abedf6c4ae8f5ce0db8f5f8d2b"
+    )
