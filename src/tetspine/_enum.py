@@ -88,7 +88,12 @@ def enumerate_masks(num_faces: int, edge_germs: Sequence[tuple[int, int, int]]) 
                 dfs(pos + 1)
             undo(mark)
 
-    dfs(0)
+    try:
+        dfs(0)
+    finally:
+        # dfs reaches itself through its closure cell; emptying the cell frees
+        # the search state now instead of at the next cyclic collection
+        del dfs
     out.sort()
     return out
 

@@ -1,8 +1,9 @@
 """Command-line driver.
 
 Exit codes: 0 success, 1 verification failure or write error, 2 usage or
-parse error, 3 enumeration budget exceeded. Data goes to stdout (TSV by
-default, JSON with --format json); progress and warnings go to stderr.
+parse error (a bad SPINE_FACE_BUDGET included), 3 enumeration budget
+exceeded. Data goes to stdout (TSV by default, JSON with --format json);
+progress and warnings go to stderr.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import sys
 from .errors import (
     EnumerationBudgetError,
     GluingError,
+    InvalidBudgetError,
     InvalidParamsError,
     MoveNotApplicableError,
     NotClosedError,
@@ -22,14 +24,11 @@ from .errors import (
     TetspineError,
 )
 from .homology import h1
-from .lens import build_Tpq, kappa_expected, lens_params, tau_expected
+from .lens import build_Tpq, kappa_expected, lens_params, t_expected, tau_expected
 from .moves import SplitMix64, iter_pachner_walk, pachner_23, pachner_32
 from .spine import dual_spine, enumerate_simple_subpolyhedra, t_manifold
 from .surfaces import census
 from .triangulation import Triangulation, parse_triangulation, serialize_triangulation
-
-ALLOWED_LENS_T = ("0", "1", "1+e", "2+e")
-
 
 def _load(path: str) -> Triangulation:
     with open(path, "r", encoding="utf-8") as fh:
@@ -53,11 +52,8 @@ def _emit(rows: list[dict], columns: list[str], fmt: str) -> None:
 
 
 def _coords_text(surface) -> str:
-    n = surface.triangulation.n
-    groups = []
-    for t in range(n):
-        groups.append(",".join(str(x) for x in (*surface.tri[t], *surface.quad[t])))
-    return ";".join(groups)
+    c = surface.coords
+    return ";".join(",".join(map(str, c[i : i + 7])) for i in range(0, len(c), 7))
 
 
 # ---- commands ---------------------------------------------------------------------
@@ -209,7 +205,8 @@ def cmd_verify_lens(args) -> int:
             )
             betti, torsion = h1(tri)
             h1_order = torsion[0] if (betti, len(torsion)) == (0, 1) else f"({betti},{torsion})"
-            t_val = str(t_manifold(tri))
+            t = t_manifold(tri)
+            t_val = str(t)
             ok = (
                 tri.n == params.S - 3
                 and h1_order == p
@@ -217,7 +214,7 @@ def cmd_verify_lens(args) -> int:
                 and kappa == kappa_expected(p, q)
                 and rp2 == 0
                 and bad_spheres == 0
-                and t_val in ALLOWED_LENS_T
+                and t == t_expected(p, q)
             )
             rows.append(
                 {
@@ -365,7 +362,13 @@ def main(argv: list[str] | None = None) -> int:
     except EnumerationBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, GluingError, NotClosedError, InvalidParamsError) as exc:
+    except (
+        ParseError,
+        GluingError,
+        NotClosedError,
+        InvalidParamsError,
+        InvalidBudgetError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

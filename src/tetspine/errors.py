@@ -49,6 +49,10 @@ class EnumerationBudgetError(TetspineError):
     """Spine face count exceeds the enumeration cap."""
 
 
+class InvalidBudgetError(TetspineError, ValueError):
+    """The enumeration cap is negative or not an integer."""
+
+
 class NotASurfaceError(TetspineError):
     """Subpolyhedron is not a closed surface (or is empty)."""
 

@@ -20,6 +20,7 @@ from .errors import (
     InvalidParamsError,
     TetspineError,
 )
+from .golden import GoldenInt
 from .homology import h1
 from .triangulation import (
     FACE_EDGES,
@@ -79,8 +80,11 @@ def lens_params(p: int, q: int) -> LensParams:
             letters.append("l")
             x -= y
     word = "".join(letters)
-    assert len(word) == S - 2
-    assert apply_word(word) == (q, p - q)
+    if len(word) != S - 2 or apply_word(word) != (q, p - q):
+        raise ConstructionInvariantError(
+            f"word {word!r} of ({p}, {q}) does not carry (1, 1) to"
+            f" ({q}, {p - q}) in S - 2 letters"
+        )
     return LensParams(p=p, q=q, cf=tuple(cf), S=S, word=word)
 
 
@@ -103,6 +107,21 @@ def kappa_expected(p: int, q: int) -> int:
         if q in (half - 1, half + 1):
             return 1
     return 0
+
+
+def t_expected(p: int, q: int) -> GoldenInt:
+    """The t-invariant of L(p, q), in closed form from p and q mod 5.
+
+    1 when p = +-1 (mod 5), 1+e when p = +-2; when 5 divides p, 2+e when
+    q = +-1 (mod 5) and 0 when q = +-2. This agrees with the r = 5
+    Turaev-Viro invariant.
+    """
+    lens_params(p, q)
+    if p % 5 in (1, 4):
+        return GoldenInt(1)
+    if p % 5 in (2, 3):
+        return GoldenInt(1, 1)
+    return GoldenInt(2, 1) if q % 5 in (1, 4) else GoldenInt(0)
 
 
 # ---- layered construction --------------------------------------------------------

@@ -16,7 +16,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ._enum import enumerate_masks
-from .errors import EnumerationBudgetError, InvariantDivisionError, NotSimpleError
+from .errors import (
+    EnumerationBudgetError,
+    InvalidBudgetError,
+    InvariantDivisionError,
+    NotSimpleError,
+)
 from .golden import EPS, ZERO, GoldenInt, divexact
 from .triangulation import EDGE_PAIRS, FACE_VERTS, Triangulation
 
@@ -156,12 +161,21 @@ def subpolyhedron(spine: SpecialSpine, faces: int) -> SubPolyhedron:
 
 
 def _resolve_budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return DEFAULT_FACE_BUDGET
+    if budget is None:
+        env = os.environ.get(BUDGET_ENV_VAR)
+        if env is None:
+            return DEFAULT_FACE_BUDGET
+        try:
+            budget = int(env)
+        except ValueError:
+            raise InvalidBudgetError(
+                f"{BUDGET_ENV_VAR} must be an integer, got {env!r}"
+            ) from None
+    if budget < 0:
+        raise InvalidBudgetError(
+            f"the enumeration budget must not be negative, got {budget}"
+        )
+    return budget
 
 
 def enumerate_simple_subpolyhedra(
@@ -170,7 +184,8 @@ def enumerate_simple_subpolyhedra(
     """All simple subpolyhedra, including the empty set and the whole spine.
 
     Deterministic: sorted by face bitmask. Refuses spines with more faces
-    than the budget (default 40, env SPINE_FACE_BUDGET).
+    than the budget (default 40, env SPINE_FACE_BUDGET); a budget that is
+    negative or not an integer raises InvalidBudgetError.
     """
     cap = _resolve_budget(budget)
     if spine.num_faces > cap:

@@ -5,14 +5,21 @@ counts (indexed by the cut-off corner) and 3 quadrilateral counts. Quad type
 q separates the edge {0, q+1} from the opposite edge. Two constructions are
 provided: a surface subpolyhedron is itself normal (type I), and the
 boundary of a small regular neighborhood of any simple subpolyhedron is
-normal (type II). Topology is recovered by assembling the discs into a
-complex: points on edge classes, arcs on triangle classes, discs inside
-tetrahedra.
+normal (type II).
+
+Topology comes from one pass over the disc complex, read through flat
+integer tables cached per triangulation (`NormalTables`). Each disc side
+becomes an integer arc key, the two sides of each arc are joined in a
+union-find with a parity bit, and that one sweep yields the edge weights,
+chi = V - E + F, orientability and the components. The result is a small
+summary cached on the surface, which `split_components`, `reconstruct`,
+`edge_weights` and `max_edge_weight` all read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from typing import NamedTuple, Sequence
 
 from .errors import (
     InternalLinkError,
@@ -20,9 +27,11 @@ from .errors import (
     NotASurfaceError,
 )
 from .spine import SpecialSpine, SubPolyhedron, dual_spine, enumerate_simple_subpolyhedra
-from .triangulation import EDGE_PAIRS, FACE_VERTS, Triangulation
+from .triangulation import EDGE_PAIRS, FACE_VERTS, SignedDSU, Triangulation, perm_inverse
 
-# quad type separating each edge pair from its opposite
+# Normal coordinates are flat, 7 per tetrahedron t: the triangle cutting off
+# corner v at 7t + v, then the quad of type k at 7t + 4 + k. Quad type k
+# separates the edge {0, k+1} from the opposite edge.
 QTYPE_OF_PAIR: dict[tuple[int, int], int] = {
     (0, 1): 0, (2, 3): 0,
     (0, 2): 1, (1, 3): 1,
@@ -40,22 +49,144 @@ def _pair(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True, eq=False)
-class NormalSurface:
-    """Normal coordinates of one normal isotopy class."""
+class NormalTables(NamedTuple):
+    """Flat lookup tables that read normal coordinates on one triangulation.
 
-    triangulation: Triangulation
-    tri: tuple[tuple[int, int, int, int], ...]
-    quad: tuple[tuple[int, int, int], ...]
-    provenance: tuple[str, int]  # ("I" | "II" | "external", face bitmask)
+    An arc key names one normal arc: depth * arc_stride + 4 * triangle class
+    + corner, with the corner and the depth (counted from that corner) read
+    on the representative side of the triangle class.
+    """
+
+    # per edge slot: (edge class, four coordinate indices summing to its weight)
+    weight_terms: tuple[tuple[int, int, int, int, int], ...]
+    # per triangle class and corner of its representative side: coordinate
+    # indices (a, b, c, d) with arc count coords[a] + coords[b] on the
+    # representative side and coords[c] + coords[d] on the other
+    matching: tuple[tuple[int, int, int, int], ...]
+    matching_sites: tuple[tuple[int, int, int], ...]  # (tet, face, corner) of each
+    # per coordinate: the boundary arcs of each of its discs, as
+    # (4 * triangle class + corner, direction, depth base, reversed);
+    # copy m of k sits at depth coords[base] + (k - 1 - m if reversed else m),
+    # with no coords term when base is -1
+    disc_arcs: tuple[tuple[tuple[int, int, int, int], ...], ...]
+    arc_stride: int
+
+
+def build_normal_tables(tr: Triangulation) -> NormalTables:
+    """The tables of tr; read them through tr._normal_tables, which caches them."""
+    n = tr.n
+    class_of = tr._edge_data[1]
+    weight_terms = []
+    for t in range(n):
+        for p, (u, v) in enumerate(EDGE_PAIRS):
+            k = QTYPE_OF_PAIR[(u, v)]
+            weight_terms.append((
+                class_of[6 * t + p],
+                7 * t + u,
+                7 * t + v,
+                7 * t + 4 + (k + 1) % 3,
+                7 * t + 4 + (k + 2) % 3,
+            ))
+
+    def arc_count_terms(t: int, f: int, v: int) -> tuple[int, int]:
+        return 7 * t + v, 7 * t + 4 + QTYPE_OF_PAIR[(min(v, f), max(v, f))]
+
+    matching = []
+    sites = []
+    for tc in tr.triangle_classes:
+        (t0, f0), (t1, f1) = tc.rep, tc.other
+        for v in FACE_VERTS[f0]:
+            matching.append(arc_count_terms(t0, f0, v) + arc_count_terms(t1, f1, tc.perm[v]))
+            sites.append((t0, f0, v))
+
+    def arc(t: int, f: int, corner: int, direction: int, base: int, rev: int) -> tuple:
+        """One disc side on face f, keyed on the representative side.
+
+        direction 0 means the disc walks the arc from its endpoint on the
+        corner's edge toward the smaller off-corner vertex to the one
+        toward the larger, in local labels.
+        """
+        tc = tr.triangle_classes[tr._triangle_class_of[(t, f)]]
+        if (t, f) != tc.rep:
+            phi = tc.perm
+            corner = perm_inverse(phi)[corner]
+            x0, y0 = (w for w in FACE_VERTS[tc.rep[1]] if w != corner)
+            direction ^= phi[x0] > phi[y0]
+        return (4 * tc.index + corner, direction, base, rev)
+
+    disc_arcs = []
+    for t in range(n):
+        for v in range(4):
+            oa, ob, oc = (u for u in range(4) if u != v)
+            disc_arcs.append((
+                arc(t, oc, v, 0, -1, 0),
+                arc(t, oa, v, 0, -1, 0),
+                arc(t, ob, v, 1, -1, 0),
+            ))
+        for (e0, e1), (e2, e3) in QSEP:
+            disc_arcs.append((
+                arc(t, e3, e2, 0, 7 * t + e2, 1),
+                arc(t, e0, e1, 0, 7 * t + e1, 0),
+                arc(t, e2, e3, 1, 7 * t + e3, 1),
+                arc(t, e1, e0, 1, 7 * t + e0, 0),
+            ))
+    return NormalTables(
+        tuple(weight_terms),
+        tuple(matching),
+        tuple(sites),
+        tuple(disc_arcs),
+        4 * len(tr.triangle_classes),
+    )
+
+
+class NormalSurface:
+    """Normal coordinates of one normal isotopy class.
+
+    Stored flat, 7 per tetrahedron (see QTYPE_OF_PAIR); `tri` and `quad` are
+    per-tetrahedron views of the same numbers. Instances are immutable, and
+    the topology summary is computed on first use and kept.
+    """
+
+    __slots__ = ("triangulation", "coords", "provenance", "_summary")
+
+    def __init__(
+        self,
+        triangulation: Triangulation,
+        tri: Sequence[Sequence[int]],
+        quad: Sequence[Sequence[int]],
+        provenance: tuple[str, int],  # ("I" | "II" | "external", face bitmask)
+    ) -> None:
+        flat: list[int] = []
+        for t in range(triangulation.n):
+            flat.extend(tri[t])
+            flat.extend(quad[t])
+        self._fill(triangulation, tuple(flat), provenance)
+
+    def _fill(self, triangulation: Triangulation, coords: tuple[int, ...], provenance) -> None:
+        object.__setattr__(self, "triangulation", triangulation)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "provenance", provenance)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     @property
-    def coords(self) -> tuple[int, ...]:
-        flat: list[int] = []
-        for t in range(self.triangulation.n):
-            flat.extend(self.tri[t])
-            flat.extend(self.quad[t])
-        return tuple(flat)
+    def tri(self) -> tuple[tuple[int, int, int, int], ...]:
+        c = self.coords
+        return tuple(c[i : i + 4] for i in range(0, len(c), 7))
+
+    @property
+    def quad(self) -> tuple[tuple[int, int, int], ...]:
+        c = self.coords
+        return tuple(c[i + 4 : i + 7] for i in range(0, len(c), 7))
+
+    @property
+    def _topology(self) -> _Topology:
+        try:
+            return self._summary
+        except AttributeError:
+            object.__setattr__(self, "_summary", _disc_complex(self))
+            return self._summary
 
     @property
     def is_empty(self) -> bool:
@@ -63,38 +194,35 @@ class NormalSurface:
 
     @property
     def is_trivial(self) -> bool:
-        return not any(x for qs in self.quad for x in qs)
+        return not any(any(qs) for qs in self.quad)
 
     def arc_count(self, t: int, f: int, v: int) -> int:
         """Normal arcs on face f of tetrahedron t cutting off corner v."""
-        return self.tri[t][v] + self.quad[t][QTYPE_OF_PAIR[_pair(v, f)]]
+        c = self.coords
+        return c[7 * t + v] + c[7 * t + 4 + QTYPE_OF_PAIR[_pair(v, f)]]
 
     def slot_weight(self, t: int, u: int, v: int) -> int:
         """Intersection points with the edge {u, v} of tetrahedron t."""
         skip = QTYPE_OF_PAIR[_pair(u, v)]
-        return (
-            self.tri[t][u]
-            + self.tri[t][v]
-            + sum(q for i, q in enumerate(self.quad[t]) if i != skip)
-        )
+        c = self.coords
+        return c[7 * t + u] + c[7 * t + v] + sum(c[7 * t + 4 + k] for k in range(3) if k != skip)
 
     def matching_violations(self) -> list[tuple[int, int, int]]:
         """(tet, face, corner) triples where arc counts disagree across a gluing."""
-        bad = []
-        tr = self.triangulation
-        for tc in tr.triangle_classes:
-            (t0, f0), (t1, f1) = tc.rep, tc.other
-            for v in FACE_VERTS[f0]:
-                if self.arc_count(t0, f0, v) != self.arc_count(t1, f1, tc.perm[v]):
-                    bad.append((t0, f0, v))
-        return bad
+        c = self.coords
+        tables = self.triangulation._normal_tables
+        return [
+            site
+            for (a, b, x, y), site in zip(tables.matching, tables.matching_sites)
+            if c[a] + c[b] != c[x] + c[y]
+        ]
 
     def check_valid(self) -> None:
-        for t in range(self.triangulation.n):
-            if sum(1 for q in self.quad[t] if q) > 1:
-                raise MatchingViolationError(
-                    f"tetrahedron {t} holds two quad types: {self.quad[t]}"
-                )
+        if min(self.coords, default=0) < 0:
+            raise MatchingViolationError(f"negative normal coordinate in {self.coords}")
+        for t, qs in enumerate(self.quad):
+            if qs.count(0) < 2:
+                raise MatchingViolationError(f"tetrahedron {t} holds two quad types: {qs}")
         bad = self.matching_violations()
         if bad:
             raise MatchingViolationError(f"arc counts disagree at {bad}")
@@ -155,18 +283,10 @@ def _link_shape(slots: list[int]) -> tuple:
     raise InternalLinkError(f"germ slots {slots} form no admissible link shape")
 
 
-def _build(
-    tri_counts: list[list[int]],
-    quad_counts: list[list[int]],
-    provenance: tuple[str, int],
-    tr: Triangulation,
-) -> NormalSurface:
-    ns = NormalSurface(
-        triangulation=tr,
-        tri=tuple(tuple(r) for r in tri_counts),
-        quad=tuple(tuple(r) for r in quad_counts),
-        provenance=provenance,
-    )
+def _build(coords: Sequence[int], provenance: tuple[str, int], tr: Triangulation) -> NormalSurface:
+    """A checked surface from flat coordinates, 7 per tetrahedron."""
+    ns = object.__new__(NormalSurface)
+    ns._fill(tr, tuple(coords), provenance)
     ns.check_valid()
     return ns
 
@@ -178,19 +298,18 @@ def type_I_surface(spine: SpecialSpine, q: SubPolyhedron) -> NormalSurface:
     if q.is_empty:
         raise NotASurfaceError("the empty subpolyhedron has no type I surface")
     tr = spine.triangulation
-    tri_counts = [[0] * 4 for _ in range(tr.n)]
-    quad_counts = [[0] * 3 for _ in range(tr.n)]
+    coords = [0] * (7 * tr.n)
     for t in range(tr.n):
         shape = _link_shape(_germ_slots(spine, t, q.faces))
         if shape[0] == "cone":
-            tri_counts[t][shape[1]] += 1
+            coords[7 * t + shape[1]] += 1
         elif shape[0] == "band":
-            quad_counts[t][shape[1]] += 1
+            coords[7 * t + 4 + shape[1]] += 1
         elif shape[0] != "empty":
             raise InternalLinkError(
                 f"surface subpolyhedron has {shape[0]} germs in tetrahedron {t}"
             )
-    return _build(tri_counts, quad_counts, ("I", q.faces), tr)
+    return _build(coords, ("I", q.faces), tr)
 
 
 def type_II_surface(spine: SpecialSpine, q: SubPolyhedron) -> NormalSurface:
@@ -198,264 +317,153 @@ def type_II_surface(spine: SpecialSpine, q: SubPolyhedron) -> NormalSurface:
     if q.is_empty:
         raise ValueError("type II surface needs a nonempty subpolyhedron")
     tr = spine.triangulation
-    tri_counts = [[0] * 4 for _ in range(tr.n)]
-    quad_counts = [[0] * 3 for _ in range(tr.n)]
+    coords = [0] * (7 * tr.n)
     for t in range(tr.n):
         shape = _link_shape(_germ_slots(spine, t, q.faces))
         if shape[0] == "cone":
-            tri_counts[t][shape[1]] += 2
+            coords[7 * t + shape[1]] += 2
         elif shape[0] == "band":
-            quad_counts[t][shape[1]] += 2
+            coords[7 * t + 4 + shape[1]] += 2
         elif shape[0] == "theta":
             u, w = shape[1]
             for v in range(4):
                 if v not in (u, w):
-                    tri_counts[t][v] += 1
-            quad_counts[t][QTYPE_OF_PAIR[(u, w)]] += 1
+                    coords[7 * t + v] += 1
+            coords[7 * t + 4 + QTYPE_OF_PAIR[(u, w)]] += 1
         elif shape[0] == "full":
             for v in range(4):
-                tri_counts[t][v] += 1
-    return _build(tri_counts, quad_counts, ("II", q.faces), tr)
+                coords[7 * t + v] += 1
+    return _build(coords, ("II", q.faces), tr)
 
 
-class _DiscComplex:
-    """Points, arcs, and discs of a normal surface, with adjacency."""
+class _Topology(NamedTuple):
+    """What one pass over the disc complex of a surface finds."""
 
-    def __init__(self, ns: NormalSurface) -> None:
-        self.ns = ns
-        tr = ns.triangulation
-        ecs = tr.edge_classes
+    weights: tuple[int, ...]  # intersection count per edge class
+    chi: int
+    orientable: bool
+    components: int
+    # coordinates of each component in order of first disc, when there are two or more
+    parts: tuple[tuple[int, ...], ...] | None
 
-        # edge weights per class; every slot of a class must agree
-        self.weights: list[int] = []
-        for ec in ecs:
-            vals = set()
-            for s in ec.slots:
-                t, (u, v) = s // 6, EDGE_PAIRS[s % 6]
-                vals.add(ns.slot_weight(t, u, v))
-            if len(vals) != 1:
-                raise MatchingViolationError(
-                    f"edge class {ec.index} sees weights {sorted(vals)}"
-                )
-            self.weights.append(vals.pop())
-        self.point_base = [0]
-        for w in self.weights:
-            self.point_base.append(self.point_base[-1] + w)
-        self.num_points = self.point_base[-1]
 
-        # discs: ("tri", t, corner, copy) and ("quad", t, type, copy)
-        self.discs: list[tuple] = []
-        for t in range(tr.n):
-            for v in range(4):
-                for m in range(ns.tri[t][v]):
-                    self.discs.append(("tri", t, v, m))
-            for qt in range(3):
-                for j in range(ns.quad[t][qt]):
-                    self.discs.append(("quad", t, qt, j))
+def _disc_complex(ns: NormalSurface) -> _Topology:
+    """Edge weights, chi, orientability and components in one sweep of the discs.
 
-        # boundary data per disc
-        self.disc_points: list[list[int]] = []
-        self.disc_arcs: list[list[tuple]] = []  # canonical (class, corner, depth, dir)
-        for disc in self.discs:
-            pts, arcs = self._boundary(disc)
-            self.disc_points.append(pts)
-            self.disc_arcs.append(arcs)
+    Discs are numbered in coordinate order. Each disc side is an integer arc
+    key (see NormalTables); the two sides of every arc join their discs in a
+    union-find whose parity bit records whether the discs' boundary
+    orientations agree, so a parity conflict means non-orientable. Every
+    intersection point lies on one edge class, so V is the sum of the
+    weights and chi = V - E + F.
+    """
+    tables = ns.triangulation._normal_tables
+    c = ns.coords
 
-        self.arc_sides: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
-        for d, arcs in enumerate(self.disc_arcs):
-            for cls, corner, depth, direction in arcs:
-                self.arc_sides.setdefault((cls, corner, depth), []).append((d, direction))
-        for key, sides in self.arc_sides.items():
-            if len(sides) != 2:
-                raise MatchingViolationError(
-                    f"arc {key} bounds {len(sides)} discs, expected 2"
-                )
+    # every slot of an edge class must see the same weight
+    weights: list[int | None] = [None] * len(ns.triangulation.edge_classes)
+    for cls, a, b, x, y in tables.weight_terms:
+        w = c[a] + c[b] + c[x] + c[y]
+        if weights[cls] is None:
+            weights[cls] = w
+        elif weights[cls] != w:
+            seen = {c[a] + c[b] + c[x] + c[y] for k, a, b, x, y in tables.weight_terms if k == cls}
+            raise MatchingViolationError(f"edge class {cls} sees weights {sorted(seen)}")
 
-    def _point(self, t: int, u: int, v: int, depth: int) -> int:
-        """Global id of the depth-th intersection point from u on edge {u, v}."""
-        tr = self.ns.triangulation
-        cls = tr.edge_class_of(t, u, v)
-        w = self.weights[cls]
-        asc = depth if u < v else w - 1 - depth
-        if tr.edge_sign_of(t, min(u, v), max(u, v)) != 1:
-            asc = w - 1 - asc
-        return self.point_base[cls] + asc
+    stride = tables.arc_stride
+    dsu = SignedDSU(sum(k for k in c if k > 0))
+    sides: dict[int, int] = {}  # arc key -> first side 2 * disc + direction; -1 once paired
+    orientable = True
+    d = 0
+    for i, k in enumerate(c):
+        for m in range(k):
+            for key, direction, base, rev in tables.disc_arcs[i]:
+                depth = (k - 1 - m if rev else m) + (c[base] if base >= 0 else 0)
+                key += depth * stride
+                first = sides.get(key)
+                if first is None:
+                    sides[key] = 2 * d + direction
+                elif first < 0:
+                    raise MatchingViolationError(
+                        f"arc {_arc_name(key, stride)} bounds more than 2 disc sides"
+                    )
+                else:
+                    sides[key] = -1
+                    if not dsu.union(first >> 1, d, (first ^ direction ^ 1) & 1):
+                        orientable = False
+            d += 1
+    for key, first in sides.items():
+        if first >= 0:
+            raise MatchingViolationError(
+                f"arc {_arc_name(key, stride)} bounds 1 disc side, expected 2"
+            )
 
-    def _canon_arc(self, t: int, f: int, corner: int, depth: int, direction: int) -> tuple:
-        """Arc key on the representative side of the triangle class.
+    roots = sum(1 for x in range(d) if dsu.parent[x] == x)
+    parts = None
+    if roots > 1:
+        index: dict[int, int] = {}  # root -> component
+        rows: list[list[int]] = []
+        d = 0
+        for i, k in enumerate(c):
+            for _ in range(k):
+                root = dsu.find(d)[0]
+                if root not in index:
+                    index[root] = len(rows)
+                    rows.append([0] * len(c))
+                rows[index[root]][i] += 1
+                d += 1
+        parts = tuple(tuple(r) for r in rows)
+    return _Topology(tuple(weights), sum(weights) - len(sides) + d, orientable, roots, parts)
 
-        direction 0 means the disc walks the arc from its endpoint on the
-        corner's edge toward the smaller off-corner vertex to the one toward
-        the larger, in local labels.
-        """
-        tr = self.ns.triangulation
-        idx = tr.triangle_class_of(t, f)
-        tc = tr.triangle_classes[idx]
-        if (t, f) == tc.rep:
-            return (idx, corner, depth, direction)
-        phi = tc.perm
-        inv = [0, 0, 0, 0]
-        for i, img in enumerate(phi):
-            inv[img] = i
-        corner0 = inv[corner]
-        x0, y0 = sorted(w for w in FACE_VERTS[tc.rep[1]] if w != corner0)
-        if phi[x0] > phi[y0]:
-            direction = 1 - direction
-        return (idx, corner0, depth, direction)
 
-    def _boundary(self, disc: tuple) -> tuple[list[int], list[tuple]]:
-        kind, t, a, m = disc
-        ns = self.ns
-        if kind == "tri":
-            v = a
-            oa, ob, oc = (u for u in range(4) if u != v)
-            pts = [self._point(t, v, x, m) for x in (oa, ob, oc)]
-            arcs = [
-                self._canon_arc(t, oc, v, m, 0),
-                self._canon_arc(t, oa, v, m, 0),
-                self._canon_arc(t, ob, v, m, 1),
-            ]
-            return pts, arcs
-        qt = a
-        j = m
-        (e0, e1), (e2, e3) = QSEP[qt]
-        nq = ns.quad[t][qt]
-        tr_t = ns.tri[t]
-        pts = [
-            self._point(t, e0, e2, tr_t[e0] + j),
-            self._point(t, e1, e2, tr_t[e1] + j),
-            self._point(t, e1, e3, tr_t[e1] + j),
-            self._point(t, e0, e3, tr_t[e0] + j),
-        ]
-        arcs = [
-            self._canon_arc(t, e3, e2, tr_t[e2] + nq - 1 - j, 0),
-            self._canon_arc(t, e0, e1, tr_t[e1] + j, 0),
-            self._canon_arc(t, e2, e3, tr_t[e3] + nq - 1 - j, 1),
-            self._canon_arc(t, e1, e0, tr_t[e0] + j, 1),
-        ]
-        return pts, arcs
-
-    def components(self) -> list[list[int]]:
-        """Disc ids grouped by connected component, in first-disc order."""
-        nd = len(self.discs)
-        parent = list(range(nd))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for sides in self.arc_sides.values():
-            a, b = sides[0][0], sides[1][0]
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        groups: dict[int, list[int]] = {}
-        for d in range(nd):
-            groups.setdefault(find(d), []).append(d)
-        return sorted(groups.values(), key=lambda g: g[0])
+def _arc_name(key: int, stride: int) -> tuple[int, int, int]:
+    """(triangle class, corner, depth) of an arc key."""
+    return (key % stride // 4, key % 4, key // stride)
 
 
 def reconstruct(ns: NormalSurface) -> SurfaceReport:
-    """Topology of the normal surface: per-component chi and orientability."""
+    """Topology of the normal surface: chi, orientability and component count."""
     ns.check_valid()
-    cx = _DiscComplex(ns)
-    groups = cx.components()
-
-    comp_of_disc: dict[int, int] = {}
-    for ci, grp in enumerate(groups):
-        for d in grp:
-            comp_of_disc[d] = ci
-
-    comp_points: list[set[int]] = [set() for _ in groups]
-    comp_arcs = [0] * len(groups)
-    for d, pts in enumerate(cx.disc_points):
-        comp_points[comp_of_disc[d]].update(pts)
-    for key, sides in cx.arc_sides.items():
-        comp_arcs[comp_of_disc[sides[0][0]]] += 1
-
-    chi_total = 0
-    orientable = True
-    for ci, grp in enumerate(groups):
-        chi_total += len(comp_points[ci]) - comp_arcs[ci] + len(grp)
-
-    # orientation flip bits over the disc adjacency graph
-    flip: dict[int, int] = {}
-    for start in range(len(cx.discs)):
-        if start in flip:
-            continue
-        flip[start] = 0
-        stack = [start]
-        while stack:
-            d = stack.pop()
-            for key in cx.disc_arcs[d]:
-                (d1, dir1), (d2, dir2) = cx.arc_sides[key[:3]]
-                if d1 == d2:
-                    # the disc meets itself along this arc
-                    if dir1 == dir2:
-                        orientable = False
-                    continue
-                other = d2 if d1 == d else d1
-                want = flip[d] ^ dir1 ^ dir2 ^ 1
-                if other in flip:
-                    if flip[other] != want:
-                        orientable = False
-                else:
-                    flip[other] = want
-                    stack.append(other)
-
-    ncomp = len(groups)
+    topo = ns._topology
+    ncomp = topo.components
     connected = ncomp == 1
     if ncomp == 0:
         classification = "empty"
     elif connected:
-        classification = _classify(chi_total, orientable)
+        classification = _classify(topo.chi, topo.orientable)
     else:
-        classification = f"other({chi_total})"
+        classification = f"other({topo.chi})"
     return SurfaceReport(
-        chi=chi_total,
-        orientable=orientable,
+        chi=topo.chi,
+        orientable=topo.orientable,
         connected=connected,
         components=ncomp,
         classification=classification,
         trivial=ns.is_trivial,
-        max_edge_weight=max(cx.weights, default=0),
+        max_edge_weight=max(topo.weights, default=0),
     )
 
 
 def edge_weights(ns: NormalSurface) -> list[int]:
     """Intersection count with each edge class."""
-    return list(_DiscComplex(ns).weights)
+    return list(ns._topology.weights)
 
 
 def max_edge_weight(ns: NormalSurface) -> int:
-    return max(edge_weights(ns), default=0)
+    return max(ns._topology.weights, default=0)
 
 
 def vertex_bound_after_cut(tr: Triangulation, ns: NormalSurface) -> int:
     """Tetrahedra free of quads: bounds the complexity after cutting."""
-    return sum(1 for t in range(tr.n) if not any(ns.quad[t]))
+    return sum(1 for qs in ns.quad if not any(qs))
 
 
 def split_components(ns: NormalSurface) -> list[NormalSurface]:
     """Restrict the coordinates to each connected component of the surface."""
-    cx = _DiscComplex(ns)
-    groups = cx.components()
-    if len(groups) <= 1:
+    parts = ns._topology.parts
+    if parts is None:
         return [ns]
-    out = []
-    for grp in groups:
-        tri_counts = [[0] * 4 for _ in range(ns.triangulation.n)]
-        quad_counts = [[0] * 3 for _ in range(ns.triangulation.n)]
-        for d in grp:
-            kind, t, a, _ = cx.discs[d]
-            if kind == "tri":
-                tri_counts[t][a] += 1
-            else:
-                quad_counts[t][a] += 1
-        out.append(_build(tri_counts, quad_counts, ns.provenance, ns.triangulation))
-    return out
+    return [_build(part, ns.provenance, ns.triangulation) for part in parts]
 
 
 @dataclass(frozen=True, eq=False)
@@ -469,25 +477,21 @@ def census(tr: Triangulation, budget: int | None = None) -> list[CensusEntry]:
 
     Every surface subpolyhedron contributes itself (type I); every nonempty
     simple subpolyhedron contributes its neighborhood boundary (type II).
-    Disconnected results are split into components; duplicates (equal
-    normal coordinates) are dropped. Sorted by coordinate vector.
+    Each surface is split into components as it is built, and a component
+    whose normal coordinates were already seen is dropped. Sorted by
+    coordinate vector.
     """
     spine = dual_spine(tr)
-    produced: list[NormalSurface] = []
+    seen: dict[tuple[int, ...], NormalSurface] = {}
+
+    def keep(ns: NormalSurface) -> None:
+        for comp in split_components(ns):
+            seen.setdefault(comp.coords, comp)
+
     for q in enumerate_simple_subpolyhedra(spine, budget=budget):
         if q.is_empty:
             continue
         if q.is_surface:
-            produced.append(type_I_surface(spine, q))
-        produced.append(type_II_surface(spine, q))
-    seen: dict[tuple[int, ...], NormalSurface] = {}
-    for ns in produced:
-        for comp in split_components(ns):
-            key = comp.coords
-            if key not in seen:
-                seen[key] = comp
-    entries = [
-        CensusEntry(surface=ns, report=reconstruct(ns))
-        for ns in sorted(seen.values(), key=lambda s: s.coords)
-    ]
-    return entries
+            keep(type_I_surface(spine, q))
+        keep(type_II_surface(spine, q))
+    return [CensusEntry(surface=seen[key], report=reconstruct(seen[key])) for key in sorted(seen)]

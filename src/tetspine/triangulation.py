@@ -12,9 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import GluingError, ParseError, UngluedFaceError
+
+if TYPE_CHECKING:
+    from .surfaces import NormalTables
 
 Perm = tuple[int, int, int, int]
 
@@ -70,7 +73,7 @@ def edge_slot(t: int, u: int, v: int) -> int:
     return t * 6 + PAIR_INDEX[(u, v)]
 
 
-class _SignedDSU:
+class SignedDSU:
     """Union-find with a sign bit on each edge to the parent."""
 
     def __init__(self, n: int) -> None:
@@ -117,7 +120,7 @@ def signed_edge_classes(
     s's ascending vertex order agrees with that smallest slot's.  Raises
     GluingError when a slot is identified with itself reversed.
     """
-    dsu = _SignedDSU(6 * n)
+    dsu = SignedDSU(6 * n)
     for (t, f), (t2, _, perm) in gluings:
         for a, b in FACE_EDGES[f]:
             a2, b2 = perm[a], perm[b]
@@ -353,6 +356,14 @@ class Triangulation:
 
     def triangle_class_of(self, t: int, f: int) -> int:
         return self._triangle_class_of[(t, f)]
+
+    @cached_property
+    def _normal_tables(self) -> NormalTables:
+        # the tables are built where normal coordinates are defined; that
+        # module imports this one, hence the import here
+        from .surfaces import build_normal_tables
+
+        return build_normal_tables(self)
 
     # ---- vertex links -------------------------------------------------------------
 

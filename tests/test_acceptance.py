@@ -12,9 +12,9 @@ import time
 from math import gcd
 
 from fixtures_data import DOUBLE, RP2LINK, S3_ONE_TET, T41, T52
-from tetspine.cli import ALLOWED_LENS_T, main
+from tetspine.cli import main
 from tetspine.golden import GoldenInt, divexact
-from tetspine.lens import build_Tpq
+from tetspine.lens import build_Tpq, t_expected
 from tetspine.moves import iter_pachner_walk, random_pachner_walk
 from tetspine.spine import (
     dual_spine,
@@ -107,9 +107,9 @@ def test_criterion_4_lens_invariant_values_and_move_invariance():
         for q in range(1, p):
             if gcd(p, q) != 1:
                 continue
-            value = str(t_manifold(build_Tpq(p, q)))
-            if value not in ALLOWED_LENS_T:
-                bad.append((p, q, value))
+            value = t_manifold(build_Tpq(p, q))
+            if value != t_expected(p, q):
+                bad.append((p, q, str(value)))
     base = build_Tpq(7, 2)
     base_t = t_manifold(base)
     for seed in range(5):
@@ -118,7 +118,7 @@ def test_criterion_4_lens_invariant_values_and_move_invariance():
                 bad.append(("walk", seed, step))
     check(
         4,
-        "lens invariants lie in {0, 1, 1+e, 2+e} and survive 20-step walks",
+        "lens invariants match their closed form and survive 20-step walks",
         not bad,
         str(bad[:4]),
     )

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -160,6 +161,29 @@ def test_budget_exit_code(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "t83.txt", serialize_triangulation(build_Tpq(8, 3)))
     assert main(["subpolyhedra", path]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_budget_that_is_not_an_integer_is_a_usage_error(tmp_path):
+    path = write(tmp_path, "t41.txt", T41)
+    env = dict(os.environ, SPINE_FACE_BUDGET="abc")
+    proc = subprocess.run(
+        [sys.executable, "-m", "tetspine.cli", "subpolyhedra", path],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: SPINE_FACE_BUDGET must be an integer")
+    assert "Traceback" not in proc.stderr
+
+
+def test_negative_budget_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SPINE_FACE_BUDGET", "-3")
+    path = write(tmp_path, "t41.txt", T41)
+    assert main(["surfaces", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must not be negative, got -3" in captured.err
 
 
 def test_usage_error_exits_2():

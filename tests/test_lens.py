@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from tetspine.errors import InvalidParamsError
+from tetspine.errors import ConstructionInvariantError, InvalidParamsError
 from tetspine.golden import GoldenInt
 from tetspine.homology import h1
 from tetspine.lens import (
@@ -12,6 +12,7 @@ from tetspine.lens import (
     build_Tpq,
     kappa_expected,
     lens_params,
+    t_expected,
     tau_expected,
 )
 from tetspine.spine import dual_spine, enumerate_simple_subpolyhedra, t_manifold
@@ -112,3 +113,22 @@ def test_frozen_gluings():
     assert digest.hexdigest() == (
         "b5462961e548733a75b1a81e3b0982b60f55d6abedf6c4ae8f5ce0db8f5f8d2b"
     )
+
+
+def test_word_check_survives_optimized_mode(monkeypatch):
+    # the check is a raise, not an assert, so python -O keeps it
+    import tetspine.lens as lens
+
+    monkeypatch.setattr(lens, "apply_word", lambda word, start=(1, 1): (0, 0))
+    with pytest.raises(ConstructionInvariantError, match="does not carry"):
+        lens_params(7, 2)
+
+
+def test_t_expected_matches_t_manifold():
+    for p, q in coprime_pairs(14):
+        assert t_manifold(build_Tpq(p, q)) == t_expected(p, q), (p, q)
+    assert [str(t_expected(p, q)) for p, q in [(6, 1), (7, 2), (5, 1), (5, 2), (10, 3), (10, 1)]] == [
+        "1", "1+e", "2+e", "0", "0", "2+e"
+    ]
+    with pytest.raises(InvalidParamsError):
+        t_expected(6, 3)

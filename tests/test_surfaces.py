@@ -1,3 +1,8 @@
+import hashlib
+import random
+from collections import Counter
+from math import gcd
+
 import pytest
 
 from fixtures_data import DOUBLE, S3_ONE_TET, T41, T52
@@ -305,3 +310,66 @@ def test_trivial_census_entries_are_the_vertex_links():
         trivial = [e for e in census(tr) if e.report.trivial]
         assert len(trivial) == len(tr.vertex_classes), name
         assert all(e.report.classification == "sphere" for e in trivial), name
+
+
+def test_split_components_runs_the_complex_checks_itself():
+    # neither surface goes through check_valid: the disc complex must refuse it
+    tri = parse_triangulation(T52)
+    uneven = NormalSurface(tri, ((0, 0, 0, 0),), ((0, 0, 1),), ("external", 0))
+    with pytest.raises(MatchingViolationError, match="edge class 1 sees weights"):
+        split_components(uneven)
+    # the weights agree, but a negative count leaves one arc with a single side
+    unpaired = NormalSurface(tri, ((0, 0, 1, 1),), ((0, 1, -1),), ("external", 0))
+    assert not unpaired.matching_violations()
+    with pytest.raises(MatchingViolationError, match="bounds 1 disc side, expected 2"):
+        split_components(unpaired)
+    with pytest.raises(MatchingViolationError, match="negative normal coordinate"):
+        unpaired.check_valid()
+
+
+def test_census_reports_survive_relabeling():
+    from test_triangulation import relabel
+
+    rng = random.Random(11)
+    subjects = [
+        build_Tpq(7, 2),
+        build_Tpq(8, 3),
+        build_Tpq(12, 5),
+        random_pachner_walk(build_Tpq(7, 2), 6, seed=4),
+        random_pachner_walk(build_Tpq(5, 1), 5, seed=1),
+    ]
+    for tr in subjects:
+        want = Counter(e.report for e in census(tr))
+        for _ in range(2):
+            tets = list(range(tr.n))
+            rng.shuffle(tets)
+            verts = [tuple(rng.sample(range(4), 4)) for _ in range(tr.n)]
+            moved = relabel(tr, tets, verts)
+            assert Counter(e.report for e in census(moved)) == want
+
+
+def test_type_II_surfaces_of_orientable_closed_manifolds_are_orientable():
+    # the boundary of a regular neighbourhood in an orientable manifold is two-sided
+    for name, tr in corpus().items():
+        if not tr.is_closed:
+            continue
+        sp = dual_spine(tr)
+        for q in enumerate_simple_subpolyhedra(sp):
+            if not q.is_empty:
+                assert reconstruct(type_II_surface(sp, q)).orientable, (name, q.faces)
+
+
+def test_frozen_lens_census():
+    # sha256 of every census row (coordinates, provenance, report) of the
+    # layered T_(p,q), coprime 4 <= p <= 12
+    h = hashlib.sha256()
+    for p in range(4, 13):
+        for q in range(1, p):
+            if gcd(p, q) != 1:
+                continue
+            for e in census(build_Tpq(p, q)):
+                r = e.report
+                row = (p, q, e.surface.coords, e.surface.provenance, r.chi, r.orientable,
+                       r.connected, r.components, r.classification, r.trivial, r.max_edge_weight)
+                h.update(repr(row).encode())
+    assert h.hexdigest() == "5572f987deed682ffaf3f1fbea938e2576472fc6ce047e338947a680904c4088"
