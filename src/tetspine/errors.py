@@ -23,9 +23,13 @@ class GluingError(TetspineError):
 class UngluedFaceError(GluingError):
     """A face slot has no partner; only fully glued complexes are accepted."""
 
+    LISTED = 20  # slots named in the message; the rest are counted
+
     def __init__(self, slots: list[tuple[int, int]]) -> None:
         self.slots = slots
-        pretty = ", ".join(f"({t},{f})" for t, f in slots)
+        pretty = ", ".join(f"({t},{f})" for t, f in slots[: self.LISTED])
+        if len(slots) > self.LISTED:
+            pretty += f", ... and {len(slots) - self.LISTED} more"
         super().__init__(f"unglued face slots: {pretty}")
 
 

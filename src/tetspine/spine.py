@@ -15,6 +15,7 @@ import os
 from dataclasses import dataclass
 from typing import Sequence
 
+# Triangulation._subpolyhedra enumerates through this module's binding
 from ._enum import enumerate_masks
 from .errors import (
     EnumerationBudgetError,
@@ -70,7 +71,7 @@ class SpecialSpine:
         return (1 << self.num_faces) - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubPolyhedron:
     """A simple union of closed spine faces, given as a face bitmask."""
 
@@ -185,15 +186,17 @@ def enumerate_simple_subpolyhedra(
 
     Deterministic: sorted by face bitmask. Refuses spines with more faces
     than the budget (default 40, env SPINE_FACE_BUDGET); a budget that is
-    negative or not an integer raises InvalidBudgetError.
+    negative or not an integer raises InvalidBudgetError. The budget is
+    checked on every call, but the enumeration runs once per triangulation:
+    its result is cached on the spine's triangulation, and each call
+    returns a new list of the same frozen subpolyhedra.
     """
     cap = _resolve_budget(budget)
     if spine.num_faces > cap:
         raise EnumerationBudgetError(
             f"{spine.num_faces} faces exceeds the enumeration budget {cap}"
         )
-    masks = enumerate_masks(spine.num_faces, spine.edge_germs)
-    return [subpolyhedron(spine, m) for m in masks]
+    return list(spine.triangulation._subpolyhedra)
 
 
 def surface_space_nullity(spine: SpecialSpine) -> int:

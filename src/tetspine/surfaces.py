@@ -5,20 +5,26 @@ counts (indexed by the cut-off corner) and 3 quadrilateral counts. Quad type
 q separates the edge {0, q+1} from the opposite edge. Two constructions are
 provided: a surface subpolyhedron is itself normal (type I), and the
 boundary of a small regular neighborhood of any simple subpolyhedron is
-normal (type II).
+normal (type II). Both read each tetrahedron's 6-bit germ pattern off the
+spine and copy its coordinate row from a 64-entry table built at import.
 
 Topology comes from one pass over the disc complex, read through flat
-integer tables cached per triangulation (`NormalTables`). Each disc side
-becomes an integer arc key, the two sides of each arc are joined in a
-union-find with a parity bit, and that one sweep yields the edge weights,
-chi = V - E + F, orientability and the components. The result is a small
-summary cached on the surface, which `split_components`, `reconstruct`,
-`edge_weights` and `max_edge_weight` all read.
+integer tables cached per triangulation (`NormalTables`). Along each corner
+of each triangle class the arcs are paired arithmetically: the arc at depth
+j joins the j-th disc outward from the corner on one side to the j-th on
+the other. That gives each disc a list of neighbours with a parity bit, and
+one flood fill over the discs yields the components and orientability.
+With the edge weights this gives chi = V - E + F. The result is a small
+summary cached on the surface; computing it is the surface's one
+validation (the complex's own checks, then `check_valid`), and
+`split_components`, `reconstruct`, `edge_weights` and `max_edge_weight` all
+read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -27,7 +33,7 @@ from .errors import (
     NotASurfaceError,
 )
 from .spine import SpecialSpine, SubPolyhedron, dual_spine, enumerate_simple_subpolyhedra
-from .triangulation import EDGE_PAIRS, FACE_VERTS, SignedDSU, Triangulation, perm_inverse
+from .triangulation import EDGE_PAIRS, FACE_VERTS, Triangulation
 
 # Normal coordinates are flat, 7 per tetrahedron t: the triangle cutting off
 # corner v at 7t + v, then the quad of type k at 7t + 4 + k. Quad type k
@@ -52,24 +58,28 @@ def _pair(u: int, v: int) -> tuple[int, int]:
 class NormalTables(NamedTuple):
     """Flat lookup tables that read normal coordinates on one triangulation.
 
-    An arc key names one normal arc: depth * arc_stride + 4 * triangle class
-    + corner, with the corner and the depth (counted from that corner) read
-    on the representative side of the triangle class.
+    A normal arc is named (triangle class, corner, depth): the corner is read
+    on the representative side of the triangle class, and the depth counts
+    the arcs between it and that corner.
     """
 
     # per edge slot: (edge class, four coordinate indices summing to its weight)
     weight_terms: tuple[tuple[int, int, int, int, int], ...]
     # per triangle class and corner of its representative side: coordinate
     # indices (a, b, c, d) with arc count coords[a] + coords[b] on the
-    # representative side and coords[c] + coords[d] on the other
+    # representative side and coords[c] + coords[d] on the other; a and c
+    # are triangles, b and d quads
     matching: tuple[tuple[int, int, int, int], ...]
     matching_sites: tuple[tuple[int, int, int], ...]  # (tet, face, corner) of each
-    # per coordinate: the boundary arcs of each of its discs, as
-    # (4 * triangle class + corner, direction, depth base, reversed);
-    # copy m of k sits at depth coords[base] + (k - 1 - m if reversed else m),
-    # with no coords term when base is -1
-    disc_arcs: tuple[tuple[tuple[int, int, int, int], ...], ...]
-    arc_stride: int
+    # per matching entry, its four indices again (so the sweep unpacks one
+    # tuple per corner), then how the discs meet the arcs on each side:
+    # (triangle direction, quad direction, quad reversed) on the
+    # representative side, then the same on the other. Outward from the
+    # corner come the triangle copies, then the quad copies, in reverse order
+    # when reversed is 1. Direction 0 means the disc's boundary runs from the
+    # arc's end on the corner's edge toward the smaller other vertex of the
+    # representative face to the end toward the larger.
+    arc_runs: tuple[tuple[int, int, int, int, int, int, int, int, int, int], ...]
 
 
 def build_normal_tables(tr: Triangulation) -> NormalTables:
@@ -91,52 +101,42 @@ def build_normal_tables(tr: Triangulation) -> NormalTables:
     def arc_count_terms(t: int, f: int, v: int) -> tuple[int, int]:
         return 7 * t + v, 7 * t + 4 + QTYPE_OF_PAIR[(min(v, f), max(v, f))]
 
+    # in one tetrahedron's labels, keyed by (face, corner): the direction of
+    # the triangle at the corner along its arc on that face, and the direction
+    # and order of the quad cutting the corner off there
+    tri_dir = {}
+    for v in range(4):
+        oa, ob, oc = (u for u in range(4) if u != v)
+        tri_dir[(oc, v)] = tri_dir[(oa, v)] = 0
+        tri_dir[(ob, v)] = 1
+    quad_side = {}
+    for (e0, e1), (e2, e3) in QSEP:
+        quad_side[(e3, e2)] = (0, 1)
+        quad_side[(e0, e1)] = (0, 0)
+        quad_side[(e2, e3)] = (1, 1)
+        quad_side[(e1, e0)] = (1, 0)
+
     matching = []
     sites = []
+    arc_runs = []
     for tc in tr.triangle_classes:
         (t0, f0), (t1, f1) = tc.rep, tc.other
+        phi = tc.perm
         for v in FACE_VERTS[f0]:
-            matching.append(arc_count_terms(t0, f0, v) + arc_count_terms(t1, f1, tc.perm[v]))
+            w = phi[v]
+            terms = arc_count_terms(t0, f0, v) + arc_count_terms(t1, f1, w)
+            matching.append(terms)
             sites.append((t0, f0, v))
-
-    def arc(t: int, f: int, corner: int, direction: int, base: int, rev: int) -> tuple:
-        """One disc side on face f, keyed on the representative side.
-
-        direction 0 means the disc walks the arc from its endpoint on the
-        corner's edge toward the smaller off-corner vertex to the one
-        toward the larger, in local labels.
-        """
-        tc = tr.triangle_classes[tr._triangle_class_of[(t, f)]]
-        if (t, f) != tc.rep:
-            phi = tc.perm
-            corner = perm_inverse(phi)[corner]
-            x0, y0 = (w for w in FACE_VERTS[tc.rep[1]] if w != corner)
-            direction ^= phi[x0] > phi[y0]
-        return (4 * tc.index + corner, direction, base, rev)
-
-    disc_arcs = []
-    for t in range(n):
-        for v in range(4):
-            oa, ob, oc = (u for u in range(4) if u != v)
-            disc_arcs.append((
-                arc(t, oc, v, 0, -1, 0),
-                arc(t, oa, v, 0, -1, 0),
-                arc(t, ob, v, 1, -1, 0),
+            # the other side's directions, read in the representative labels
+            x0, y0 = (u for u in FACE_VERTS[f0] if u != v)
+            flip = int(phi[x0] > phi[y0])
+            quad_dir, quad_rev = quad_side[(f0, v)]
+            other_dir, other_rev = quad_side[(f1, w)]
+            arc_runs.append(terms + (
+                tri_dir[(f0, v)], quad_dir, quad_rev,
+                tri_dir[(f1, w)] ^ flip, other_dir ^ flip, other_rev,
             ))
-        for (e0, e1), (e2, e3) in QSEP:
-            disc_arcs.append((
-                arc(t, e3, e2, 0, 7 * t + e2, 1),
-                arc(t, e0, e1, 0, 7 * t + e1, 0),
-                arc(t, e2, e3, 1, 7 * t + e3, 1),
-                arc(t, e1, e0, 1, 7 * t + e0, 0),
-            ))
-    return NormalTables(
-        tuple(weight_terms),
-        tuple(matching),
-        tuple(sites),
-        tuple(disc_arcs),
-        4 * len(tr.triangle_classes),
-    )
+    return NormalTables(tuple(weight_terms), tuple(matching), tuple(sites), tuple(arc_runs))
 
 
 class NormalSurface:
@@ -182,11 +182,14 @@ class NormalSurface:
 
     @property
     def _topology(self) -> _Topology:
+        """The topology summary; its first computation validates the surface."""
         try:
             return self._summary
         except AttributeError:
-            object.__setattr__(self, "_summary", _disc_complex(self))
-            return self._summary
+            summary = _disc_complex(self)
+            self.check_valid()
+            object.__setattr__(self, "_summary", summary)
+            return summary
 
     @property
     def is_empty(self) -> bool:
@@ -218,11 +221,14 @@ class NormalSurface:
         ]
 
     def check_valid(self) -> None:
-        if min(self.coords, default=0) < 0:
-            raise MatchingViolationError(f"negative normal coordinate in {self.coords}")
-        for t, qs in enumerate(self.quad):
-            if qs.count(0) < 2:
-                raise MatchingViolationError(f"tetrahedron {t} holds two quad types: {qs}")
+        c = self.coords
+        if min(c, default=0) < 0:
+            raise MatchingViolationError(f"negative normal coordinate in {c}")
+        for i in range(4, len(c), 7):
+            if (c[i] and c[i + 1]) or (c[i] and c[i + 2]) or (c[i + 1] and c[i + 2]):
+                raise MatchingViolationError(
+                    f"tetrahedron {i // 7} holds two quad types: {c[i : i + 3]}"
+                )
         bad = self.matching_violations()
         if bad:
             raise MatchingViolationError(f"arc counts disagree at {bad}")
@@ -253,15 +259,11 @@ def _classify(chi: int, orientable: bool) -> str:
     return f"other({chi})"
 
 
-def _germ_slots(spine: SpecialSpine, t: int, mask: int) -> list[int]:
-    return [p for p in range(6) if mask >> spine.corner_germs[t][p] & 1]
-
-
-def _link_shape(slots: list[int]) -> tuple:
+def _link_shape(slots: list[int]) -> tuple | None:
     """Shape of the germ set of a simple subpolyhedron inside one tetrahedron.
 
     Returns ("empty",), ("cone", corner), ("band", quad type),
-    ("theta", missing pair) or ("full",).
+    ("theta", missing pair) or ("full",); None for a set with no shape.
     """
     k = len(slots)
     if k == 0:
@@ -280,14 +282,68 @@ def _link_shape(slots: list[int]) -> tuple:
         return ("theta", missing)
     elif k == 6:
         return ("full",)
-    raise InternalLinkError(f"germ slots {slots} form no admissible link shape")
+    return None
+
+
+def _slots(pattern: int) -> list[int]:
+    return [p for p in range(6) if pattern >> p & 1]
+
+
+def _link_rows(pattern: int) -> tuple[str, tuple[int, ...] | None, tuple[int, ...]] | None:
+    """(shape, type I row, type II row) of one tetrahedron's germ pattern.
+
+    Bit p of the pattern is edge slot p (see EDGE_PAIRS); a row is the
+    tetrahedron's 7 coordinates. None for a pattern with no admissible
+    shape; a type I row of None for one that no surface has (theta, full).
+    """
+    shape = _link_shape(_slots(pattern))
+    if shape is None:
+        return None
+    one = [0] * 7
+    two = [0] * 7
+    if shape[0] == "cone":
+        one[shape[1]] = 1
+        two[shape[1]] = 2
+    elif shape[0] == "band":
+        one[4 + shape[1]] = 1
+        two[4 + shape[1]] = 2
+    elif shape[0] == "theta":
+        u, w = shape[1]
+        for v in range(4):
+            if v not in (u, w):
+                two[v] = 1
+        two[4 + QTYPE_OF_PAIR[(u, w)]] = 1
+    elif shape[0] == "full":
+        two[:4] = [1, 1, 1, 1]
+    return shape[0], (tuple(one) if shape[0] in ("empty", "cone", "band") else None), tuple(two)
+
+
+# the rows of every 6-bit germ pattern
+_LINK_ROWS = tuple(_link_rows(pattern) for pattern in range(64))
+
+
+def _germ_patterns(spine: SpecialSpine, faces: int) -> list[int]:
+    """Per tetrahedron, the 6-bit set of edge slots whose dual face is in faces."""
+    return [
+        (faces >> g0 & 1)
+        | (faces >> g1 & 1) << 1
+        | (faces >> g2 & 1) << 2
+        | (faces >> g3 & 1) << 3
+        | (faces >> g4 & 1) << 4
+        | (faces >> g5 & 1) << 5
+        for g0, g1, g2, g3, g4, g5 in spine.corner_germs
+    ]
+
+
+def _no_shape(pattern: int) -> InternalLinkError:
+    return InternalLinkError(f"germ slots {_slots(pattern)} form no admissible link shape")
 
 
 def _build(coords: Sequence[int], provenance: tuple[str, int], tr: Triangulation) -> NormalSurface:
     """A checked surface from flat coordinates, 7 per tetrahedron."""
     ns = object.__new__(NormalSurface)
     ns._fill(tr, tuple(coords), provenance)
-    ns.check_valid()
+    ns._topology  # computing the summary validates the surface
     return ns
 
 
@@ -297,43 +353,30 @@ def type_I_surface(spine: SpecialSpine, q: SubPolyhedron) -> NormalSurface:
         raise NotASurfaceError("subpolyhedron has a germ count of 3 at some edge")
     if q.is_empty:
         raise NotASurfaceError("the empty subpolyhedron has no type I surface")
-    tr = spine.triangulation
-    coords = [0] * (7 * tr.n)
-    for t in range(tr.n):
-        shape = _link_shape(_germ_slots(spine, t, q.faces))
-        if shape[0] == "cone":
-            coords[7 * t + shape[1]] += 1
-        elif shape[0] == "band":
-            coords[7 * t + 4 + shape[1]] += 1
-        elif shape[0] != "empty":
+    coords: list[int] = []
+    for t, pattern in enumerate(_germ_patterns(spine, q.faces)):
+        rows = _LINK_ROWS[pattern]
+        if rows is None:
+            raise _no_shape(pattern)
+        if rows[1] is None:
             raise InternalLinkError(
-                f"surface subpolyhedron has {shape[0]} germs in tetrahedron {t}"
+                f"surface subpolyhedron has {rows[0]} germs in tetrahedron {t}"
             )
-    return _build(coords, ("I", q.faces), tr)
+        coords.extend(rows[1])
+    return _build(coords, ("I", q.faces), spine.triangulation)
 
 
 def type_II_surface(spine: SpecialSpine, q: SubPolyhedron) -> NormalSurface:
     """Boundary of a small regular neighborhood of the subpolyhedron Q."""
     if q.is_empty:
         raise ValueError("type II surface needs a nonempty subpolyhedron")
-    tr = spine.triangulation
-    coords = [0] * (7 * tr.n)
-    for t in range(tr.n):
-        shape = _link_shape(_germ_slots(spine, t, q.faces))
-        if shape[0] == "cone":
-            coords[7 * t + shape[1]] += 2
-        elif shape[0] == "band":
-            coords[7 * t + 4 + shape[1]] += 2
-        elif shape[0] == "theta":
-            u, w = shape[1]
-            for v in range(4):
-                if v not in (u, w):
-                    coords[7 * t + v] += 1
-            coords[7 * t + 4 + QTYPE_OF_PAIR[(u, w)]] += 1
-        elif shape[0] == "full":
-            for v in range(4):
-                coords[7 * t + v] += 1
-    return _build(coords, ("II", q.faces), tr)
+    coords: list[int] = []
+    for pattern in _germ_patterns(spine, q.faces):
+        rows = _LINK_ROWS[pattern]
+        if rows is None:
+            raise _no_shape(pattern)
+        coords.extend(rows[2])
+    return _build(coords, ("II", q.faces), spine.triangulation)
 
 
 class _Topology(NamedTuple):
@@ -350,12 +393,16 @@ class _Topology(NamedTuple):
 def _disc_complex(ns: NormalSurface) -> _Topology:
     """Edge weights, chi, orientability and components in one sweep of the discs.
 
-    Discs are numbered in coordinate order. Each disc side is an integer arc
-    key (see NormalTables); the two sides of every arc join their discs in a
-    union-find whose parity bit records whether the discs' boundary
-    orientations agree, so a parity conflict means non-orientable. Every
-    intersection point lies on one edge class, so V is the sum of the
-    weights and chi = V - E + F.
+    Discs are numbered in coordinate order; a negative count has none. Each
+    triangle-class corner pairs its arcs arithmetically: the arc at depth j
+    is bounded by the j-th disc outward from the corner on each side (see
+    NormalTables.arc_runs), so both sides must hold the same number of arcs.
+    Pairing gives each disc a list of neighbours, as 2 * disc + parity, where
+    the parity records whether the two discs' boundary orientations disagree
+    across the arc. A flood fill over the discs in index order gives the
+    components in order of first disc, and a parity clash inside one means
+    non-orientable. Every intersection point lies on one edge class, so V is
+    the sum of the weights and chi = V - E + F.
     """
     tables = ns.triangulation._normal_tables
     c = ns.coords
@@ -370,60 +417,78 @@ def _disc_complex(ns: NormalSurface) -> _Topology:
             seen = {c[a] + c[b] + c[x] + c[y] for k, a, b, x, y in tables.weight_terms if k == cls}
             raise MatchingViolationError(f"edge class {cls} sees weights {sorted(seen)}")
 
-    stride = tables.arc_stride
-    dsu = SignedDSU(sum(k for k in c if k > 0))
-    sides: dict[int, int] = {}  # arc key -> first side 2 * disc + direction; -1 once paired
+    counts = c if min(c, default=0) >= 0 else [k if k > 0 else 0 for k in c]
+    first = [0, *accumulate(counts)]  # first[i]: the first disc of coordinate i
+    discs = first[-1]
+    nbrs: list[list[int]] = [[] for _ in range(discs)]  # per disc: 2 * neighbour + parity
+    arcs = 0
+    for ta, qa, tb, qb, da, ea, ra, db, eb, rb in tables.arc_runs:
+        ka, la, kb, lb = counts[ta], counts[qa], counts[tb], counts[qb]
+        depth = ka + la
+        if depth != kb + lb:
+            raise _unpaired_arc(tables, counts)
+        if not depth:
+            continue
+        arcs += depth
+        for j in range(depth):
+            # 2 * disc + direction of the disc bounding the arc on each side
+            if j < ka:
+                x = 2 * (first[ta] + j) + da
+            else:
+                x = 2 * (first[qa] + (la - 1 - (j - ka) if ra else j - ka)) + ea
+            if j < kb:
+                y = 2 * (first[tb] + j) + db
+            else:
+                y = 2 * (first[qb] + (lb - 1 - (j - kb) if rb else j - kb)) + eb
+            parity = (x ^ y ^ 1) & 1
+            nbrs[x >> 1].append(y & ~1 | parity)
+            nbrs[y >> 1].append(x & ~1 | parity)
+
+    # label[x] = 2 * component + side of disc x, or -1 before the fill reaches it
+    label = [-1] * discs
+    components = 0
     orientable = True
-    d = 0
-    for i, k in enumerate(c):
-        for m in range(k):
-            for key, direction, base, rev in tables.disc_arcs[i]:
-                depth = (k - 1 - m if rev else m) + (c[base] if base >= 0 else 0)
-                key += depth * stride
-                first = sides.get(key)
-                if first is None:
-                    sides[key] = 2 * d + direction
-                elif first < 0:
-                    raise MatchingViolationError(
-                        f"arc {_arc_name(key, stride)} bounds more than 2 disc sides"
-                    )
-                else:
-                    sides[key] = -1
-                    if not dsu.union(first >> 1, d, (first ^ direction ^ 1) & 1):
-                        orientable = False
-            d += 1
-    for key, first in sides.items():
-        if first >= 0:
-            raise MatchingViolationError(
-                f"arc {_arc_name(key, stride)} bounds 1 disc side, expected 2"
-            )
+    for x in range(discs):
+        if label[x] >= 0:
+            continue
+        label[x] = 2 * components
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            ly = label[y]
+            for e in nbrs[y]:
+                want = ly ^ (e & 1)
+                lz = label[e >> 1]
+                if lz < 0:
+                    label[e >> 1] = want
+                    stack.append(e >> 1)
+                elif lz != want:
+                    orientable = False
+        components += 1
 
-    roots = sum(1 for x in range(d) if dsu.parent[x] == x)
     parts = None
-    if roots > 1:
-        index: dict[int, int] = {}  # root -> component
-        rows: list[list[int]] = []
-        d = 0
-        for i, k in enumerate(c):
-            for _ in range(k):
-                root = dsu.find(d)[0]
-                if root not in index:
-                    index[root] = len(rows)
-                    rows.append([0] * len(c))
-                rows[index[root]][i] += 1
-                d += 1
+    if components > 1:
+        rows = [[0] * len(c) for _ in range(components)]
+        for i, k in enumerate(counts):
+            for x in range(first[i], first[i] + k):
+                rows[label[x] >> 1][i] += 1
         parts = tuple(tuple(r) for r in rows)
-    return _Topology(tuple(weights), sum(weights) - len(sides) + d, orientable, roots, parts)
+    return _Topology(tuple(weights), sum(weights) - arcs + discs, orientable, components, parts)
 
 
-def _arc_name(key: int, stride: int) -> tuple[int, int, int]:
-    """(triangle class, corner, depth) of an arc key."""
-    return (key % stride // 4, key % 4, key // stride)
+def _unpaired_arc(tables: NormalTables, counts: Sequence[int]) -> MatchingViolationError:
+    """The error for the first corner whose two sides hold different arc counts."""
+    site, here, there = next(
+        (i, counts[a] + counts[b], counts[x] + counts[y])
+        for i, (a, b, x, y) in enumerate(tables.matching)
+        if counts[a] + counts[b] != counts[x] + counts[y]
+    )
+    arc = (site // 3, tables.matching_sites[site][2], min(here, there))
+    return MatchingViolationError(f"arc {arc} bounds 1 disc side, expected 2")
 
 
 def reconstruct(ns: NormalSurface) -> SurfaceReport:
     """Topology of the normal surface: chi, orientability and component count."""
-    ns.check_valid()
     topo = ns._topology
     ncomp = topo.components
     connected = ncomp == 1

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 from .errors import GluingError, ParseError, UngluedFaceError
 
 if TYPE_CHECKING:
+    from .spine import SubPolyhedron
     from .surfaces import NormalTables
 
 Perm = tuple[int, int, int, int]
@@ -365,6 +366,19 @@ class Triangulation:
 
         return build_normal_tables(self)
 
+    @cached_property
+    def _subpolyhedra(self) -> tuple[SubPolyhedron, ...]:
+        # every simple subpolyhedron of the dual spine, in mask order; read it
+        # through spine.enumerate_simple_subpolyhedra, which checks the budget.
+        # The spine is not kept: it points back here, and the cycle would
+        # outlive the triangulation until the collector runs.
+        from .spine import dual_spine, enumerate_masks, subpolyhedron
+
+        spine = dual_spine(self)
+        return tuple(
+            subpolyhedron(spine, m) for m in enumerate_masks(spine.num_faces, spine.edge_germs)
+        )
+
     # ---- vertex links -------------------------------------------------------------
 
     @cached_property
@@ -498,9 +512,12 @@ def parse_triangulation(text: str) -> Triangulation:
 
     Lines: optional `# comment`, one `tets: N` header, then one
     `g <tet> <face> <tet'> <face'> <p0p1p2p3>` line per glued slot direction.
-    Both directions of every gluing must be present and mutually inverse.
+    Both directions of every gluing must be present and mutually inverse, so
+    a file with other than 4N gluing lines is refused before any table of
+    size N is built.
     """
     n: int | None = None
+    header = 0
     gluings: dict[tuple[int, int], tuple[int, int, Perm]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -518,6 +535,7 @@ def parse_triangulation(text: str) -> Triangulation:
                 raise ParseError(f"bad tetrahedron count {tokens[1]!r}", lineno, len(tokens[0]) + 2)
             if n < 1:
                 raise ParseError("tetrahedron count must be positive", lineno, len(tokens[0]) + 2)
+            header = lineno
             continue
         if tokens[0] == "g":
             if n is None:
@@ -542,6 +560,10 @@ def parse_triangulation(text: str) -> Triangulation:
         raise ParseError(f"unrecognized line {tokens[0]!r}", lineno, 1)
     if n is None:
         raise ParseError("missing tets: header", 0, 0)
+    if len(gluings) != 4 * n:
+        raise ParseError(
+            f"{n} tetrahedra need {4 * n} gluing lines, found {len(gluings)}", header, 1
+        )
     return Triangulation(n, gluings)
 
 

@@ -177,6 +177,23 @@ def test_budget_that_is_not_an_integer_is_a_usage_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_huge_header_without_gluings_fails_fast(tmp_path):
+    # a 12-byte file must not build tables for 20000 tetrahedra or list
+    # their 80000 unglued faces
+    path = write(tmp_path, "huge.txt", "tets: 20000\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "tetspine.cli", "invariant", path],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.encode()) < 1024
+    assert "need 80000 gluing lines, found 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_negative_budget_is_a_usage_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SPINE_FACE_BUDGET", "-3")
     path = write(tmp_path, "t41.txt", T41)

@@ -102,6 +102,27 @@ def test_mirror_builds_agree_on_h1():
         assert h1(build_Tpq(p, q)) == (0, [p])
 
 
+def test_isomorphism_follows_the_lens_space_classification():
+    # L(p, q) and L(p, q') are homeomorphic exactly when q' = +-q^(+-1) mod p
+    # (Reidemeister, Brody). The layered triangulations must be isomorphic
+    # exactly then, and homeomorphic pairs must agree on t and H1.
+    pairs = 0
+    for p in range(4, 21):
+        units = [q for q in range(1, p) if gcd(p, q) == 1]
+        tris = {q: build_Tpq(p, q) for q in units}
+        for i, q in enumerate(units):
+            inv = pow(q, -1, p)
+            homeomorphic = {q, p - q, inv, p - inv}
+            for q2 in units[i + 1 :]:
+                pairs += 1
+                same = q2 in homeomorphic
+                assert tris[q].is_isomorphic_to(tris[q2]) == same, (p, q, q2)
+                if same and p <= 14:
+                    assert t_manifold(tris[q]) == t_manifold(tris[q2]), (p, q, q2)
+                    assert h1(tris[q]) == h1(tris[q2]), (p, q, q2)
+    assert pairs == 554
+
+
 def test_frozen_gluings():
     # pins the exact labeling of every layered triangulation, not just its
     # invariants: sha256 over the serialized T_(p,q), p-then-q order

@@ -327,6 +327,15 @@ def test_split_components_runs_the_complex_checks_itself():
         unpaired.check_valid()
 
 
+def test_topology_readers_reject_a_negative_coordinate():
+    # the class weights agree ([-1, 0]) and there are no discs to pair, so
+    # only check_valid, run with the topology summary, can refuse it
+    ns = NormalSurface(build_Tpq(4, 1), ((0, 0, 0, 0),), ((0, -1, 0),), ("external", 0))
+    for reader in (split_components, edge_weights, max_edge_weight, reconstruct):
+        with pytest.raises(MatchingViolationError, match="negative normal coordinate"):
+            reader(ns)
+
+
 def test_census_reports_survive_relabeling():
     from test_triangulation import relabel
 

@@ -74,6 +74,7 @@ def test_serialize_comment_and_blank_lines():
         ("tets: 1\ng 0 0 0 1 1130", 2, "bad permutation"),
         ("tets: 1\ng 0 0 0 1 1230\ng 0 0 0 1 1230", 3, "duplicate gluing"),
         ("tets: 1\nbogus line", 2, "unrecognized"),
+        ("# two tets\ntets: 2\ng 0 0 0 1 1230\ng 0 1 0 0 1230", 2, "need 8 gluing lines, found 2"),
         ("", 0, "missing tets"),
         ("# only a comment\n", 0, "missing tets"),
     ],
@@ -130,6 +131,13 @@ def test_constructor_rejects_unglued_faces():
     with pytest.raises(UngluedFaceError) as exc:
         Triangulation(1, g)
     assert (0, 2) in exc.value.slots and (0, 3) in exc.value.slots
+
+
+def test_unglued_face_message_is_bounded():
+    with pytest.raises(UngluedFaceError) as exc:
+        Triangulation(30, {})
+    assert len(exc.value.slots) == 120
+    assert str(exc.value).endswith("(4,3), ... and 100 more")
 
 
 def test_constructor_rejects_range_errors():
