@@ -73,66 +73,3 @@ from .triangulation import (
 )
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "ConstructionInvariantError",
-    "EnumerationBudgetError",
-    "GluingError",
-    "InternalLinkError",
-    "InvalidBudgetError",
-    "InvalidParamsError",
-    "InvariantDivisionError",
-    "MatchingViolationError",
-    "MoveNotApplicableError",
-    "NonUnitPowerError",
-    "NotASurfaceError",
-    "NotClosedError",
-    "NotSimpleError",
-    "ParseError",
-    "TetspineError",
-    "UngluedFaceError",
-    "EPS",
-    "ONE",
-    "ZERO",
-    "GoldenInt",
-    "divexact",
-    "h1",
-    "smith_diagonal",
-    "LensParams",
-    "apply_word",
-    "build_Tpq",
-    "kappa_expected",
-    "lens_params",
-    "t_expected",
-    "tau_expected",
-    "SplitMix64",
-    "applicable_moves",
-    "iter_pachner_walk",
-    "pachner_23",
-    "pachner_32",
-    "random_pachner_walk",
-    "SpecialSpine",
-    "SubPolyhedron",
-    "dual_spine",
-    "enumerate_simple_subpolyhedra",
-    "subpolyhedron",
-    "surface_space_nullity",
-    "t_manifold",
-    "t_spine",
-    "universal_subpolyhedron",
-    "CensusEntry",
-    "NormalSurface",
-    "SurfaceReport",
-    "census",
-    "edge_weights",
-    "max_edge_weight",
-    "reconstruct",
-    "split_components",
-    "type_I_surface",
-    "type_II_surface",
-    "vertex_bound_after_cut",
-    "Triangulation",
-    "parse_triangulation",
-    "serialize_triangulation",
-    "__version__",
-]

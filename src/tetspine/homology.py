@@ -6,6 +6,24 @@ from .errors import NotClosedError
 from .triangulation import FACE_VERTS, Triangulation
 
 
+def _move_pivot(a: list[list[int]], t: int) -> bool:
+    """Swap the entry of least nonzero |value| in the block a[t:, t:] to (t, t).
+
+    Ties go to the first in row-major order. False when the block is zero.
+    """
+    best = pr = pc = 0
+    for i in range(t, len(a)):
+        for j, x in enumerate(a[i][t:], start=t):
+            if x and (not best or abs(x) < best):
+                best, pr, pc = abs(x), i, j
+    if not best:
+        return False
+    a[t], a[pr] = a[pr], a[t]
+    for row in a:
+        row[t], row[pc] = row[pc], row[t]
+    return True
+
+
 def smith_diagonal(matrix: list[list[int]]) -> list[int]:
     """Nonzero diagonal of the Smith normal form, each dividing the next.
 
@@ -18,19 +36,8 @@ def smith_diagonal(matrix: list[list[int]]) -> list[int]:
     diag: list[int] = []
     t = 0
     while t < min(rows, cols):
-        # pick pivot
-        pr = pc = -1
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best, pr, pc = v, i, j
-        if best is None:
+        if not _move_pivot(a, t):
             break
-        a[t], a[pr] = a[pr], a[t]
-        for row in a:
-            row[t], row[pc] = row[pc], row[t]
         # clear row and column; repeat while remainders appear
         while True:
             pivot = a[t][t]
@@ -53,16 +60,7 @@ def smith_diagonal(matrix: list[list[int]]) -> list[int]:
                 break
             # remainders are smaller than the old pivot; re-pick inside the
             # cleared cross to keep the loop finite
-            pr = pc = -1
-            best = None
-            for i in range(t, rows):
-                for j in range(t, cols):
-                    v = abs(a[i][j])
-                    if v and (best is None or v < best):
-                        best, pr, pc = v, i, j
-            a[t], a[pr] = a[pr], a[t]
-            for row in a:
-                row[t], row[pc] = row[pc], row[t]
+            _move_pivot(a, t)
         # pivot must divide the whole remaining block
         pivot = a[t][t]
         fixed = True

@@ -15,7 +15,6 @@ import os
 from dataclasses import dataclass
 from typing import Sequence
 
-# Triangulation._subpolyhedra enumerates through this module's binding
 from ._enum import enumerate_masks
 from .errors import (
     EnumerationBudgetError,
@@ -189,14 +188,20 @@ def enumerate_simple_subpolyhedra(
     negative or not an integer raises InvalidBudgetError. The budget is
     checked on every call, but the enumeration runs once per triangulation:
     its result is cached on the spine's triangulation, and each call
-    returns a new list of the same frozen subpolyhedra.
+    returns a new list of the same frozen subpolyhedra. The spine itself is
+    not cached there: it points back to its triangulation.
     """
     cap = _resolve_budget(budget)
     if spine.num_faces > cap:
         raise EnumerationBudgetError(
             f"{spine.num_faces} faces exceeds the enumeration budget {cap}"
         )
-    return list(spine.triangulation._subpolyhedra)
+    tri = spine.triangulation
+    if tri._subpolyhedra is None:
+        tri._subpolyhedra = tuple(
+            subpolyhedron(spine, m) for m in enumerate_masks(spine.num_faces, spine.edge_germs)
+        )
+    return list(tri._subpolyhedra)
 
 
 def surface_space_nullity(spine: SpecialSpine) -> int:

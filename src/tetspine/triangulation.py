@@ -6,6 +6,12 @@ one other slot by a vertex permutation, the pairing is a fixed-point-free
 involution, and the two directions carry mutually inverse permutations.
 Partially glued complexes are rejected, so the underlying space is a closed
 or ideal pseudo-manifold.
+
+Edge classes come from a signed union-find over the gluings. Vertex classes
+and vertex links come from one normal surface, the one with a triangle at
+every corner: its components are the links, one per vertex class, and the
+disc-complex sweep that summarises any normal surface (`surfaces`) gives
+their Euler characteristics and orientability.
 """
 
 from __future__ import annotations
@@ -141,28 +147,6 @@ def signed_edge_classes(
     return class_of, sign_of
 
 
-class _DSU:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        if self.rank[rx] < self.rank[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        if self.rank[rx] == self.rank[ry]:
-            self.rank[rx] += 1
-
-
 @dataclass(frozen=True)
 class EdgeClass:
     """Orbit of edge slots under the gluing maps.
@@ -187,6 +171,9 @@ class EdgeClass:
 
 @dataclass(frozen=True)
 class VertexClass:
+    """Orbit of vertex slots under the gluing maps; classes are numbered in
+    order of their smallest slot."""
+
     index: int
     slots: tuple[int, ...]  # global vertex slots t*4+v, sorted
 
@@ -203,6 +190,9 @@ class TriangleClass:
 
 @dataclass(frozen=True)
 class VertexLinkSurface:
+    """Link of a vertex class: the normal surface of one triangle at each of
+    its corners, so triangles is the size of the class."""
+
     chi: int
     orientable: bool
     triangles: int
@@ -261,6 +251,9 @@ class Triangulation:
         self._table: tuple[tuple[tuple[int, int, Perm], ...], ...] = tuple(
             tuple(row) for row in table
         )
+        # every simple subpolyhedron of the dual spine, in mask order, once
+        # spine.enumerate_simple_subpolyhedra has enumerated them
+        self._subpolyhedra: tuple[SubPolyhedron, ...] | None = None
         # force edge-orientation consistency early; a slot identified with its
         # own reversal has no usable quotient cell structure
         self._edge_data
@@ -307,24 +300,33 @@ class Triangulation:
         return self._edge_data[2][edge_slot(t, u, v)]
 
     @cached_property
-    def _vertex_data(self) -> tuple[tuple[VertexClass, ...], list[int]]:
+    def _vertex_data(
+        self,
+    ) -> tuple[tuple[VertexClass, ...], list[int], tuple[VertexLinkSurface, ...]]:
+        # The vertex links are the components of the normal surface with one
+        # triangle at every corner. Its discs are numbered in slot order, so
+        # its components, in order of first disc, are the vertex classes in
+        # order of smallest slot, and each component's own summary gives that
+        # link's chi and orientability. Normal surfaces are defined in a
+        # module that imports this one, hence the import here.
+        from .surfaces import _build
+
         n = self.n
-        dsu = _DSU(4 * n)
-        for t in range(n):
-            for f in range(4):
-                t2, _, perm = self._table[t][f]
-                for v in FACE_VERTS[f]:
-                    dsu.union(t * 4 + v, t2 * 4 + perm[v])
-        groups: dict[int, list[int]] = {}
-        for s in range(4 * n):
-            groups.setdefault(dsu.find(s), []).append(s)
+        whole = _build((1, 1, 1, 1, 0, 0, 0) * n, ("external", 0), self)
+        parts = whole._topology.parts
+        surfaces = [whole] if parts is None else [_build(p, ("external", 0), self) for p in parts]
         classes = []
         class_of = [0] * (4 * n)
-        for idx, members in enumerate(sorted(groups.values(), key=lambda m: m[0])):
-            for m in members:
-                class_of[m] = idx
-            classes.append(VertexClass(idx, tuple(members)))
-        return tuple(classes), class_of
+        links = []
+        for idx, surface in enumerate(surfaces):
+            c = surface.coords
+            slots = tuple(s for s in range(4 * n) if c[7 * (s // 4) + s % 4])
+            for s in slots:
+                class_of[s] = idx
+            classes.append(VertexClass(idx, slots))
+            topo = surface._topology
+            links.append(VertexLinkSurface(topo.chi, topo.orientable, len(slots)))
+        return tuple(classes), class_of, tuple(links)
 
     @property
     def vertex_classes(self) -> tuple[VertexClass, ...]:
@@ -332,6 +334,11 @@ class Triangulation:
 
     def vertex_class_of(self, t: int, v: int) -> int:
         return self._vertex_data[1][t * 4 + v]
+
+    @property
+    def vertex_links(self) -> tuple[VertexLinkSurface, ...]:
+        """Link surface of each vertex class, in the order of vertex_classes."""
+        return self._vertex_data[2]
 
     @cached_property
     def triangle_classes(self) -> tuple[TriangleClass, ...]:
@@ -365,87 +372,6 @@ class Triangulation:
         from .surfaces import build_normal_tables
 
         return build_normal_tables(self)
-
-    @cached_property
-    def _subpolyhedra(self) -> tuple[SubPolyhedron, ...]:
-        # every simple subpolyhedron of the dual spine, in mask order; read it
-        # through spine.enumerate_simple_subpolyhedra, which checks the budget.
-        # The spine is not kept: it points back here, and the cycle would
-        # outlive the triangulation until the collector runs.
-        from .spine import dual_spine, enumerate_masks, subpolyhedron
-
-        spine = dual_spine(self)
-        return tuple(
-            subpolyhedron(spine, m) for m in enumerate_masks(spine.num_faces, spine.edge_germs)
-        )
-
-    # ---- vertex links -------------------------------------------------------------
-
-    @cached_property
-    def vertex_links(self) -> tuple[VertexLinkSurface, ...]:
-        """Link surface of each vertex class, from its corner-triangle complex."""
-        n = self.n
-
-        def corner(t: int, v: int, u: int) -> int:
-            shift = u - (1 if u > v else 0)
-            return t * 12 + v * 3 + shift
-
-        dsu = _DSU(12 * n)
-        for t in range(n):
-            for f in range(4):
-                t2, _, perm = self._table[t][f]
-                for v in FACE_VERTS[f]:
-                    for u in range(4):
-                        if u == v or u == f:
-                            continue
-                        dsu.union(corner(t, v, u), corner(t2, perm[v], perm[u]))
-
-        def link_dir(v: int, f: int) -> int:
-            # corner triangle at (t, v) oriented by ascending corner labels;
-            # -1 when the link edge inside face f joins the outer corner pair
-            others = [u for u in range(4) if u != v]
-            a, b = sorted(u for u in others if u != f)
-            return -1 if (a, b) == (others[0], others[2]) else 1
-
-        links = []
-        for vc in self.vertex_classes:
-            tris = [(s // 4, s % 4) for s in vc.slots]
-            froots = set()
-            for t, v in tris:
-                for u in range(4):
-                    if u != v:
-                        froots.add(dsu.find(corner(t, v, u)))
-            nv = len(froots)
-            nf = len(tris)
-            ne = 3 * nf // 2
-            chi = nv - ne + nf
-            # propagate triangle orientations across the 3 link edges each
-            sign: dict[tuple[int, int], int] = {}
-            orientable = True
-            for start in tris:
-                if start in sign:
-                    continue
-                sign[start] = 1
-                stack = [start]
-                while stack:
-                    t, v = stack.pop()
-                    for f in range(4):
-                        if f == v:
-                            continue
-                        t2, f2, perm = self._table[t][f]
-                        nbr = (t2, perm[v])
-                        x, y = sorted(u for u in range(4) if u != v and u != f)
-                        order = 1 if perm[x] < perm[y] else -1
-                        rel = -link_dir(v, f) * link_dir(perm[v], f2) * order
-                        want = sign[(t, v)] * rel
-                        if nbr in sign:
-                            if sign[nbr] != want:
-                                orientable = False
-                        else:
-                            sign[nbr] = want
-                            stack.append(nbr)
-            links.append(VertexLinkSurface(chi, orientable, nf))
-        return tuple(links)
 
     @property
     def is_closed(self) -> bool:

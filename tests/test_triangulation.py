@@ -3,6 +3,7 @@ import pytest
 from fixtures_data import CUSPED, DOUBLE, RP2LINK, S3_ONE_TET, T41, T52
 from tetspine.errors import GluingError, NotClosedError, ParseError, UngluedFaceError
 from tetspine.homology import h1, smith_diagonal
+from tetspine.moves import iter_pachner_walk
 from tetspine.triangulation import (
     EDGE_PAIRS,
     FACE_VERTS,
@@ -320,6 +321,26 @@ def test_vertex_links_classifications():
     for text in ALL_FIXTURES.values():
         tri = load(text)
         assert sum(lk.triangles for lk in tri.vertex_links) == 4 * tri.n
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
+def test_link_chi_sum_and_class_order_along_walks(name):
+    # Truncating every vertex leaves a compact 3-manifold M' bounded by the
+    # vertex links, so chi(M') = chi(dM') / 2. Coning each link back on
+    # (chi 1 each) gives V - E + 2T - T = chi(M') + V - sum chi(link), hence
+    # sum chi(link) = 2 (E - T). The oracle shares no code with the links.
+    base = load(ALL_FIXTURES[name])
+    for tri in (base, *iter_pachner_walk(base, 10, seed=7)):
+        e = len(tri.edge_classes)
+        assert sum(lk.chi for lk in tri.vertex_links) == 2 * (e - tri.n)
+        firsts = [vc.slots[0] for vc in tri.vertex_classes]
+        assert firsts == sorted(firsts)
+        for idx, vc in enumerate(tri.vertex_classes):
+            assert vc.index == idx
+            assert list(vc.slots) == sorted(vc.slots)
+            assert all(tri.vertex_class_of(s // 4, s % 4) == idx for s in vc.slots)
+            assert tri.vertex_links[idx].triangles == len(vc.slots)
+        assert sorted(s for vc in tri.vertex_classes for s in vc.slots) == list(range(4 * tri.n))
 
 
 def test_link_chi_matches_triangle_count():
