@@ -254,8 +254,9 @@ def build_Tpq(p: int, q: int) -> Triangulation:
         problems.append(
             f"{len(tri.edge_classes)} edge classes, expected {params.S - 2}"
         )
-    if h1(tri) != (0, [p]):
-        problems.append(f"H1 is {h1(tri)}, expected (0, [{p}])")
+    homology = h1(tri)
+    if homology != (0, [p]):
+        problems.append(f"H1 is {homology}, expected (0, [{p}])")
     if problems:
         raise ConstructionInvariantError(
             f"T_({p},{q}) self-check failed: " + "; ".join(problems)

@@ -7,13 +7,17 @@ meets it in 0, 2, or 3 of its germs, counted with multiplicity; it is a
 closed surface when no count is 3. The t-invariant is the signed sum of
 eps^(chi - v) over all simple subsets, taken in the ring Z[eps] with
 eps^2 = eps + 1.
+
+A spine is plain incidence tables with no reference back to its
+triangulation. Each triangulation keeps its one dual spine (`dual_spine`),
+and the spine keeps its one enumeration of simple subpolyhedra, so the
+census and the t-invariant of a triangulation share both.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
 
 from ._enum import enumerate_masks
 from .errors import (
@@ -28,28 +32,21 @@ from .triangulation import EDGE_PAIRS, FACE_VERTS, Triangulation
 DEFAULT_FACE_BUDGET = 40
 BUDGET_ENV_VAR = "SPINE_FACE_BUDGET"
 
-# For edge slot {i, j} of a tetrahedron, the germ of the dual face along the
-# dual edge toward face k appears iff k is one of the two faces containing
-# the edge, i.e. the complement pair. Used by the surface constructions.
-K4_EDGE: tuple[tuple[int, int], ...] = tuple(
-    tuple(sorted(set(range(4)) - set(pair))) for pair in EDGE_PAIRS
-)
-
 
 @dataclass(frozen=True, eq=False)
 class SpecialSpine:
     """Incidence tables of the polyhedron dual to a triangulation."""
 
-    triangulation: Triangulation
     num_vertices: int
     num_faces: int
     # per spine edge (triangle class): the 3 incident faces, with multiplicity
     edge_germs: tuple[tuple[int, int, int], ...]
     # per spine vertex (tetrahedron): face of each of the 6 edge slots
     corner_germs: tuple[tuple[int, int, int, int, int, int], ...]
-    # per face: vertex classes at the two ends of the dual edge class
-    face_endpoints: tuple[tuple[int, int], ...]
     face_degrees: tuple[int, ...]
+    # every simple subpolyhedron, in mask order, once
+    # enumerate_simple_subpolyhedra has enumerated them
+    _subpolyhedra: tuple[SubPolyhedron, ...] | None = field(default=None, init=False, repr=False)
 
     @property
     def num_edges(self) -> int:
@@ -87,6 +84,13 @@ class SubPolyhedron:
 
 
 def dual_spine(tri: Triangulation) -> SpecialSpine:
+    """The spine dual to tri, built on the first call and kept on tri.
+
+    Its face f is edge class f, its vertex t is tetrahedron t, and its edges
+    are the triangle classes in order.
+    """
+    if tri._spine is not None:
+        return tri._spine
     edge_germs = []
     for tc in tri.triangle_classes:
         t, f = tc.rep
@@ -98,28 +102,15 @@ def dual_spine(tri: Triangulation) -> SpecialSpine:
                 tri.edge_class_of(t, b, c),
             )
         )
-    corner_germs = []
-    for t in range(tri.n):
-        corner_germs.append(
-            tuple(tri.edge_class_of(t, u, v) for (u, v) in EDGE_PAIRS)
-        )
-    face_endpoints = []
-    face_degrees = []
-    for ec in tri.edge_classes:
-        t, pair = ec.rep // 6, EDGE_PAIRS[ec.rep % 6]
-        face_endpoints.append(
-            (tri.vertex_class_of(t, pair[0]), tri.vertex_class_of(t, pair[1]))
-        )
-        face_degrees.append(ec.degree)
-    return SpecialSpine(
-        triangulation=tri,
+    class_of = tri._edge_data[1]
+    tri._spine = SpecialSpine(
         num_vertices=tri.n,
         num_faces=len(tri.edge_classes),
         edge_germs=tuple(edge_germs),
-        corner_germs=tuple(corner_germs),
-        face_endpoints=tuple(face_endpoints),
-        face_degrees=tuple(face_degrees),
+        corner_germs=tuple(tuple(class_of[6 * t : 6 * t + 6]) for t in range(tri.n)),
+        face_degrees=tuple(ec.degree for ec in tri.edge_classes),
     )
+    return tri._spine
 
 
 def subpolyhedron(spine: SpecialSpine, faces: int) -> SubPolyhedron:
@@ -186,22 +177,22 @@ def enumerate_simple_subpolyhedra(
     Deterministic: sorted by face bitmask. Refuses spines with more faces
     than the budget (default 40, env SPINE_FACE_BUDGET); a budget that is
     negative or not an integer raises InvalidBudgetError. The budget is
-    checked on every call, but the enumeration runs once per triangulation:
-    its result is cached on the spine's triangulation, and each call
-    returns a new list of the same frozen subpolyhedra. The spine itself is
-    not cached there: it points back to its triangulation.
+    resolved and checked on every call, before the cache is read, but the
+    enumeration runs once per spine: its result is kept on the spine, and
+    each call returns a new list of the same frozen subpolyhedra.
     """
     cap = _resolve_budget(budget)
     if spine.num_faces > cap:
         raise EnumerationBudgetError(
             f"{spine.num_faces} faces exceeds the enumeration budget {cap}"
         )
-    tri = spine.triangulation
-    if tri._subpolyhedra is None:
-        tri._subpolyhedra = tuple(
+    if spine._subpolyhedra is None:
+        subs = tuple(
             subpolyhedron(spine, m) for m in enumerate_masks(spine.num_faces, spine.edge_germs)
         )
-    return list(tri._subpolyhedra)
+        # the spine's tables are frozen; this cache is its one late field
+        object.__setattr__(spine, "_subpolyhedra", subs)
+    return list(spine._subpolyhedra)
 
 
 def surface_space_nullity(spine: SpecialSpine) -> int:
@@ -227,14 +218,10 @@ def surface_space_nullity(spine: SpecialSpine) -> int:
     return spine.num_faces - rank
 
 
-def t_spine(
-    spine: SpecialSpine, subpolyhedra: Sequence[SubPolyhedron] | None = None
-) -> GoldenInt:
+def t_spine(spine: SpecialSpine) -> GoldenInt:
     """Signed sum of eps^(chi(Q) - v_Q) over all simple subpolyhedra Q."""
-    if subpolyhedra is None:
-        subpolyhedra = enumerate_simple_subpolyhedra(spine)
     total = ZERO
-    for q in subpolyhedra:
+    for q in enumerate_simple_subpolyhedra(spine):
         term = EPS ** (q.chi - q.v_q)
         total = total - term if q.v_q % 2 else total + term
     return total
@@ -247,8 +234,7 @@ def t_manifold(tri: Triangulation) -> GoldenInt:
     whose link is a sphere; each puncture beyond the necessary one costs a
     factor of 2 + eps (the t-value of a sphere shell).
     """
-    spine = dual_spine(tri)
-    value = t_spine(spine)
+    value = t_spine(dual_spine(tri))
     spheres = sum(1 for link in tri.vertex_links if link.is_sphere)
     exponent = spheres - 1 if tri.is_closed else spheres
     if exponent <= 0:
@@ -268,9 +254,9 @@ def universal_subpolyhedron(tri: Triangulation) -> SubPolyhedron:
     the mask collects the faces whose dual edge joins two distinct vertex
     classes. Empty when the triangulation has a single vertex class.
     """
-    spine = dual_spine(tri)
     mask = 0
-    for f, (tail, head) in enumerate(spine.face_endpoints):
-        if tail != head:
+    for f, ec in enumerate(tri.edge_classes):
+        t, (u, v) = ec.rep // 6, EDGE_PAIRS[ec.rep % 6]
+        if tri.vertex_class_of(t, u) != tri.vertex_class_of(t, v):
             mask |= 1 << f
-    return subpolyhedron(spine, mask)
+    return subpolyhedron(dual_spine(tri), mask)

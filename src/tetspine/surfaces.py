@@ -6,7 +6,8 @@ q separates the edge {0, q+1} from the opposite edge. Two constructions are
 provided: a surface subpolyhedron is itself normal (type I), and the
 boundary of a small regular neighborhood of any simple subpolyhedron is
 normal (type II). Both read each tetrahedron's 6-bit germ pattern off the
-spine and copy its coordinate row from a 64-entry table built at import.
+edge classes of its six slots (spine face f is edge class f) and copy its
+coordinate row from a 64-entry table built at import.
 
 Topology comes from one pass over the disc complex, read through flat
 integer tables cached per triangulation (`NormalTables`). Along each corner
@@ -32,8 +33,8 @@ from .errors import (
     MatchingViolationError,
     NotASurfaceError,
 )
-from .spine import SpecialSpine, SubPolyhedron, dual_spine, enumerate_simple_subpolyhedra
-from .triangulation import EDGE_PAIRS, FACE_VERTS, Triangulation
+from .spine import SubPolyhedron, dual_spine, enumerate_simple_subpolyhedra
+from .triangulation import EDGE_PAIRS, FACE_VERTS, Triangulation, surface_name
 
 # Normal coordinates are flat, 7 per tetrahedron t: the triangle cutting off
 # corner v at 7t + v, then the quad of type k at 7t + 4 + k. Quad type k
@@ -245,20 +246,6 @@ class SurfaceReport:
     max_edge_weight: int
 
 
-def _classify(chi: int, orientable: bool) -> str:
-    if orientable:
-        if chi == 2:
-            return "sphere"
-        if chi == 0:
-            return "torus"
-    else:
-        if chi == 1:
-            return "rp2"
-        if chi == 0:
-            return "klein"
-    return f"other({chi})"
-
-
 def _link_shape(slots: list[int]) -> tuple | None:
     """Shape of the germ set of a simple subpolyhedron inside one tetrahedron.
 
@@ -322,8 +309,9 @@ def _link_rows(pattern: int) -> tuple[str, tuple[int, ...] | None, tuple[int, ..
 _LINK_ROWS = tuple(_link_rows(pattern) for pattern in range(64))
 
 
-def _germ_patterns(spine: SpecialSpine, faces: int) -> list[int]:
+def _germ_patterns(tr: Triangulation, faces: int) -> list[int]:
     """Per tetrahedron, the 6-bit set of edge slots whose dual face is in faces."""
+    slots = iter(tr._edge_data[1])  # edge class, that is dual face, of each slot
     return [
         (faces >> g0 & 1)
         | (faces >> g1 & 1) << 1
@@ -331,7 +319,7 @@ def _germ_patterns(spine: SpecialSpine, faces: int) -> list[int]:
         | (faces >> g3 & 1) << 3
         | (faces >> g4 & 1) << 4
         | (faces >> g5 & 1) << 5
-        for g0, g1, g2, g3, g4, g5 in spine.corner_germs
+        for g0, g1, g2, g3, g4, g5 in zip(slots, slots, slots, slots, slots, slots)
     ]
 
 
@@ -347,14 +335,14 @@ def _build(coords: Sequence[int], provenance: tuple[str, int], tr: Triangulation
     return ns
 
 
-def type_I_surface(spine: SpecialSpine, q: SubPolyhedron) -> NormalSurface:
-    """The surface subpolyhedron Q itself, in normal coordinates."""
+def type_I_surface(tr: Triangulation, q: SubPolyhedron) -> NormalSurface:
+    """The surface subpolyhedron Q of tr's dual spine, in normal coordinates."""
     if not q.is_surface:
         raise NotASurfaceError("subpolyhedron has a germ count of 3 at some edge")
     if q.is_empty:
         raise NotASurfaceError("the empty subpolyhedron has no type I surface")
     coords: list[int] = []
-    for t, pattern in enumerate(_germ_patterns(spine, q.faces)):
+    for t, pattern in enumerate(_germ_patterns(tr, q.faces)):
         rows = _LINK_ROWS[pattern]
         if rows is None:
             raise _no_shape(pattern)
@@ -363,20 +351,21 @@ def type_I_surface(spine: SpecialSpine, q: SubPolyhedron) -> NormalSurface:
                 f"surface subpolyhedron has {rows[0]} germs in tetrahedron {t}"
             )
         coords.extend(rows[1])
-    return _build(coords, ("I", q.faces), spine.triangulation)
+    return _build(coords, ("I", q.faces), tr)
 
 
-def type_II_surface(spine: SpecialSpine, q: SubPolyhedron) -> NormalSurface:
-    """Boundary of a small regular neighborhood of the subpolyhedron Q."""
+def type_II_surface(tr: Triangulation, q: SubPolyhedron) -> NormalSurface:
+    """Boundary of a small regular neighborhood of the subpolyhedron Q of
+    tr's dual spine."""
     if q.is_empty:
         raise ValueError("type II surface needs a nonempty subpolyhedron")
     coords: list[int] = []
-    for pattern in _germ_patterns(spine, q.faces):
+    for pattern in _germ_patterns(tr, q.faces):
         rows = _LINK_ROWS[pattern]
         if rows is None:
             raise _no_shape(pattern)
         coords.extend(rows[2])
-    return _build(coords, ("II", q.faces), spine.triangulation)
+    return _build(coords, ("II", q.faces), tr)
 
 
 class _Topology(NamedTuple):
@@ -495,7 +484,7 @@ def reconstruct(ns: NormalSurface) -> SurfaceReport:
     if ncomp == 0:
         classification = "empty"
     elif connected:
-        classification = _classify(topo.chi, topo.orientable)
+        classification = surface_name(topo.chi, topo.orientable) or f"other({topo.chi})"
     else:
         classification = f"other({topo.chi})"
     return SurfaceReport(
@@ -537,7 +526,7 @@ class CensusEntry:
     report: SurfaceReport
 
 
-def census(tr: Triangulation, budget: int | None = None) -> list[CensusEntry]:
+def census(tr: Triangulation) -> list[CensusEntry]:
     """All connected type I and type II normal surfaces, up to normal isotopy.
 
     Every surface subpolyhedron contributes itself (type I); every nonempty
@@ -546,17 +535,16 @@ def census(tr: Triangulation, budget: int | None = None) -> list[CensusEntry]:
     whose normal coordinates were already seen is dropped. Sorted by
     coordinate vector.
     """
-    spine = dual_spine(tr)
     seen: dict[tuple[int, ...], NormalSurface] = {}
 
     def keep(ns: NormalSurface) -> None:
         for comp in split_components(ns):
             seen.setdefault(comp.coords, comp)
 
-    for q in enumerate_simple_subpolyhedra(spine, budget=budget):
+    for q in enumerate_simple_subpolyhedra(dual_spine(tr)):
         if q.is_empty:
             continue
         if q.is_surface:
-            keep(type_I_surface(spine, q))
-        keep(type_II_surface(spine, q))
+            keep(type_I_surface(tr, q))
+        keep(type_II_surface(tr, q))
     return [CensusEntry(surface=seen[key], report=reconstruct(seen[key])) for key in sorted(seen)]

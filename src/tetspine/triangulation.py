@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 from .errors import GluingError, ParseError, UngluedFaceError
 
 if TYPE_CHECKING:
-    from .spine import SubPolyhedron
+    from .spine import SpecialSpine
     from .surfaces import NormalTables
 
 Perm = tuple[int, int, int, int]
@@ -80,42 +80,6 @@ def edge_slot(t: int, u: int, v: int) -> int:
     return t * 6 + PAIR_INDEX[(u, v)]
 
 
-class SignedDSU:
-    """Union-find with a sign bit on each edge to the parent."""
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.sign = [0] * n
-        self.rank = [0] * n
-
-    def find(self, x: int) -> tuple[int, int]:
-        path = []
-        while self.parent[x] != x:
-            path.append(x)
-            x = self.parent[x]
-        s = 0
-        for y in reversed(path):
-            s ^= self.sign[y]
-            self.parent[y] = x
-            self.sign[y] = s
-        return x, s
-
-    def union(self, x: int, y: int, s: int) -> bool:
-        """Join x ~ y with relative sign s; False reports a sign conflict."""
-        rx, sx = self.find(x)
-        ry, sy = self.find(y)
-        if rx == ry:
-            return (sx ^ sy) == s
-        if self.rank[rx] < self.rank[ry]:
-            rx, ry = ry, rx
-            sx, sy = sy, sx
-        self.parent[ry] = rx
-        self.sign[ry] = sx ^ sy ^ s
-        if self.rank[rx] == self.rank[ry]:
-            self.rank[rx] += 1
-        return True
-
-
 def signed_edge_classes(
     n: int, gluings: Iterable[tuple[tuple[int, int], tuple[int, int, Perm]]]
 ) -> tuple[list[int], list[int]]:
@@ -127,20 +91,41 @@ def signed_edge_classes(
     s's ascending vertex order agrees with that smallest slot's.  Raises
     GluingError when a slot is identified with itself reversed.
     """
-    dsu = SignedDSU(6 * n)
+    # a union-find over the slots; flip[s] is 1 when slot s runs against its parent
+    parent = list(range(6 * n))
+    flip = [0] * (6 * n)
+
+    def find(s: int) -> tuple[int, int]:
+        """(root, flip of s against it), compressing the path on the way."""
+        path = []
+        while parent[s] != s:
+            path.append(s)
+            s = parent[s]
+        total = 0
+        for y in reversed(path):
+            total ^= flip[y]
+            parent[y] = s
+            flip[y] = total
+        return s, total
+
     for (t, f), (t2, _, perm) in gluings:
         for a, b in FACE_EDGES[f]:
             a2, b2 = perm[a], perm[b]
-            slot = 6 * t + _PAIR_OFFSET[a][b]
-            if not dsu.union(slot, 6 * t2 + _PAIR_OFFSET[a2][b2], 0 if a2 < b2 else 1):
+            rx, sx = find(6 * t + _PAIR_OFFSET[a][b])
+            ry, sy = find(6 * t2 + _PAIR_OFFSET[a2][b2])
+            odd = sx ^ sy ^ (a2 > b2)
+            if rx != ry:
+                parent[ry] = rx
+                flip[ry] = odd
+            elif odd:
                 raise GluingError(
                     f"edge {(a, b)} of tetrahedron {t} is identified with itself reversed"
                 )
     class_of = [0] * (6 * n)
     sign_of = [0] * (6 * n)
-    first: dict[int, tuple[int, int]] = {}  # root -> (class index, sign of smallest slot)
+    first: dict[int, tuple[int, int]] = {}  # root -> (class index, flip of smallest slot)
     for slot in range(6 * n):
-        root, sign = dsu.find(slot)
+        root, sign = find(slot)
         idx, rep_sign = first.setdefault(root, (len(first), sign))
         class_of[slot] = idx
         sign_of[slot] = 1 if sign == rep_sign else -1
@@ -188,6 +173,18 @@ class TriangleClass:
     perm: Perm
 
 
+def surface_name(chi: int, orientable: bool) -> str | None:
+    """The closed connected surface of this chi and orientability, when it
+    is a sphere, torus, projective plane or Klein bottle; None otherwise."""
+    if chi == 2 and orientable:
+        return "sphere"
+    if chi == 1 and not orientable:
+        return "rp2"
+    if chi == 0:
+        return "torus" if orientable else "klein"
+    return None
+
+
 @dataclass(frozen=True)
 class VertexLinkSurface:
     """Link of a vertex class: the normal surface of one triangle at each of
@@ -203,13 +200,7 @@ class VertexLinkSurface:
 
     @property
     def classification(self) -> str:
-        if self.chi == 2 and self.orientable:
-            return "sphere"
-        if self.chi == 1 and not self.orientable:
-            return "rp2"
-        if self.chi == 0:
-            return "torus" if self.orientable else "klein"
-        return "other"
+        return surface_name(self.chi, self.orientable) or "other"
 
 
 class Triangulation:
@@ -251,9 +242,8 @@ class Triangulation:
         self._table: tuple[tuple[tuple[int, int, Perm], ...], ...] = tuple(
             tuple(row) for row in table
         )
-        # every simple subpolyhedron of the dual spine, in mask order, once
-        # spine.enumerate_simple_subpolyhedra has enumerated them
-        self._subpolyhedra: tuple[SubPolyhedron, ...] | None = None
+        # the dual spine, once spine.dual_spine has built it
+        self._spine: SpecialSpine | None = None
         # force edge-orientation consistency early; a slot identified with its
         # own reversal has no usable quotient cell structure
         self._edge_data

@@ -141,9 +141,9 @@ def test_criterion_6_reconstruction_euler_characteristics():
         for q in enumerate_simple_subpolyhedra(sp):
             if q.is_empty:
                 continue
-            if reconstruct(type_II_surface(sp, q)).chi != 2 * q.chi:
+            if reconstruct(type_II_surface(tri, q)).chi != 2 * q.chi:
                 bad.append((name, q.faces, "II"))
-            if q.is_surface and reconstruct(type_I_surface(sp, q)).chi != q.chi:
+            if q.is_surface and reconstruct(type_I_surface(tri, q)).chi != q.chi:
                 bad.append((name, q.faces, "I"))
     check(
         6,

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -9,7 +11,6 @@ from tetspine.lens import build_Tpq
 from tetspine.moves import random_pachner_walk
 from tetspine.spine import (
     DEFAULT_FACE_BUDGET,
-    K4_EDGE,
     dual_spine,
     enumerate_simple_subpolyhedra,
     subpolyhedron,
@@ -18,7 +19,8 @@ from tetspine.spine import (
     t_spine,
     universal_subpolyhedron,
 )
-from tetspine.triangulation import EDGE_PAIRS, parse_triangulation
+from tetspine.surfaces import census
+from tetspine.triangulation import parse_triangulation
 
 
 def corpus():
@@ -36,12 +38,6 @@ def corpus():
         "WALKED": random_pachner_walk(build_Tpq(7, 2), 8, seed=2),
     }
     return out
-
-
-def test_k4_edge_is_the_complement_pair():
-    for pair, faces in zip(EDGE_PAIRS, K4_EDGE):
-        assert set(pair) | set(faces) == {0, 1, 2, 3}
-        assert not set(pair) & set(faces)
 
 
 def test_dual_spine_shapes():
@@ -127,11 +123,36 @@ def test_subpolyhedron_rejects_non_simple():
         subpolyhedron(sp, -1)
 
 
+def test_dual_spine_is_kept_on_its_triangulation():
+    tri = build_Tpq(7, 2)
+    assert dual_spine(tri) is dual_spine(tri)
+
+
+def test_triangulation_is_freed_without_the_cycle_collector():
+    # the spine and its cached enumeration are kept on the triangulation and
+    # do not point back to it, so dropping the last reference frees it
+    gc.disable()
+    try:
+        tri = build_Tpq(7, 2)
+        census(tri)
+        t_manifold(tri)
+        universal_subpolyhedron(tri)
+        assert tri._spine is not None
+        ref = weakref.ref(tri)
+        del tri
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_enumeration_budget():
     sp = dual_spine(build_Tpq(8, 3))
     with pytest.raises(EnumerationBudgetError):
         enumerate_simple_subpolyhedra(sp, budget=2)
     assert enumerate_simple_subpolyhedra(sp, budget=3)
+    # the budget is checked before the cached enumeration is read
+    with pytest.raises(EnumerationBudgetError):
+        enumerate_simple_subpolyhedra(sp, budget=2)
 
 
 def test_enumeration_budget_env(monkeypatch):
@@ -185,7 +206,6 @@ def test_t_spine_equals_term_sum():
         sp = dual_spine(tri)
         subs = enumerate_simple_subpolyhedra(sp)
         assert t_spine(sp) == sum((term(q) for q in subs), GoldenInt(0)), name
-        assert t_spine(sp, subs) == t_spine(sp)
 
 
 def test_t_spine_closed_form_for_lonely_spines():

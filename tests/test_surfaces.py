@@ -124,14 +124,14 @@ def test_klein_and_torus_in_t41():
     q = subpolyhedron(sp, 0x1)
     assert q.is_surface
 
-    one = type_I_surface(sp, q)
+    one = type_I_surface(tri, q)
     assert one.coords == (0, 0, 0, 0, 0, 1, 0)
     rep1 = reconstruct(one)
     assert rep1.classification == "klein"
     assert rep1.chi == 0 and not rep1.orientable
     assert max_edge_weight(one) == 1
 
-    two = type_II_surface(sp, q)
+    two = type_II_surface(tri, q)
     assert two.coords == (0, 0, 0, 0, 0, 2, 0)
     rep2 = reconstruct(two)
     # the double cover of the Klein bottle along the spine face is a torus
@@ -144,11 +144,11 @@ def test_type_I_rejects_non_surfaces_and_empty():
     tri = parse_triangulation(T41)
     sp = dual_spine(tri)
     with pytest.raises(NotASurfaceError):
-        type_I_surface(sp, subpolyhedron(sp, sp.full_mask))  # germ count 3
+        type_I_surface(tri, subpolyhedron(sp, sp.full_mask))  # germ count 3
     with pytest.raises(NotASurfaceError):
-        type_I_surface(sp, subpolyhedron(sp, 0))
+        type_I_surface(tri, subpolyhedron(sp, 0))
     with pytest.raises(ValueError):
-        type_II_surface(sp, subpolyhedron(sp, 0))
+        type_II_surface(tri, subpolyhedron(sp, 0))
 
 
 def test_theta_configuration_type_II():
@@ -158,8 +158,8 @@ def test_theta_configuration_type_II():
     q = subpolyhedron(sp, 0x5)
     assert not q.is_surface
     with pytest.raises(NotASurfaceError):
-        type_I_surface(sp, q)
-    two = type_II_surface(sp, q)
+        type_I_surface(tri, q)
+    two = type_II_surface(tri, q)
     assert two.tri == ((0, 0, 0, 0), (0, 0, 1, 1))
     assert two.quad == ((0, 2, 0), (1, 0, 0))
     rep = reconstruct(two)
@@ -175,10 +175,10 @@ def test_weight_bounds():
         for q in enumerate_simple_subpolyhedra(sp):
             if q.is_empty:
                 continue
-            two = type_II_surface(sp, q)
+            two = type_II_surface(tr, q)
             assert max_edge_weight(two) <= 2, name
             if q.is_surface:
-                one = type_I_surface(sp, q)
+                one = type_I_surface(tr, q)
                 assert max_edge_weight(one) <= 1, name
 
 
@@ -188,9 +188,9 @@ def test_euler_cross_checks():
         for q in enumerate_simple_subpolyhedra(sp):
             if q.is_empty:
                 continue
-            assert reconstruct(type_II_surface(sp, q)).chi == 2 * q.chi, name
+            assert reconstruct(type_II_surface(tr, q)).chi == 2 * q.chi, name
             if q.is_surface:
-                assert reconstruct(type_I_surface(sp, q)).chi == q.chi, name
+                assert reconstruct(type_I_surface(tr, q)).chi == q.chi, name
 
 
 def test_every_construction_is_valid_and_weights_agree():
@@ -199,7 +199,7 @@ def test_every_construction_is_valid_and_weights_agree():
         for q in enumerate_simple_subpolyhedra(sp):
             if q.is_empty:
                 continue
-            ns = type_II_surface(sp, q)
+            ns = type_II_surface(tr, q)
             ns.check_valid()
             w = edge_weights(ns)
             for ec in tr.edge_classes:
@@ -215,7 +215,7 @@ def test_double_type_II_of_full_spine_splits_into_vertex_links():
     tri = parse_triangulation(DOUBLE)
     sp = dual_spine(tri)
     full = subpolyhedron(sp, sp.full_mask)
-    ns = type_II_surface(sp, full)
+    ns = type_II_surface(tri, full)
     rep = reconstruct(ns)
     assert rep.components == 4
     assert not rep.connected
@@ -238,9 +238,8 @@ def test_split_components_on_connected_surface_is_identity():
 
 def test_omega_torus_in_two_vertex_sphere():
     tri = parse_triangulation(S3_ONE_TET)
-    sp = dual_spine(tri)
     om = universal_subpolyhedron(tri)
-    rep = reconstruct(type_I_surface(sp, om))
+    rep = reconstruct(type_I_surface(tri, om))
     assert rep.classification == "torus"
     assert rep.components == 1
 
@@ -365,7 +364,7 @@ def test_type_II_surfaces_of_orientable_closed_manifolds_are_orientable():
         sp = dual_spine(tr)
         for q in enumerate_simple_subpolyhedra(sp):
             if not q.is_empty:
-                assert reconstruct(type_II_surface(sp, q)).orientable, (name, q.faces)
+                assert reconstruct(type_II_surface(tr, q)).orientable, (name, q.faces)
 
 
 def test_frozen_lens_census():

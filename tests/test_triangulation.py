@@ -8,6 +8,7 @@ from tetspine.triangulation import (
     EDGE_PAIRS,
     FACE_VERTS,
     Triangulation,
+    VertexLinkSurface,
     edge_slot,
     parse_triangulation,
     perm_compose,
@@ -227,6 +228,28 @@ def oracle_edge_partition(tri):
     return {frozenset(g) for g in groups.values()}
 
 
+def oracle_directed_edge_orbits(tri):
+    """Independent closure of the directed edges (t, u, v) under the gluings:
+    maps each to the first directed edge of its orbit."""
+    orbit = {}
+    for start in ((t, u, v) for t in range(tri.n) for u in range(4) for v in range(4) if u != v):
+        if start in orbit:
+            continue
+        orbit[start] = start
+        stack = [start]
+        while stack:
+            t, u, v = stack.pop()
+            for f in range(4):
+                if f in (u, v):
+                    continue
+                t2, _, perm = tri.gluing(t, f)
+                image = (t2, perm[u], perm[v])
+                if image not in orbit:
+                    orbit[image] = start
+                    stack.append(image)
+    return orbit
+
+
 @pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
 def test_edge_classes_match_naive_closure(name):
     tri = load(ALL_FIXTURES[name])
@@ -236,6 +259,20 @@ def test_edge_classes_match_naive_closure(name):
     }
     assert got == oracle_edge_partition(tri)
     assert sum(ec.degree for ec in tri.edge_classes) == 6 * tri.n
+    # classes are numbered in order of their smallest slot
+    assert [ec.index for ec in tri.edge_classes] == list(range(len(tri.edge_classes)))
+    assert [ec.rep for ec in tri.edge_classes] == sorted(ec.rep for ec in tri.edge_classes)
+    # a slot's sign is +1 exactly when its ascending direction lies in the
+    # orbit of its class representative's ascending direction
+    orbit = oracle_directed_edge_orbits(tri)
+    for ec in tri.edge_classes:
+        rep_t, (rep_u, rep_v) = ec.rep // 6, EDGE_PAIRS[ec.rep % 6]
+        forward = orbit[(rep_t, rep_u, rep_v)]
+        assert orbit[(rep_t, rep_v, rep_u)] != forward  # no edge is reversed onto itself
+        for slot, sign in zip(ec.slots, ec.signs):
+            t, (u, v) = slot // 6, EDGE_PAIRS[slot % 6]
+            assert sign == (1 if orbit[(t, u, v)] == forward else -1), (name, slot)
+            assert tri.edge_sign_of(t, u, v) == sign
 
 
 def oracle_vertex_partition(tri):
@@ -321,6 +358,14 @@ def test_vertex_links_classifications():
     for text in ALL_FIXTURES.values():
         tri = load(text)
         assert sum(lk.triangles for lk in tri.vertex_links) == 4 * tri.n
+
+
+def test_vertex_link_names_other_surfaces_plainly():
+    # a census surface prints as "other(chi)"; a vertex link as plain "other"
+    assert VertexLinkSurface(-2, True, 6).classification == "other"
+    assert VertexLinkSurface(1, True, 3).classification == "other"
+    assert VertexLinkSurface(2, False, 4).classification == "other"
+    assert VertexLinkSurface(0, False, 4).classification == "klein"
 
 
 @pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
