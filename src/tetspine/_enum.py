@@ -9,7 +9,8 @@ def enumerate_masks(num_faces: int, edge_germs: Sequence[tuple[int, int, int]]) 
     """All face bitmasks whose per-edge germ counts avoid the value 1.
 
     Each entry of edge_germs lists the 3 faces incident to one spine edge,
-    with multiplicity. Depth-first search over faces in index order; after
+    with multiplicity. Depth-first search over faces in index order, on an
+    explicit stack, so the recursion limit does not bound the depth; after
     every decision, constraint propagation forces the moves that are implied
     (a lone undecided germ on an otherwise-empty edge must stay out; if an
     edge already holds exactly one germ, its undecided germs must come in
@@ -71,29 +72,28 @@ def enumerate_masks(num_faces: int, edge_germs: Sequence[tuple[int, int, int]]) 
             status[g] = -1
 
     out: list[int] = []
-
-    def dfs(pos: int) -> None:
-        while pos < num_faces and status[pos] != -1:
-            pos += 1
-        if pos == num_faces:
+    # (face, trail mark) of each choice whose "in" branch is still to be tried
+    pending: list[tuple[int, int]] = []
+    pos = 0
+    alive = True  # the current partial choice is still consistent
+    while True:
+        if alive:
+            while pos < num_faces and status[pos] != -1:
+                pos += 1
+            if pos < num_faces:
+                pending.append((pos, len(trail)))
+                alive = decide(pos, 0)
+                continue
             mask = 0
             for f in range(num_faces):
                 if status[f]:
                     mask |= 1 << f
             out.append(mask)
-            return
-        for val in (0, 1):
-            mark = len(trail)
-            if decide(pos, val):
-                dfs(pos + 1)
-            undo(mark)
-
-    try:
-        dfs(0)
-    finally:
-        # dfs reaches itself through its closure cell; emptying the cell frees
-        # the search state now instead of at the next cyclic collection
-        del dfs
+        if not pending:
+            break
+        pos, mark = pending.pop()
+        undo(mark)
+        alive = decide(pos, 1)
     out.sort()
     return out
 

@@ -31,8 +31,18 @@ from .surfaces import census
 from .triangulation import Triangulation, parse_triangulation, serialize_triangulation
 
 def _load(path: str) -> Triangulation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_triangulation(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        raise ParseError(
+            f"byte {data[exc.start]:#04x} is not UTF-8 text",
+            data.count(b"\n", 0, exc.start) + 1,
+            exc.start - line_start + 1,
+        ) from None
+    return parse_triangulation(text)
 
 
 def _cell(value) -> str:

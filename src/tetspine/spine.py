@@ -151,17 +151,16 @@ def subpolyhedron(spine: SpecialSpine, faces: int) -> SubPolyhedron:
     )
 
 
-def _resolve_budget(budget: int | None) -> int:
-    if budget is None:
-        env = os.environ.get(BUDGET_ENV_VAR)
-        if env is None:
-            return DEFAULT_FACE_BUDGET
-        try:
-            budget = int(env)
-        except ValueError:
-            raise InvalidBudgetError(
-                f"{BUDGET_ENV_VAR} must be an integer, got {env!r}"
-            ) from None
+def _resolve_budget() -> int:
+    env = os.environ.get(BUDGET_ENV_VAR)
+    if env is None:
+        return DEFAULT_FACE_BUDGET
+    try:
+        budget = int(env)
+    except ValueError:
+        raise InvalidBudgetError(
+            f"{BUDGET_ENV_VAR} must be an integer, got {env!r}"
+        ) from None
     if budget < 0:
         raise InvalidBudgetError(
             f"the enumeration budget must not be negative, got {budget}"
@@ -169,9 +168,7 @@ def _resolve_budget(budget: int | None) -> int:
     return budget
 
 
-def enumerate_simple_subpolyhedra(
-    spine: SpecialSpine, budget: int | None = None
-) -> list[SubPolyhedron]:
+def enumerate_simple_subpolyhedra(spine: SpecialSpine) -> list[SubPolyhedron]:
     """All simple subpolyhedra, including the empty set and the whole spine.
 
     Deterministic: sorted by face bitmask. Refuses spines with more faces
@@ -181,7 +178,7 @@ def enumerate_simple_subpolyhedra(
     enumeration runs once per spine: its result is kept on the spine, and
     each call returns a new list of the same frozen subpolyhedra.
     """
-    cap = _resolve_budget(budget)
+    cap = _resolve_budget()
     if spine.num_faces > cap:
         raise EnumerationBudgetError(
             f"{spine.num_faces} faces exceeds the enumeration budget {cap}"

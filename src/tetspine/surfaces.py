@@ -7,7 +7,10 @@ provided: a surface subpolyhedron is itself normal (type I), and the
 boundary of a small regular neighborhood of any simple subpolyhedron is
 normal (type II). Both read each tetrahedron's 6-bit germ pattern off the
 edge classes of its six slots (spine face f is edge class f) and copy its
-coordinate row from a 64-entry table built at import.
+coordinate row from a 64-entry table built at import by one complement
+rule: inside a tetrahedron the type II surface has one disc per region of
+the complement of Q (see `_type_II_row`), and the type I surface is half
+of it.
 
 Topology comes from one pass over the disc complex, read through flat
 integer tables cached per triangulation (`NormalTables`). Along each corner
@@ -34,7 +37,7 @@ from .errors import (
     NotASurfaceError,
 )
 from .spine import SubPolyhedron, dual_spine, enumerate_simple_subpolyhedra
-from .triangulation import EDGE_PAIRS, FACE_VERTS, Triangulation, surface_name
+from .triangulation import EDGE_PAIRS, FACE_EDGES, FACE_VERTS, Triangulation, surface_name
 
 # Normal coordinates are flat, 7 per tetrahedron t: the triangle cutting off
 # corner v at 7t + v, then the quad of type k at 7t + 4 + k. Quad type k
@@ -246,67 +249,46 @@ class SurfaceReport:
     max_edge_weight: int
 
 
-def _link_shape(slots: list[int]) -> tuple | None:
-    """Shape of the germ set of a simple subpolyhedron inside one tetrahedron.
+def _type_II_row(pattern: int) -> tuple[int, ...] | None:
+    """The type II row of one tetrahedron's germ pattern, by the complement rule.
 
-    Returns ("empty",), ("cone", corner), ("band", quad type),
-    ("theta", missing pair) or ("full",); None for a set with no shape.
+    Bit p of the pattern is edge slot p (see EDGE_PAIRS), set when that
+    edge's dual face lies in Q; a row is the tetrahedron's 7 coordinates.
+    None when a face of the tetrahedron holds exactly one germ, which no
+    simple subpolyhedron allows. Otherwise the corners joined by edges
+    outside Q form the regions of the tetrahedron minus Q, and the boundary
+    of Q's neighbourhood has one disc per region: the triangle at a lone
+    corner, the quad separating a pair of corners, the triangle at the
+    corner a triple leaves out, and nothing for all four.
     """
-    k = len(slots)
-    if k == 0:
-        return ("empty",)
-    if k == 3:
-        pairs = [EDGE_PAIRS[p] for p in slots]
-        for d in range(4):
-            if all(d in pr for pr in pairs):
-                return ("cone", d)
-    elif k == 4:
-        missing = [EDGE_PAIRS[p] for p in range(6) if p not in slots]
-        if not set(missing[0]) & set(missing[1]):
-            return ("band", QTYPE_OF_PAIR[missing[0]])
-    elif k == 5:
-        missing = next(EDGE_PAIRS[p] for p in range(6) if p not in slots)
-        return ("theta", missing)
-    elif k == 6:
-        return ("full",)
-    return None
-
-
-def _slots(pattern: int) -> list[int]:
-    return [p for p in range(6) if pattern >> p & 1]
-
-
-def _link_rows(pattern: int) -> tuple[str, tuple[int, ...] | None, tuple[int, ...]] | None:
-    """(shape, type I row, type II row) of one tetrahedron's germ pattern.
-
-    Bit p of the pattern is edge slot p (see EDGE_PAIRS); a row is the
-    tetrahedron's 7 coordinates. None for a pattern with no admissible
-    shape; a type I row of None for one that no surface has (theta, full).
-    """
-    shape = _link_shape(_slots(pattern))
-    if shape is None:
+    inside = {EDGE_PAIRS[p] for p in range(6) if pattern >> p & 1}
+    if any(sum(e in inside for e in edges) == 1 for edges in FACE_EDGES):
         return None
-    one = [0] * 7
-    two = [0] * 7
-    if shape[0] == "cone":
-        one[shape[1]] = 1
-        two[shape[1]] = 2
-    elif shape[0] == "band":
-        one[4 + shape[1]] = 1
-        two[4 + shape[1]] = 2
-    elif shape[0] == "theta":
-        u, w = shape[1]
-        for v in range(4):
-            if v not in (u, w):
-                two[v] = 1
-        two[4 + QTYPE_OF_PAIR[(u, w)]] = 1
-    elif shape[0] == "full":
-        two[:4] = [1, 1, 1, 1]
-    return shape[0], (tuple(one) if shape[0] in ("empty", "cone", "band") else None), tuple(two)
+    region = list(range(4))  # a label per corner, shared within a region
+    for u, v in EDGE_PAIRS:
+        if (u, v) not in inside:
+            old = region[v]
+            region = [region[u] if r == old else r for r in region]
+    row = [0] * 7
+    for label in set(region):
+        corners = tuple(v for v in range(4) if region[v] == label)
+        if len(corners) == 1:
+            row[corners[0]] += 1
+        elif len(corners) == 2:
+            row[4 + QTYPE_OF_PAIR[corners]] += 1
+        elif len(corners) == 3:
+            row[6 - sum(corners)] += 1
+    return tuple(row)
 
 
-# the rows of every 6-bit germ pattern
-_LINK_ROWS = tuple(_link_rows(pattern) for pattern in range(64))
+# per 6-bit germ pattern: its type II row, and its type I row, which is half
+# of it; None for a pattern no simple subpolyhedron has, and a type I row of
+# None where the type II row has an odd entry, a pattern no surface has
+_TYPE_II_ROWS = tuple(_type_II_row(pattern) for pattern in range(64))
+_TYPE_I_ROWS = tuple(
+    None if row is None or any(k % 2 for k in row) else tuple(k // 2 for k in row)
+    for row in _TYPE_II_ROWS
+)
 
 
 def _germ_patterns(tr: Triangulation, faces: int) -> list[int]:
@@ -324,7 +306,8 @@ def _germ_patterns(tr: Triangulation, faces: int) -> list[int]:
 
 
 def _no_shape(pattern: int) -> InternalLinkError:
-    return InternalLinkError(f"germ slots {_slots(pattern)} form no admissible link shape")
+    slots = [p for p in range(6) if pattern >> p & 1]
+    return InternalLinkError(f"germ slots {slots} form no admissible link shape")
 
 
 def _build(coords: Sequence[int], provenance: tuple[str, int], tr: Triangulation) -> NormalSurface:
@@ -343,14 +326,14 @@ def type_I_surface(tr: Triangulation, q: SubPolyhedron) -> NormalSurface:
         raise NotASurfaceError("the empty subpolyhedron has no type I surface")
     coords: list[int] = []
     for t, pattern in enumerate(_germ_patterns(tr, q.faces)):
-        rows = _LINK_ROWS[pattern]
-        if rows is None:
-            raise _no_shape(pattern)
-        if rows[1] is None:
+        row = _TYPE_I_ROWS[pattern]
+        if row is None:
+            if _TYPE_II_ROWS[pattern] is None:
+                raise _no_shape(pattern)
             raise InternalLinkError(
-                f"surface subpolyhedron has {rows[0]} germs in tetrahedron {t}"
+                f"surface subpolyhedron has a germ count of 3 in tetrahedron {t}"
             )
-        coords.extend(rows[1])
+        coords.extend(row)
     return _build(coords, ("I", q.faces), tr)
 
 
@@ -361,10 +344,10 @@ def type_II_surface(tr: Triangulation, q: SubPolyhedron) -> NormalSurface:
         raise ValueError("type II surface needs a nonempty subpolyhedron")
     coords: list[int] = []
     for pattern in _germ_patterns(tr, q.faces):
-        rows = _LINK_ROWS[pattern]
-        if rows is None:
+        row = _TYPE_II_ROWS[pattern]
+        if row is None:
             raise _no_shape(pattern)
-        coords.extend(rows[2])
+        coords.extend(row)
     return _build(coords, ("II", q.faces), tr)
 
 

@@ -194,6 +194,21 @@ def test_huge_header_without_gluings_fails_fast(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_file_that_is_not_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"tets: 1\n\xff\xfe\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "tetspine.cli", "invariant", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: line 2, col 1: byte 0xff is not UTF-8 text\n"
+    assert "Traceback" not in proc.stderr
+
+
 def test_negative_budget_is_a_usage_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SPINE_FACE_BUDGET", "-3")
     path = write(tmp_path, "t41.txt", T41)

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -52,4 +53,17 @@ def test_wide_chain_yields_every_prefix():
     num_faces = 63
     germs = [(i, i, i + 1) for i in range(num_faces - 1)]
     masks = enumerate_masks(num_faces, germs)
+    assert masks == [(1 << k) - 1 for k in range(num_faces + 1)]
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # one choice per face stays open along the chain, 500 deep
+    num_faces = 500
+    germs = [(i, i, i + 1) for i in range(num_faces - 1)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(400)
+    try:
+        masks = enumerate_masks(num_faces, germs)
+    finally:
+        sys.setrecursionlimit(limit)
     assert masks == [(1 << k) - 1 for k in range(num_faces + 1)]

@@ -145,14 +145,14 @@ def test_triangulation_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
-def test_enumeration_budget():
-    sp = dual_spine(build_Tpq(8, 3))
-    with pytest.raises(EnumerationBudgetError):
-        enumerate_simple_subpolyhedra(sp, budget=2)
-    assert enumerate_simple_subpolyhedra(sp, budget=3)
+def test_enumeration_budget(monkeypatch):
     # the budget is checked before the cached enumeration is read
+    sp = dual_spine(build_Tpq(8, 3))
+    monkeypatch.setenv("SPINE_FACE_BUDGET", "3")
+    assert enumerate_simple_subpolyhedra(sp)
+    monkeypatch.setenv("SPINE_FACE_BUDGET", "2")
     with pytest.raises(EnumerationBudgetError):
-        enumerate_simple_subpolyhedra(sp, budget=2)
+        enumerate_simple_subpolyhedra(sp)
 
 
 def test_enumeration_budget_env(monkeypatch):

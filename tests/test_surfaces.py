@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from collections import Counter
@@ -6,7 +7,7 @@ from math import gcd
 import pytest
 
 from fixtures_data import DOUBLE, S3_ONE_TET, T41, T52
-from tetspine.errors import MatchingViolationError, NotASurfaceError
+from tetspine.errors import InternalLinkError, MatchingViolationError, NotASurfaceError
 from tetspine.lens import build_Tpq
 from tetspine.moves import random_pachner_walk
 from tetspine.spine import (
@@ -16,6 +17,8 @@ from tetspine.spine import (
     universal_subpolyhedron,
 )
 from tetspine.surfaces import (
+    _TYPE_I_ROWS,
+    _TYPE_II_ROWS,
     QSEP,
     QTYPE_OF_PAIR,
     NormalSurface,
@@ -53,6 +56,54 @@ def test_quad_tables_are_consistent():
         assert 0 in first
         assert set(first) | set(second) == {0, 1, 2, 3}
         assert QTYPE_OF_PAIR[first] == qt and QTYPE_OF_PAIR[second] == qt
+
+
+# The type II row of each admissible germ pattern (bit p: edge slot p) and
+# each type I row, frozen from the table of named link shapes (empty, cone,
+# band, theta, full) that the complement rule replaced.
+ADMISSIBLE_TYPE_II_ROWS = {
+    0: (0, 0, 0, 0, 0, 0, 0),
+    7: (2, 0, 0, 0, 0, 0, 0),
+    25: (0, 2, 0, 0, 0, 0, 0),
+    30: (0, 0, 0, 0, 2, 0, 0),
+    31: (1, 1, 0, 0, 1, 0, 0),
+    42: (0, 0, 2, 0, 0, 0, 0),
+    45: (0, 0, 0, 0, 0, 2, 0),
+    47: (1, 0, 1, 0, 0, 1, 0),
+    51: (0, 0, 0, 0, 0, 0, 2),
+    52: (0, 0, 0, 2, 0, 0, 0),
+    55: (1, 0, 0, 1, 0, 0, 1),
+    59: (0, 1, 1, 0, 0, 0, 1),
+    61: (0, 1, 0, 1, 0, 1, 0),
+    62: (0, 0, 1, 1, 1, 0, 0),
+    63: (1, 1, 1, 1, 0, 0, 0),
+}
+TYPE_I_ROWS = {
+    0: (0, 0, 0, 0, 0, 0, 0),
+    7: (1, 0, 0, 0, 0, 0, 0),
+    25: (0, 1, 0, 0, 0, 0, 0),
+    30: (0, 0, 0, 0, 1, 0, 0),
+    42: (0, 0, 1, 0, 0, 0, 0),
+    45: (0, 0, 0, 0, 0, 1, 0),
+    51: (0, 0, 0, 0, 0, 0, 1),
+    52: (0, 0, 0, 1, 0, 0, 0),
+}
+
+
+def test_germ_pattern_tables_are_frozen():
+    assert len(_TYPE_II_ROWS) == len(_TYPE_I_ROWS) == 64
+    assert {p: r for p, r in enumerate(_TYPE_II_ROWS) if r is not None} == ADMISSIBLE_TYPE_II_ROWS
+    assert {p: r for p, r in enumerate(_TYPE_I_ROWS) if r is not None} == TYPE_I_ROWS
+
+
+def test_type_I_refuses_a_germ_count_of_3_on_a_surface_flag():
+    # T_{5,1}: subpolyhedron 0x5 shows a theta pattern in tetrahedron 1; a
+    # hand-made copy that claims to be a surface passes the first check and
+    # must be stopped by the rows
+    tri = build_Tpq(5, 1)
+    q = dataclasses.replace(subpolyhedron(dual_spine(tri), 0x5), is_surface=True)
+    with pytest.raises(InternalLinkError, match="germ count of 3 in tetrahedron 1"):
+        type_I_surface(tri, q)
 
 
 # ---- coordinates --------------------------------------------------------------------
