@@ -29,10 +29,14 @@ def enumerate_masks(num_faces: int, edge_germs: Sequence[tuple[int, int, int]]) 
     in_cnt = [0] * num_edges
     und_cnt = [3] * num_edges
     trail: list[int] = []
+    mask = 0  # the faces decided in
 
     def set_face(f: int, val: int, queue: list[int]) -> None:
+        nonlocal mask
         status[f] = val
         trail.append(f)
+        if val:
+            mask |= 1 << f
         for e in edges_of_face[f]:
             und_cnt[e] -= 1
             if val:
@@ -62,6 +66,7 @@ def enumerate_masks(num_faces: int, edge_germs: Sequence[tuple[int, int, int]]) 
         return True
 
     def undo(mark: int) -> None:
+        nonlocal mask
         while len(trail) > mark:
             g = trail.pop()
             val = status[g]
@@ -69,6 +74,8 @@ def enumerate_masks(num_faces: int, edge_germs: Sequence[tuple[int, int, int]]) 
                 und_cnt[e] += 1
                 if val:
                     in_cnt[e] -= 1
+            if val:
+                mask &= ~(1 << g)
             status[g] = -1
 
     out: list[int] = []
@@ -84,10 +91,6 @@ def enumerate_masks(num_faces: int, edge_germs: Sequence[tuple[int, int, int]]) 
                 pending.append((pos, len(trail)))
                 alive = decide(pos, 0)
                 continue
-            mask = 0
-            for f in range(num_faces):
-                if status[f]:
-                    mask |= 1 << f
             out.append(mask)
         if not pending:
             break

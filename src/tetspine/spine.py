@@ -44,9 +44,23 @@ class SpecialSpine:
     # per spine vertex (tetrahedron): face of each of the 6 edge slots
     corner_germs: tuple[tuple[int, int, int, int, int, int], ...]
     face_degrees: tuple[int, ...]
+    # per face, derived from the germ tables: bitmasks of the spine edges
+    # holding the face in germ position 0, 1 and 2, then of the spine
+    # vertices holding it in any slot; subpolyhedron() ORs them per mask
+    face_slices: tuple[tuple[int, int, int, int], ...] = field(init=False, repr=False)
     # every simple subpolyhedron, in mask order, once
     # enumerate_simple_subpolyhedra has enumerated them
     _subpolyhedra: tuple[SubPolyhedron, ...] | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        slices = [[0, 0, 0, 0] for _ in range(self.num_faces)]
+        for e, germs in enumerate(self.edge_germs):
+            for position, f in enumerate(germs):
+                slices[f][position] |= 1 << e
+        for v, germs6 in enumerate(self.corner_germs):
+            for f in germs6:
+                slices[f][3] |= 1 << v
+        object.__setattr__(self, "face_slices", tuple(map(tuple, slices)))
 
     @property
     def num_edges(self) -> int:
@@ -116,36 +130,34 @@ def dual_spine(tri: Triangulation) -> SpecialSpine:
 def subpolyhedron(spine: SpecialSpine, faces: int) -> SubPolyhedron:
     """Validate a face bitmask and compute its invariants.
 
-    Raises NotSimpleError listing the spine edges whose germ count is 1.
+    Bit-sliced: the face slices of Q are ORed into one mask of spine edges
+    per germ position, so an edge's germ count in Q is the number of these
+    three masks holding it. Raises NotSimpleError listing, in ascending
+    order, the spine edges whose germ count is 1.
     """
     if faces < 0 or faces >> spine.num_faces:
         raise ValueError(f"mask {faces:#x} is not a subset of {spine.num_faces} faces")
-    bad = []
-    edges_in = 0
-    surface = True
-    for e, germs in enumerate(spine.edge_germs):
-        cnt = sum(1 for g in germs if faces >> g & 1)
-        if cnt == 1:
-            bad.append(e)
-        elif cnt >= 2:
-            edges_in += 1
-            if cnt == 3:
-                surface = False
+    a0 = a1 = a2 = touched = outside = 0
+    rest = faces
+    for s0, s1, s2, sv in spine.face_slices:
+        if rest & 1:
+            a0 |= s0
+            a1 |= s1
+            a2 |= s2
+            touched |= sv
+        else:
+            outside |= sv
+        rest >>= 1
+    three = a0 & a1 & a2
+    bad = (a0 ^ a1 ^ a2) & ~three  # germ count exactly 1
     if bad:
-        raise NotSimpleError(tuple(bad))
-    touched = 0
-    v_q = 0
-    for germs6 in spine.corner_germs:
-        hits = sum(1 for g in germs6 if faces >> g & 1)
-        if hits:
-            touched += 1
-            if hits == 6:
-                v_q += 1
+        raise NotSimpleError(tuple(e for e in range(bad.bit_length()) if bad >> e & 1))
+    edges_in = ((a0 & a1) | (a0 & a2) | (a1 & a2)).bit_count()
     return SubPolyhedron(
         faces=faces,
-        v_q=v_q,
-        chi=touched - edges_in + faces.bit_count(),
-        is_surface=surface,
+        v_q=spine.num_vertices - outside.bit_count(),
+        chi=touched.bit_count() - edges_in + faces.bit_count(),
+        is_surface=not three,
         is_proper=faces != spine.full_mask,
         is_empty=faces == 0,
     )
@@ -216,11 +228,18 @@ def surface_space_nullity(spine: SpecialSpine) -> int:
 
 
 def t_spine(spine: SpecialSpine) -> GoldenInt:
-    """Signed sum of eps^(chi(Q) - v_Q) over all simple subpolyhedra Q."""
-    total = ZERO
+    """Signed sum of eps^(chi(Q) - v_Q) over all simple subpolyhedra Q.
+
+    The terms are first gathered into a histogram, exponent -> signed count,
+    so the ring arithmetic runs once per distinct exponent, not per Q.
+    """
+    counts: dict[int, int] = {}
     for q in enumerate_simple_subpolyhedra(spine):
-        term = EPS ** (q.chi - q.v_q)
-        total = total - term if q.v_q % 2 else total + term
+        k = q.chi - q.v_q
+        counts[k] = counts.get(k, 0) + (-1 if q.v_q % 2 else 1)
+    total = ZERO
+    for k, c in counts.items():
+        total = total + c * EPS ** k
     return total
 
 

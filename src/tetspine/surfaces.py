@@ -16,8 +16,8 @@ Topology comes from one pass over the disc complex, read through flat
 integer tables cached per triangulation (`NormalTables`). Along each corner
 of each triangle class the arcs are paired arithmetically: the arc at depth
 j joins the j-th disc outward from the corner on one side to the j-th on
-the other. That gives each disc a list of neighbours with a parity bit, and
-one flood fill over the discs yields the components and orientability.
+the other. Each arc joins its two discs, with a parity bit, in a
+union-find over the discs, which yields the components and orientability.
 With the edge weights this gives chi = V - E + F. The result is a small
 summary cached on the surface; computing it is the surface's one
 validation (the complex's own checks, then `check_valid`), and
@@ -369,12 +369,14 @@ def _disc_complex(ns: NormalSurface) -> _Topology:
     triangle-class corner pairs its arcs arithmetically: the arc at depth j
     is bounded by the j-th disc outward from the corner on each side (see
     NormalTables.arc_runs), so both sides must hold the same number of arcs.
-    Pairing gives each disc a list of neighbours, as 2 * disc + parity, where
-    the parity records whether the two discs' boundary orientations disagree
-    across the arc. A flood fill over the discs in index order gives the
-    components in order of first disc, and a parity clash inside one means
-    non-orientable. Every intersection point lies on one edge class, so V is
-    the sum of the weights and chi = V - E + F.
+    Each pair joins its two discs in a union-find with parity, where the
+    parity records whether the two discs' boundary orientations disagree
+    across the arc; a parity clash inside one set means non-orientable.
+    Every disc holds its root and its parity against it, so a find is one
+    lookup, and a union relabels the smaller of the two sets: O(D log D)
+    relabels in all for D discs. Numbering the roots in order of first disc
+    gives the components in that order. Every intersection point lies on
+    one edge class, so V is the sum of the weights and chi = V - E + F.
     """
     tables = ns.triangulation._normal_tables
     c = ns.coords
@@ -392,8 +394,15 @@ def _disc_complex(ns: NormalSurface) -> _Topology:
     counts = c if min(c, default=0) >= 0 else [k if k > 0 else 0 for k in c]
     first = [0, *accumulate(counts)]  # first[i]: the first disc of coordinate i
     discs = first[-1]
-    nbrs: list[list[int]] = [[] for _ in range(discs)]  # per disc: 2 * neighbour + parity
+    # label[x] = 2 * root + (1 when disc x and its root disagree in orientation)
+    label = list(range(0, 2 * discs, 2))
+    # the discs of each set form a cycle under ring, so two sets join by
+    # swapping one successor each; size counts a root's set
+    ring = list(range(discs))
+    size = [1] * discs
     arcs = 0
+    joins = 0
+    orientable = True
     for ta, qa, tb, qb, da, ea, ra, db, eb, rb in tables.arc_runs:
         ka, la, kb, lb = counts[ta], counts[qa], counts[tb], counts[qb]
         depth = ka + la
@@ -403,47 +412,50 @@ def _disc_complex(ns: NormalSurface) -> _Topology:
             continue
         arcs += depth
         for j in range(depth):
-            # 2 * disc + direction of the disc bounding the arc on each side
+            # the label of the disc bounding the arc on each side, with its
+            # direction folded in, so that the two roots must satisfy
+            # side(x root) ^ side(y root) == (x ^ y) & 1
             if j < ka:
-                x = 2 * (first[ta] + j) + da
+                x = label[first[ta] + j] ^ da
             else:
-                x = 2 * (first[qa] + (la - 1 - (j - ka) if ra else j - ka)) + ea
+                x = label[first[qa] + (la - 1 - (j - ka) if ra else j - ka)] ^ ea
             if j < kb:
-                y = 2 * (first[tb] + j) + db
+                y = label[first[tb] + j] ^ db ^ 1
             else:
-                y = 2 * (first[qb] + (lb - 1 - (j - kb) if rb else j - kb)) + eb
-            parity = (x ^ y ^ 1) & 1
-            nbrs[x >> 1].append(y & ~1 | parity)
-            nbrs[y >> 1].append(x & ~1 | parity)
-
-    # label[x] = 2 * component + side of disc x, or -1 before the fill reaches it
-    label = [-1] * discs
-    components = 0
-    orientable = True
-    for x in range(discs):
-        if label[x] >= 0:
-            continue
-        label[x] = 2 * components
-        stack = [x]
-        while stack:
-            y = stack.pop()
-            ly = label[y]
-            for e in nbrs[y]:
-                want = ly ^ (e & 1)
-                lz = label[e >> 1]
-                if lz < 0:
-                    label[e >> 1] = want
-                    stack.append(e >> 1)
-                elif lz != want:
+                y = label[first[qb] + (lb - 1 - (j - kb) if rb else j - kb)] ^ eb ^ 1
+            parity = (x ^ y) & 1
+            x >>= 1
+            y >>= 1
+            if x == y:
+                if parity:
                     orientable = False
-        components += 1
+                continue
+            joins += 1
+            if size[x] < size[y]:
+                x, y = y, x
+            size[x] += size[y]
+            # relabel the smaller set, rooted at y, onto the root x
+            shift = 2 * (x - y)
+            z = y
+            while True:
+                label[z] = (label[z] ^ parity) + shift
+                z = ring[z]
+                if z == y:
+                    break
+            ring[x], ring[y] = ring[y], ring[x]
+    components = discs - joins
 
     parts = None
     if components > 1:
-        rows = [[0] * len(c) for _ in range(components)]
+        index: dict[int, int] = {}  # component number of each root, in order of first disc
+        rows: list[list[int]] = []
         for i, k in enumerate(counts):
             for x in range(first[i], first[i] + k):
-                rows[label[x] >> 1][i] += 1
+                root = label[x] >> 1
+                if root not in index:
+                    index[root] = len(rows)
+                    rows.append([0] * len(c))
+                rows[index[root]][i] += 1
         parts = tuple(tuple(r) for r in rows)
     return _Topology(tuple(weights), sum(weights) - arcs + discs, orientable, components, parts)
 

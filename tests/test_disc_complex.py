@@ -1,0 +1,187 @@
+"""The union-find disc-complex sweep against the flood fill it replaced.
+
+`flood_fill_complex` below is the earlier implementation of
+`surfaces._disc_complex`: it pairs the arcs the same way, gives every disc a
+list of neighbours with a parity bit, and finds the components and
+orientability by a flood fill over the discs in index order. The sweep must
+return the same summary, `parts` order included, or raise the same error,
+on census surfaces, surfaces of two or more components, sums and
+perturbations with negative entries. Neither gated benchmark workload meets
+a surface of two or more components, so this is what guards `parts`.
+"""
+
+import random
+from itertools import accumulate
+
+from fixtures_data import CUSPED, DOUBLE, RP2LINK, S3_ONE_TET, T41
+from tetspine.errors import MatchingViolationError
+from tetspine.lens import build_Tpq
+from tetspine.moves import random_pachner_walk
+from tetspine.spine import dual_spine, enumerate_simple_subpolyhedra, subpolyhedron
+from tetspine.surfaces import (
+    NormalSurface,
+    _disc_complex,
+    _Topology,
+    _unpaired_arc,
+    census,
+    type_I_surface,
+    type_II_surface,
+)
+from tetspine.triangulation import parse_triangulation
+
+
+def flood_fill_complex(ns):
+    """Edge weights, chi, orientability and components by a flood fill."""
+    tables = ns.triangulation._normal_tables
+    c = ns.coords
+
+    weights = [None] * len(ns.triangulation.edge_classes)
+    for cls, a, b, x, y in tables.weight_terms:
+        w = c[a] + c[b] + c[x] + c[y]
+        if weights[cls] is None:
+            weights[cls] = w
+        elif weights[cls] != w:
+            seen = {c[a] + c[b] + c[x] + c[y] for k, a, b, x, y in tables.weight_terms if k == cls}
+            raise MatchingViolationError(f"edge class {cls} sees weights {sorted(seen)}")
+
+    counts = c if min(c, default=0) >= 0 else [k if k > 0 else 0 for k in c]
+    first = [0, *accumulate(counts)]
+    discs = first[-1]
+    nbrs = [[] for _ in range(discs)]  # per disc: 2 * neighbour + parity
+    arcs = 0
+    for ta, qa, tb, qb, da, ea, ra, db, eb, rb in tables.arc_runs:
+        ka, la, kb, lb = counts[ta], counts[qa], counts[tb], counts[qb]
+        depth = ka + la
+        if depth != kb + lb:
+            raise _unpaired_arc(tables, counts)
+        if not depth:
+            continue
+        arcs += depth
+        for j in range(depth):
+            if j < ka:
+                x = 2 * (first[ta] + j) + da
+            else:
+                x = 2 * (first[qa] + (la - 1 - (j - ka) if ra else j - ka)) + ea
+            if j < kb:
+                y = 2 * (first[tb] + j) + db
+            else:
+                y = 2 * (first[qb] + (lb - 1 - (j - kb) if rb else j - kb)) + eb
+            parity = (x ^ y ^ 1) & 1
+            nbrs[x >> 1].append(y & ~1 | parity)
+            nbrs[y >> 1].append(x & ~1 | parity)
+
+    # label[x] = 2 * component + side of disc x, or -1 before the fill reaches it
+    label = [-1] * discs
+    components = 0
+    orientable = True
+    for x in range(discs):
+        if label[x] >= 0:
+            continue
+        label[x] = 2 * components
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            ly = label[y]
+            for e in nbrs[y]:
+                want = ly ^ (e & 1)
+                lz = label[e >> 1]
+                if lz < 0:
+                    label[e >> 1] = want
+                    stack.append(e >> 1)
+                elif lz != want:
+                    orientable = False
+        components += 1
+
+    parts = None
+    if components > 1:
+        rows = [[0] * len(c) for _ in range(components)]
+        for i, k in enumerate(counts):
+            for x in range(first[i], first[i] + k):
+                rows[label[x] >> 1][i] += 1
+        parts = tuple(tuple(r) for r in rows)
+    return _Topology(tuple(weights), sum(weights) - arcs + discs, orientable, components, parts)
+
+
+def surface(tr, coords):
+    """An unchecked surface with these flat coordinates."""
+    return NormalSurface(
+        tr,
+        [coords[i : i + 4] for i in range(0, len(coords), 7)],
+        [coords[i + 4 : i + 7] for i in range(0, len(coords), 7)],
+        ("external", 0),
+    )
+
+
+def outcome(sweep, ns):
+    try:
+        return sweep(ns)
+    except MatchingViolationError as exc:
+        return str(exc)
+
+
+def subjects():
+    bases = [build_Tpq(p, q) for p, q in ((5, 1), (7, 2), (8, 3), (11, 3), (12, 5), (13, 5))]
+    walks = [random_pachner_walk(base, 8, seed=s) for s, base in enumerate(bases[1:5])]
+    fixtures = [parse_triangulation(t) for t in (T41, DOUBLE, S3_ONE_TET, RP2LINK, CUSPED)]
+    return bases + walks + fixtures
+
+
+def vectors(tr, rng):
+    """Coordinate vectors on tr: census surfaces, every type I/II surface
+    before splitting, the surface with one triangle at every corner, sums,
+    and +-1 perturbations, some with negative entries."""
+    found = [e.surface.coords for e in census(tr)]
+    for q in enumerate_simple_subpolyhedra(dual_spine(tr)):
+        if q.is_empty:
+            continue
+        if q.is_surface:
+            found.append(type_I_surface(tr, q).coords)
+        found.append(type_II_surface(tr, q).coords)
+    found.append(tuple([1, 1, 1, 1, 0, 0, 0] * tr.n))
+    sums = [
+        tuple(a + b for a, b in zip(rng.choice(found), rng.choice(found))) for _ in range(20)
+    ]
+    bumped = []
+    for coords in rng.sample(found + sums, min(30, len(found + sums))):
+        bump = list(coords)
+        bump[rng.randrange(len(bump))] += rng.choice((-1, 1))
+        bumped.append(tuple(bump))
+    return found + sums + bumped
+
+
+def test_sweep_agrees_with_the_flood_fill():
+    rng = random.Random(5)
+    tally = {"vectors": 0, "split": 0, "errors": 0, "negative": 0}
+    for tr in subjects():
+        for coords in vectors(tr, rng):
+            want = outcome(flood_fill_complex, surface(tr, coords))
+            assert outcome(_disc_complex, surface(tr, coords)) == want, coords
+            tally["vectors"] += 1
+            tally["split"] += not isinstance(want, str) and want.parts is not None
+            tally["errors"] += isinstance(want, str)
+            tally["negative"] += min(coords) < 0
+    # every kind of vector is present in numbers, not just once
+    assert tally["vectors"] > 1000, tally
+    assert min(tally["split"], tally["errors"], tally["negative"]) >= 20, tally
+
+
+def test_parts_keep_the_order_of_first_disc():
+    # twice the type II surface of the full spine of the 4-vertex double
+    # is eight spheres, each vertex link twice over
+    tr = parse_triangulation(DOUBLE)
+    sp = dual_spine(tr)
+    twice = tuple(2 * k for k in type_II_surface(tr, subpolyhedron(sp, sp.full_mask)).coords)
+    topo = _disc_complex(surface(tr, twice))
+    assert topo == flood_fill_complex(surface(tr, twice))
+    assert topo.components == 8 and topo.chi == 16 and topo.orientable
+    assert sum(map(sum, topo.parts)) == sum(twice)
+    # each part's first disc comes after the previous part's
+    firsts = [next(i for i, k in enumerate(part) if k) for part in topo.parts]
+    assert firsts == sorted(firsts)
+    # the vertex-link surfaces of the multi-vertex fixtures split by vertex class
+    for text in (DOUBLE, S3_ONE_TET, RP2LINK):
+        tr = parse_triangulation(text)
+        links = surface(tr, (1, 1, 1, 1, 0, 0, 0) * tr.n)
+        topo = _disc_complex(links)
+        assert topo == flood_fill_complex(links)
+        assert topo.components == len(tr.vertex_classes)

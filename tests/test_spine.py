@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 import weakref
 
 import pytest
@@ -11,6 +12,7 @@ from tetspine.lens import build_Tpq
 from tetspine.moves import random_pachner_walk
 from tetspine.spine import (
     DEFAULT_FACE_BUDGET,
+    SubPolyhedron,
     dual_spine,
     enumerate_simple_subpolyhedra,
     subpolyhedron,
@@ -109,6 +111,71 @@ def test_subpolyhedron_invariants_revalidate():
         for q in enumerate_simple_subpolyhedra(sp):
             again = subpolyhedron(sp, q.faces)
             assert again == q, name
+
+
+def reference_subpolyhedron(spine, faces):
+    """subpolyhedron() as it read before bit-slicing: one germ count per
+    spine edge and one slot count per spine vertex."""
+    bad = []
+    edges_in = 0
+    surface = True
+    for e, germs in enumerate(spine.edge_germs):
+        cnt = sum(1 for g in germs if faces >> g & 1)
+        if cnt == 1:
+            bad.append(e)
+        elif cnt >= 2:
+            edges_in += 1
+            if cnt == 3:
+                surface = False
+    if bad:
+        raise NotSimpleError(tuple(bad))
+    touched = 0
+    v_q = 0
+    for germs6 in spine.corner_germs:
+        hits = sum(1 for g in germs6 if faces >> g & 1)
+        if hits:
+            touched += 1
+            if hits == 6:
+                v_q += 1
+    return SubPolyhedron(
+        faces=faces,
+        v_q=v_q,
+        chi=touched - edges_in + faces.bit_count(),
+        is_surface=surface,
+        is_proper=faces != spine.full_mask,
+        is_empty=faces == 0,
+    )
+
+
+def outcome(sub, spine, faces):
+    try:
+        return sub(spine, faces)
+    except NotSimpleError as exc:
+        return exc.edges
+
+
+def test_bit_sliced_subpolyhedron_matches_the_reference():
+    # every mask of the corpus spines; enumerated and random masks of walk
+    # descendants up to the 24-face spine of T_21_4
+    rng = random.Random(3)
+    subjects = [dual_spine(tri) for tri in corpus().values()]
+    walks = [random_pachner_walk(build_Tpq(12, 5), 8, seed=s) for s in range(3)]
+    walks.append(random_pachner_walk(build_Tpq(21, 4), 25, seed=5))
+    rejected = 0
+    for sp in subjects:
+        for mask in range(1 << sp.num_faces):
+            want = outcome(reference_subpolyhedron, sp, mask)
+            assert outcome(subpolyhedron, sp, mask) == want, mask
+            rejected += isinstance(want, tuple)
+    for tri in walks:
+        sp = dual_spine(tri)
+        masks = [q.faces for q in enumerate_simple_subpolyhedra(sp)][:2000]
+        masks += [rng.getrandbits(sp.num_faces) for _ in range(2000)]
+        for mask in masks:
+            want = outcome(reference_subpolyhedron, sp, mask)
+            assert outcome(subpolyhedron, sp, mask) == want, mask
+            rejected += isinstance(want, tuple)
+    assert rejected > 1000
 
 
 def test_subpolyhedron_rejects_non_simple():

@@ -14,6 +14,7 @@ from itertools import product
 from math import gcd
 
 from tetspine.lens import build_Tpq
+from tetspine.moves import random_pachner_walk
 from tetspine.surfaces import NormalSurface, census, reconstruct
 from tetspine.triangulation import EDGE_PAIRS
 
@@ -85,6 +86,16 @@ def connected_surfaces_within(tr, bound):
     return surfaces
 
 
+def slot_weights(coords):
+    """The set of edge weights the surface meets, read slot by slot."""
+    return {
+        coords[t + u] + coords[t + v] + sum(coords[t + 4 : t + 7])
+        - coords[t + 4 + QUAD_MISSING[(u, v)]]
+        for t in range(0, len(coords), 7)
+        for u, v in EDGE_PAIRS
+    }
+
+
 def test_census_is_every_connected_surface_of_edge_weight_at_most_2():
     # on the layered lens spaces the type I/II surfaces are exactly these
     total = 0
@@ -97,3 +108,24 @@ def test_census_is_every_connected_surface_of_edge_weight_at_most_2():
             assert {e.surface.coords for e in census(tr)} == expected, (p, q)
             total += len(expected)
     assert total == 548
+
+
+def test_census_lies_within_the_weight_2_surfaces_of_walk_descendants():
+    # after Pachner moves the census can miss connected weight-2 surfaces;
+    # every one it misses meets some edge once and some edge twice, and
+    # their number is frozen per walk
+    surplus = {}
+    for p, q in ((7, 2), (8, 3), (12, 5)):
+        for seed in range(3):
+            tr = random_pachner_walk(build_Tpq(p, q), 8, seed=seed)
+            within = connected_surfaces_within(tr, 2)
+            found = {e.surface.coords for e in census(tr)}
+            assert found <= within, (p, q, seed)
+            for coords in within - found:
+                assert {1, 2} <= slot_weights(coords), (p, q, seed, coords)
+            surplus[(p, q, seed)] = len(within - found)
+    assert surplus == {
+        (7, 2, 0): 0, (7, 2, 1): 0, (7, 2, 2): 0,
+        (8, 3, 0): 1, (8, 3, 1): 14, (8, 3, 2): 0,
+        (12, 5, 0): 2, (12, 5, 1): 2, (12, 5, 2): 1,
+    }
