@@ -267,6 +267,12 @@ def _existence_check(tri: Triangulation, t52: Triangulation) -> str | None:
 
 
 def cmd_verify_existence(args) -> int:
+    if args.seeds < 1:
+        print("error: --seeds must be at least 1", file=sys.stderr)
+        return 2
+    if args.steps < 0:
+        print("error: --steps must be at least 0", file=sys.stderr)
+        return 2
     t52 = build_Tpq(5, 2)
     master = SplitMix64(args.seed)
     rows = []

@@ -19,10 +19,11 @@ j joins the j-th disc outward from the corner on one side to the j-th on
 the other. Each arc joins its two discs, with a parity bit, in a
 union-find over the discs, which yields the components and orientability.
 With the edge weights this gives chi = V - E + F. The result is a small
-summary cached on the surface; computing it is the surface's one
-validation (the complex's own checks, then `check_valid`), and
-`split_components`, `reconstruct`, `edge_weights` and `max_edge_weight` all
-read it.
+summary cached on the surface. Computing it is the surface's one
+validation: no negative count, at most one quad type per tetrahedron and one
+weight per edge class, which implies the matching equations. The sweep then
+runs on counts it may trust, and `check_valid`, `split_components`,
+`reconstruct`, `edge_weights` and `max_edge_weight` all read the summary.
 """
 
 from __future__ import annotations
@@ -71,18 +72,14 @@ class NormalTables(NamedTuple):
     weight_terms: tuple[tuple[int, int, int, int, int], ...]
     # per triangle class and corner of its representative side: coordinate
     # indices (a, b, c, d) with arc count coords[a] + coords[b] on the
-    # representative side and coords[c] + coords[d] on the other; a and c
-    # are triangles, b and d quads
-    matching: tuple[tuple[int, int, int, int], ...]
-    matching_sites: tuple[tuple[int, int, int], ...]  # (tet, face, corner) of each
-    # per matching entry, its four indices again (so the sweep unpacks one
-    # tuple per corner), then how the discs meet the arcs on each side:
-    # (triangle direction, quad direction, quad reversed) on the
-    # representative side, then the same on the other. Outward from the
-    # corner come the triangle copies, then the quad copies, in reverse order
-    # when reversed is 1. Direction 0 means the disc's boundary runs from the
-    # arc's end on the corner's edge toward the smaller other vertex of the
-    # representative face to the end toward the larger.
+    # representative side and coords[c] + coords[d] on the other, where a
+    # and c are triangles and b and d quads; then how the discs meet the
+    # arcs on each side: (triangle direction, quad direction, quad reversed)
+    # on the representative side, then the same on the other. Outward from
+    # the corner come the triangle copies, then the quad copies, in reverse
+    # order when reversed is 1. Direction 0 means the disc's boundary runs
+    # from the arc's end on the corner's edge toward the smaller other
+    # vertex of the representative face to the end toward the larger.
     arc_runs: tuple[tuple[int, int, int, int, int, int, int, int, int, int], ...]
 
 
@@ -120,8 +117,6 @@ def build_normal_tables(tr: Triangulation) -> NormalTables:
         quad_side[(e2, e3)] = (1, 1)
         quad_side[(e1, e0)] = (1, 0)
 
-    matching = []
-    sites = []
     arc_runs = []
     for tc in tr.triangle_classes:
         (t0, f0), (t1, f1) = tc.rep, tc.other
@@ -129,8 +124,6 @@ def build_normal_tables(tr: Triangulation) -> NormalTables:
         for v in FACE_VERTS[f0]:
             w = phi[v]
             terms = arc_count_terms(t0, f0, v) + arc_count_terms(t1, f1, w)
-            matching.append(terms)
-            sites.append((t0, f0, v))
             # the other side's directions, read in the representative labels
             x0, y0 = (u for u in FACE_VERTS[f0] if u != v)
             flip = int(phi[x0] > phi[y0])
@@ -140,7 +133,7 @@ def build_normal_tables(tr: Triangulation) -> NormalTables:
                 tri_dir[(f0, v)], quad_dir, quad_rev,
                 tri_dir[(f1, w)] ^ flip, other_dir ^ flip, other_rev,
             ))
-    return NormalTables(tuple(weight_terms), tuple(matching), tuple(sites), tuple(arc_runs))
+    return NormalTables(tuple(weight_terms), tuple(arc_runs))
 
 
 class NormalSurface:
@@ -191,7 +184,6 @@ class NormalSurface:
             return self._summary
         except AttributeError:
             summary = _disc_complex(self)
-            self.check_valid()
             object.__setattr__(self, "_summary", summary)
             return summary
 
@@ -214,28 +206,11 @@ class NormalSurface:
         c = self.coords
         return c[7 * t + u] + c[7 * t + v] + sum(c[7 * t + 4 + k] for k in range(3) if k != skip)
 
-    def matching_violations(self) -> list[tuple[int, int, int]]:
-        """(tet, face, corner) triples where arc counts disagree across a gluing."""
-        c = self.coords
-        tables = self.triangulation._normal_tables
-        return [
-            site
-            for (a, b, x, y), site in zip(tables.matching, tables.matching_sites)
-            if c[a] + c[b] != c[x] + c[y]
-        ]
-
     def check_valid(self) -> None:
-        c = self.coords
-        if min(c, default=0) < 0:
-            raise MatchingViolationError(f"negative normal coordinate in {c}")
-        for i in range(4, len(c), 7):
-            if (c[i] and c[i + 1]) or (c[i] and c[i + 2]) or (c[i + 1] and c[i + 2]):
-                raise MatchingViolationError(
-                    f"tetrahedron {i // 7} holds two quad types: {c[i : i + 3]}"
-                )
-        bad = self.matching_violations()
-        if bad:
-            raise MatchingViolationError(f"arc counts disagree at {bad}")
+        """Raise MatchingViolationError unless the coordinates are a normal
+        surface; the checks are those of the topology summary (see
+        `_disc_complex`)."""
+        self._topology
 
 
 @dataclass(frozen=True)
@@ -363,12 +338,20 @@ class _Topology(NamedTuple):
 
 
 def _disc_complex(ns: NormalSurface) -> _Topology:
-    """Edge weights, chi, orientability and components in one sweep of the discs.
+    """Validate the coordinates, then find edge weights, chi, orientability
+    and components in one sweep of the discs.
 
-    Discs are numbered in coordinate order; a negative count has none. Each
-    triangle-class corner pairs its arcs arithmetically: the arc at depth j
-    is bounded by the j-th disc outward from the corner on each side (see
-    NormalTables.arc_runs), so both sides must hold the same number of arcs.
+    The coordinates are a normal surface when three conditions hold, checked
+    in this order: no count is negative, no tetrahedron holds two quad types,
+    and every slot of an edge class sees the same weight. The last one is
+    the matching equations: the arcs cutting corner v off face {v, a, b}
+    number (w_va + w_vb - w_ab) / 2 of the face's edge weights, so one weight
+    per edge class gives the two sides of every face the same arc counts,
+    and conversely.
+
+    Discs are numbered in coordinate order. Each triangle-class corner pairs
+    its arcs arithmetically: the arc at depth j is bounded by the j-th disc
+    outward from the corner on each side (see NormalTables.arc_runs).
     Each pair joins its two discs in a union-find with parity, where the
     parity records whether the two discs' boundary orientations disagree
     across the arc; a parity clash inside one set means non-orientable.
@@ -380,8 +363,13 @@ def _disc_complex(ns: NormalSurface) -> _Topology:
     """
     tables = ns.triangulation._normal_tables
     c = ns.coords
-
-    # every slot of an edge class must see the same weight
+    if min(c, default=0) < 0:
+        raise MatchingViolationError(f"negative normal coordinate in {c}")
+    for i in range(4, len(c), 7):
+        if (c[i] and c[i + 1]) or (c[i] and c[i + 2]) or (c[i + 1] and c[i + 2]):
+            raise MatchingViolationError(
+                f"tetrahedron {i // 7} holds two quad types: {c[i : i + 3]}"
+            )
     weights: list[int | None] = [None] * len(ns.triangulation.edge_classes)
     for cls, a, b, x, y in tables.weight_terms:
         w = c[a] + c[b] + c[x] + c[y]
@@ -391,8 +379,7 @@ def _disc_complex(ns: NormalSurface) -> _Topology:
             seen = {c[a] + c[b] + c[x] + c[y] for k, a, b, x, y in tables.weight_terms if k == cls}
             raise MatchingViolationError(f"edge class {cls} sees weights {sorted(seen)}")
 
-    counts = c if min(c, default=0) >= 0 else [k if k > 0 else 0 for k in c]
-    first = [0, *accumulate(counts)]  # first[i]: the first disc of coordinate i
+    first = [0, *accumulate(c)]  # first[i]: the first disc of coordinate i
     discs = first[-1]
     # label[x] = 2 * root + (1 when disc x and its root disagree in orientation)
     label = list(range(0, 2 * discs, 2))
@@ -404,10 +391,8 @@ def _disc_complex(ns: NormalSurface) -> _Topology:
     joins = 0
     orientable = True
     for ta, qa, tb, qb, da, ea, ra, db, eb, rb in tables.arc_runs:
-        ka, la, kb, lb = counts[ta], counts[qa], counts[tb], counts[qb]
+        ka, la, kb, lb = c[ta], c[qa], c[tb], c[qb]
         depth = ka + la
-        if depth != kb + lb:
-            raise _unpaired_arc(tables, counts)
         if not depth:
             continue
         arcs += depth
@@ -449,7 +434,7 @@ def _disc_complex(ns: NormalSurface) -> _Topology:
     if components > 1:
         index: dict[int, int] = {}  # component number of each root, in order of first disc
         rows: list[list[int]] = []
-        for i, k in enumerate(counts):
+        for i, k in enumerate(c):
             for x in range(first[i], first[i] + k):
                 root = label[x] >> 1
                 if root not in index:
@@ -458,17 +443,6 @@ def _disc_complex(ns: NormalSurface) -> _Topology:
                 rows[index[root]][i] += 1
         parts = tuple(tuple(r) for r in rows)
     return _Topology(tuple(weights), sum(weights) - arcs + discs, orientable, components, parts)
-
-
-def _unpaired_arc(tables: NormalTables, counts: Sequence[int]) -> MatchingViolationError:
-    """The error for the first corner whose two sides hold different arc counts."""
-    site, here, there = next(
-        (i, counts[a] + counts[b], counts[x] + counts[y])
-        for i, (a, b, x, y) in enumerate(tables.matching)
-        if counts[a] + counts[b] != counts[x] + counts[y]
-    )
-    arc = (site // 3, tables.matching_sites[site][2], min(here, there))
-    return MatchingViolationError(f"arc {arc} bounds 1 disc side, expected 2")
 
 
 def reconstruct(ns: NormalSurface) -> SurfaceReport:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from fixtures_data import T41, T52
+from fixtures_data import CUSPED, DOUBLE, RP2LINK, S3_ONE_TET, T41, T52
 from tetspine.cli import main
 from tetspine.homology import h1
 from tetspine.moves import applicable_moves
@@ -151,6 +152,84 @@ def test_verify_existence(capsys):
     assert all(r[3] == "ok" for r in rows)
     assert [r[0] for r in rows] == ["T_4_1/seed0", "T_5_1/seed0", "T_5_2/seed0", "T_7_2/seed0"]
     assert [r[2] for r in rows] == ["1", "2+e", "0", "1+e"]
+
+
+@pytest.mark.parametrize(
+    "counts", [["--seeds", "0"], ["--seeds", "-1"], ["--steps", "-2"]]
+)
+def test_verify_existence_rejects_counts_that_check_nothing(capsys, counts):
+    assert main(["verify", "existence", *counts]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+FIXTURES = {
+    "T41": T41,
+    "T52": T52,
+    "S3_ONE_TET": S3_ONE_TET,
+    "DOUBLE": DOUBLE,
+    "CUSPED": CUSPED,
+    "RP2LINK": RP2LINK,
+}
+
+# sha256 of "<exit code>\n<stdout>\0<stderr>" per command, with each fixture
+# name standing for a file that holds it: a change to any of these outputs
+# must be deliberate, and must update the hash with it
+FROZEN_OUTPUTS = {
+    "verify existence --seeds 5 --steps 10 --format json":
+        "1c1e8736c358e1c498c1cf5771fe4aa93b29db367f6b73c94de3fc520324bea9",
+    "verify lens --pmax 12 --format json":
+        "a97698be08cd35209b8da2d91fcb3e9ef53531bd8552f2c37b4a780a41d0d6af",
+    "invariant T41":
+        "a1d1bd0ac6fea87fb06423d837eb30a529c899cf2b2180154c069e75d3e71abe",
+    "surfaces T41 --format json":
+        "cb47f817d5a885052d8dc3a30b0919eac1e197e259f5b4d600f4e43a4a2c5e96",
+    "subpolyhedra T41 --format json":
+        "781d507806a04ebaa5df19da9538c2efdd07d407bfea05fcd6f302291b57f6f1",
+    "invariant T52":
+        "d98aade94689e6cedbba5d7727a047a3adb213567225541a2d5a30a1af91cc06",
+    "surfaces T52 --format json":
+        "1527db037303ae8287883490b0484b0a0427f0af6e56226c682cdab24c6a7a5f",
+    "subpolyhedra T52 --format json":
+        "2266301bccf640c810d6761cef52e6f1f39f7728a7700b9c5fb65d0d61c95310",
+    "invariant S3_ONE_TET":
+        "c16d19194997176834a516d42e8373bfd96b3211ab2b70761f864e7480678981",
+    "surfaces S3_ONE_TET --format json":
+        "df30b362b62a2699f9df961aa210c4a2cba0094a908f1e2f2b277b81ec6da959",
+    "subpolyhedra S3_ONE_TET --format json":
+        "f9bf8de4aa0a0f814147234da7712de5dda5b1641fd74d2ae81db4ce925e82e1",
+    "invariant DOUBLE":
+        "abdeb102141bf5130e59f05d8f1008f45565237a42c983b44255b63be1710157",
+    "surfaces DOUBLE --format json":
+        "a78eeb789c25c9a165d00765af1581e15da46ec010de66f116438e6d3cf1a41d",
+    "subpolyhedra DOUBLE --format json":
+        "eb6341d9e3d6d10e8c7e94d3ed9a50bc728f0a05d4154280a41cb1f54a64041b",
+    "invariant CUSPED":
+        "5c22b75e2c7767b428cd46b35f5704038985ba26b5f94f023459ef07ed514357",
+    "surfaces CUSPED --format json":
+        "0a19e035c3ff0ac713e170696b8318cd8bc109e7d329a6530ff6c86ca4d5371f",
+    "subpolyhedra CUSPED --format json":
+        "68e3a56523f56f7e8f81118ed205b35244f56dc9c9a565eae3fc16ed1dbb4d09",
+    "invariant RP2LINK":
+        "99d068aab98627ade841226492a049da235c60b98cc538de9172f376730f29ef",
+    "surfaces RP2LINK --format json":
+        "9b02d59950dfe2f9d8f2ab34d0461bf43888574fe3d4f2bee93a6caa1c642d67",
+    "subpolyhedra RP2LINK --format json":
+        "19923977bc28087b349b193d1e7cc43e3ea7fe542b22ab9a2805dc6a8f4e7ea5",
+}
+
+
+def test_cli_outputs_are_frozen(tmp_path, capsys):
+    for name, text in FIXTURES.items():
+        write(tmp_path, f"{name}.txt", text)
+    seen = {}
+    for command in FROZEN_OUTPUTS:
+        argv = [str(tmp_path / f"{a}.txt") if a in FIXTURES else a for a in command.split()]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        seen[command] = hashlib.sha256(f"{code}\n{out}\0{err}".encode()).hexdigest()
+    assert seen == FROZEN_OUTPUTS
 
 
 def test_budget_exit_code(tmp_path, capsys, monkeypatch):

@@ -22,7 +22,6 @@ from tetspine.surfaces import (
     NormalSurface,
     _disc_complex,
     _Topology,
-    _unpaired_arc,
     census,
     type_I_surface,
     type_II_surface,
@@ -34,6 +33,13 @@ def flood_fill_complex(ns):
     """Edge weights, chi, orientability and components by a flood fill."""
     tables = ns.triangulation._normal_tables
     c = ns.coords
+    if min(c, default=0) < 0:
+        raise MatchingViolationError(f"negative normal coordinate in {c}")
+    for t in range(ns.triangulation.n):
+        if sum(k > 0 for k in c[7 * t + 4 : 7 * t + 7]) > 1:
+            raise MatchingViolationError(
+                f"tetrahedron {t} holds two quad types: {c[7 * t + 4 : 7 * t + 7]}"
+            )
 
     weights = [None] * len(ns.triangulation.edge_classes)
     for cls, a, b, x, y in tables.weight_terms:
@@ -44,16 +50,15 @@ def flood_fill_complex(ns):
             seen = {c[a] + c[b] + c[x] + c[y] for k, a, b, x, y in tables.weight_terms if k == cls}
             raise MatchingViolationError(f"edge class {cls} sees weights {sorted(seen)}")
 
-    counts = c if min(c, default=0) >= 0 else [k if k > 0 else 0 for k in c]
-    first = [0, *accumulate(counts)]
+    first = [0, *accumulate(c)]
     discs = first[-1]
     nbrs = [[] for _ in range(discs)]  # per disc: 2 * neighbour + parity
     arcs = 0
     for ta, qa, tb, qb, da, ea, ra, db, eb, rb in tables.arc_runs:
-        ka, la, kb, lb = counts[ta], counts[qa], counts[tb], counts[qb]
+        ka, la, kb, lb = c[ta], c[qa], c[tb], c[qb]
         depth = ka + la
-        if depth != kb + lb:
-            raise _unpaired_arc(tables, counts)
+        # one weight per edge class makes the two sides' arc counts agree
+        assert depth == kb + lb
         if not depth:
             continue
         arcs += depth
@@ -95,7 +100,7 @@ def flood_fill_complex(ns):
     parts = None
     if components > 1:
         rows = [[0] * len(c) for _ in range(components)]
-        for i, k in enumerate(counts):
+        for i, k in enumerate(c):
             for x in range(first[i], first[i] + k):
                 rows[label[x] >> 1][i] += 1
         parts = tuple(tuple(r) for r in rows)

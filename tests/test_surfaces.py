@@ -149,8 +149,7 @@ def test_matching_violation_detection():
         quad=((0, 0, 0),),
         provenance=("external", 0),
     )
-    assert bad.matching_violations()
-    with pytest.raises(MatchingViolationError):
+    with pytest.raises(MatchingViolationError, match="sees weights"):
         bad.check_valid()
 
 
@@ -368,10 +367,9 @@ def test_split_components_runs_the_complex_checks_itself():
     uneven = NormalSurface(tri, ((0, 0, 0, 0),), ((0, 0, 1),), ("external", 0))
     with pytest.raises(MatchingViolationError, match="edge class 1 sees weights"):
         split_components(uneven)
-    # the weights agree, but a negative count leaves one arc with a single side
+    # the weights agree, and the arc counts with them, but a count is negative
     unpaired = NormalSurface(tri, ((0, 0, 1, 1),), ((0, 1, -1),), ("external", 0))
-    assert not unpaired.matching_violations()
-    with pytest.raises(MatchingViolationError, match="bounds 1 disc side, expected 2"):
+    with pytest.raises(MatchingViolationError, match="negative normal coordinate"):
         split_components(unpaired)
     with pytest.raises(MatchingViolationError, match="negative normal coordinate"):
         unpaired.check_valid()
@@ -379,7 +377,7 @@ def test_split_components_runs_the_complex_checks_itself():
 
 def test_topology_readers_reject_a_negative_coordinate():
     # the class weights agree ([-1, 0]) and there are no discs to pair, so
-    # only check_valid, run with the topology summary, can refuse it
+    # only the check for negative counts can refuse it
     ns = NormalSurface(build_Tpq(4, 1), ((0, 0, 0, 0),), ((0, -1, 0),), ("external", 0))
     for reader in (split_components, edge_weights, max_edge_weight, reconstruct):
         with pytest.raises(MatchingViolationError, match="negative normal coordinate"):

@@ -7,16 +7,22 @@ each edge class sees one weight. An arc count on a face is
 (w_a + w_b - w_c) / 2 of the face's edge weights, so equal weights per edge
 class make the arc counts on the two sides of every face agree: the matching
 equations hold by construction. The enumeration shares no code with the
-census; only connectivity is read from the census's disc-complex sweep.
+census; only connectivity is read from the census's disc-complex sweep, and
+the sweep's chi is checked against the linear formula on every surface found.
+The converse runs on the 1- and 2-tetrahedron triangulations: the surface
+checks, which compute no matching equation, accept a small vector exactly
+when it satisfies the matching equations computed here.
 """
 
 from itertools import product
 from math import gcd
 
+from fixtures_data import CUSPED, DOUBLE, RP2LINK, S3_ONE_TET, T41, T52
+from tetspine.errors import MatchingViolationError
 from tetspine.lens import build_Tpq
 from tetspine.moves import random_pachner_walk
 from tetspine.surfaces import NormalSurface, census, reconstruct
-from tetspine.triangulation import EDGE_PAIRS
+from tetspine.triangulation import EDGE_PAIRS, parse_triangulation
 
 # quad type k separates the edge {0, k+1} from the opposite edge, so it
 # misses both of them
@@ -38,6 +44,49 @@ def rows_and_weights(bound):
         if max(weights) <= bound:
             out.append((tri + quad, weights))
     return out
+
+
+def surface(tr, coords):
+    """An unchecked surface with these flat coordinates."""
+    return NormalSurface(
+        tr,
+        [coords[i : i + 4] for i in range(0, len(coords), 7)],
+        [coords[i + 4 : i + 7] for i in range(0, len(coords), 7)],
+        ("external", 0),
+    )
+
+
+def arc_count(coords, t, f, v):
+    """Normal arcs on face f of tetrahedron t cutting off corner v: the
+    triangle at v and the quad separating {v, f} from the other corners."""
+    return coords[7 * t + v] + coords[7 * t + 4 + QUAD_MISSING[(min(v, f), max(v, f))]]
+
+
+def matching_equations_hold(tr, coords):
+    """Every glued pair of faces sees the same arc count at each corner."""
+    return all(
+        arc_count(coords, *tc.rep, v) == arc_count(coords, *tc.other, tc.perm[v])
+        for tc in tr.triangle_classes
+        for v in range(4)
+        if v != tc.rep[1]
+    )
+
+
+def linear_chi(tr, coords):
+    """Sum of the edge weights - arcs + discs, straight off the coordinates."""
+    weights = 0
+    for ec in tr.edge_classes:
+        slot = ec.slots[0]
+        t, (u, v) = slot // 6, EDGE_PAIRS[slot % 6]
+        row = coords[7 * t : 7 * t + 7]
+        weights += row[u] + row[v] + sum(row[4:]) - row[4 + QUAD_MISSING[(u, v)]]
+    arcs = sum(
+        arc_count(coords, *tc.rep, v)
+        for tc in tr.triangle_classes
+        for v in range(4)
+        if v != tc.rep[1]
+    )
+    return weights - arcs + sum(coords)
 
 
 def connected_surfaces_within(tr, bound):
@@ -75,13 +124,9 @@ def connected_surfaces_within(tr, bound):
     for coords in found:
         if not any(coords):
             continue
-        ns = NormalSurface(
-            tr,
-            [coords[i : i + 4] for i in range(0, len(coords), 7)],
-            [coords[i + 4 : i + 7] for i in range(0, len(coords), 7)],
-            ("external", 0),
-        )
-        if reconstruct(ns).connected:
+        report = reconstruct(surface(tr, coords))
+        assert report.chi == linear_chi(tr, coords), coords
+        if report.connected:
             surfaces.add(coords)
     return surfaces
 
@@ -129,3 +174,29 @@ def test_census_lies_within_the_weight_2_surfaces_of_walk_descendants():
         (8, 3, 0): 1, (8, 3, 1): 14, (8, 3, 2): 0,
         (12, 5, 0): 2, (12, 5, 1): 2, (12, 5, 2): 1,
     }
+
+
+def test_the_surface_checks_accept_exactly_the_matching_solutions():
+    # every vector with entries in {0, 1} and at most one quad type per
+    # tetrahedron on the 1- and 2-tetrahedron triangulations: the checks run
+    # no matching equations, since one weight per edge class implies them
+    rows = [
+        tri + quad
+        for tri in product((0, 1), repeat=4)
+        for quad in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    ]
+    subjects = [parse_triangulation(t) for t in (T41, T52, S3_ONE_TET, DOUBLE, CUSPED, RP2LINK)]
+    subjects += [build_Tpq(p, q) for p, q in ((5, 1), (7, 2), (8, 3))]
+    valid = 0
+    for tr in subjects:
+        assert tr.n <= 2
+        for choice in product(rows, repeat=tr.n):
+            coords = sum(choice, ())
+            try:
+                surface(tr, coords).check_valid()
+                accepted = True
+            except MatchingViolationError:
+                accepted = False
+            assert accepted == matching_equations_hold(tr, coords), coords
+            valid += accepted
+    assert valid >= 20
