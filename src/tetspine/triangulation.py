@@ -4,8 +4,8 @@ A triangulation holds n tetrahedra with vertex labels 0..3; face i is the
 triangle opposite vertex i.  Every face slot (tet, face) is glued to exactly
 one other slot by a vertex permutation, the pairing is a fixed-point-free
 involution, and the two directions carry mutually inverse permutations.
-Partially glued complexes are rejected, so the underlying space is a closed
-or ideal pseudo-manifold.
+Partially glued and disconnected complexes are rejected, so the underlying
+space is a connected closed or ideal pseudo-manifold.
 
 Edge classes come from a signed union-find over the gluings. Vertex classes
 and vertex links come from one normal surface, the one with a triangle at
@@ -71,6 +71,14 @@ def _all_perms() -> tuple[Perm, ...]:
 
 
 ALL_PERMS: tuple[Perm, ...] = _all_perms()
+# Permutations as indices into ALL_PERMS, which is in lexicographic order, so
+# index order is tuple order. _COMPOSE[24 * i + j] is the index of
+# perm_compose(ALL_PERMS[i], ALL_PERMS[j]) and _INVERSE[i] that of the inverse.
+_PERM_INDEX: dict[Perm, int] = {p: i for i, p in enumerate(ALL_PERMS)}
+_COMPOSE: tuple[int, ...] = tuple(
+    _PERM_INDEX[perm_compose(p, q)] for p in ALL_PERMS for q in ALL_PERMS
+)
+_INVERSE: tuple[int, ...] = tuple(_PERM_INDEX[perm_inverse(p)] for p in ALL_PERMS)
 
 
 def edge_slot(t: int, u: int, v: int) -> int:
@@ -238,6 +246,19 @@ class Triangulation:
                     raise GluingError(
                         f"gluings at ({t},{f}) and ({t2},{f2}) are not mutually inverse"
                     )
+        reached = [False] * n
+        reached[0] = True
+        stack = [0]
+        while stack:
+            for t2, _, _ in table[stack.pop()]:
+                if not reached[t2]:
+                    reached[t2] = True
+                    stack.append(t2)
+        if not all(reached):
+            raise GluingError(
+                f"tetrahedron {reached.index(False)} cannot be reached from tetrahedron 0:"
+                " the gluing table is disconnected"
+            )
         self.n = n
         self._table: tuple[tuple[tuple[int, int, Perm], ...], ...] = tuple(
             tuple(row) for row in table
@@ -381,40 +402,74 @@ class Triangulation:
 
     # ---- isomorphism ---------------------------------------------------------------
 
-    def _canon_encode(self, start: int, p0: Perm) -> tuple[int, ...]:
-        idx_of = {start: 0}
-        perms = {start: p0}
-        order = [start]
-        out: list[int] = []
-        ci = 0
-        while ci < len(order):
-            t = order[ci]
-            mt = perms[t]
-            mt_inv = perm_inverse(mt)
-            for face in range(4):
-                f = mt_inv[face]
-                t2, f2, phi = self._table[t][f]
-                if t2 not in idx_of:
-                    idx_of[t2] = len(order)
-                    perms[t2] = perm_compose(mt, perm_inverse(phi))
-                    order.append(t2)
-                m2 = perms[t2]
-                out.append(idx_of[t2])
-                out.append(m2[f2])
-                out.extend(perm_compose(m2, perm_compose(phi, mt_inv)))
-            ci += 1
-        return tuple(out)
-
     @cached_property
     def canonical_form(self) -> tuple[int, ...]:
-        """Lexicographically minimal relabelled gluing table."""
-        best = None
-        for start in range(self.n):
-            for p0 in ALL_PERMS:
-                enc = self._canon_encode(start, p0)
-                if best is None or enc < best:
-                    best = enc
-        return (self.n,) + best
+        """Lexicographically minimal relabelled gluing table.
+
+        A relabeling picks a start tetrahedron and its vertex map; the other
+        tetrahedra are numbered in breadth-first order of first contact, each
+        taking the vertex map that makes its first gluing the identity. The
+        faces are written tetrahedron by tetrahedron in the new numbering,
+        and within one in the order of their new labels, each as the 6-tuple
+        (k, f2, q0, q1, q2, q3): the number of the tetrahedron it is glued
+        to, the new label of the face there and the relabelled gluing
+        permutation q. A face is encoded as the one integer key
+        (k * 4 + f2) * 24 + the index of q in ALL_PERMS. Since f2 < 4 and
+        ALL_PERMS is in lexicographic order, keys compare as the 6-tuples do.
+        The table is connected, so every relabeling gives 4n keys.
+
+        The keys of each relabeling are compared with the best encoding as
+        they are produced: at the first larger key the relabeling is
+        abandoned, and after the first smaller one its remaining keys are
+        taken without comparison and it becomes the best. A relabeling that
+        ties to the end replaces the best with an equal list. The winning
+        keys are expanded back into the tuple (n, k, f2, q0, q1, q2, q3, ...).
+        """
+        n = self.n
+        glue = [(t2, f2, _PERM_INDEX[phi]) for row in self._table for t2, f2, phi in row]
+        best: list[int] | None = None
+
+        def encode(start: int, p0: int) -> list[int] | None:
+            """The keys of one relabeling, or None at its first key above best."""
+            number = [-1] * n  # new number of each tetrahedron
+            vmap = [0] * n  # its vertex map, old label -> new, as an index
+            number[start] = 0
+            vmap[start] = p0
+            order = [start]
+            keys: list[int] = []
+            tied = best is not None
+            for t in order:
+                mt = vmap[t]
+                mt_inv = _INVERSE[mt]
+                for f in ALL_PERMS[mt_inv]:
+                    t2, f2, phi = glue[4 * t + f]
+                    if number[t2] < 0:
+                        number[t2] = len(order)
+                        vmap[t2] = _COMPOSE[24 * mt + _INVERSE[phi]]
+                        order.append(t2)
+                    m2 = vmap[t2]
+                    key = (number[t2] * 4 + ALL_PERMS[m2][f2]) * 24 + _COMPOSE[
+                        24 * m2 + _COMPOSE[24 * phi + mt_inv]
+                    ]
+                    if tied:
+                        b = best[len(keys)]
+                        if key > b:
+                            return None
+                        tied = key == b
+                    keys.append(key)
+            return keys
+
+        for start in range(n):
+            for p0 in range(24):
+                keys = encode(start, p0)
+                if keys is not None:
+                    best = keys
+        out = [n]
+        for key in best:
+            rest, q = divmod(key, 24)
+            out.extend(divmod(rest, 4))
+            out.extend(ALL_PERMS[q])
+        return tuple(out)
 
     def is_isomorphic_to(self, other: Triangulation) -> bool:
         return self.n == other.n and self.canonical_form == other.canonical_form

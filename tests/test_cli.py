@@ -273,6 +273,32 @@ def test_huge_header_without_gluings_fails_fast(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_disconnected_table_is_a_usage_error(tmp_path):
+    # L(5,2) and L(7,2) side by side are two manifolds, not one: no invariant
+    # or kind describes the file
+    from test_triangulation import disjoint_union
+    from tetspine.lens import build_Tpq
+
+    gluings = disjoint_union(build_Tpq(5, 2), build_Tpq(7, 2))
+    lines = [f"tets: {len(gluings) // 4}"] + [
+        f"g {t} {f} {t2} {f2} {''.join(str(x) for x in perm)}"
+        for (t, f), (t2, f2, perm) in sorted(gluings.items())
+    ]
+    path = write(tmp_path, "two.txt", "\n".join(lines) + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "tetspine.cli", "invariant", path],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: tetrahedron 1 cannot be reached from tetrahedron 0:"
+        " the gluing table is disconnected\n"
+    )
+
+
 def test_file_that_is_not_utf8_is_a_parse_error(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_bytes(b"tets: 1\n\xff\xfe\n")

@@ -1,10 +1,15 @@
+import random
+from math import gcd
+
 import pytest
 
 from fixtures_data import CUSPED, DOUBLE, RP2LINK, S3_ONE_TET, T41, T52
 from tetspine.errors import GluingError, NotClosedError, ParseError, UngluedFaceError
 from tetspine.homology import h1, smith_diagonal
-from tetspine.moves import iter_pachner_walk
+from tetspine.lens import build_Tpq
+from tetspine.moves import iter_pachner_walk, random_pachner_walk
 from tetspine.triangulation import (
+    ALL_PERMS,
     EDGE_PAIRS,
     FACE_VERTS,
     Triangulation,
@@ -173,6 +178,44 @@ def test_constructor_rejects_edge_self_reversal():
     }
     with pytest.raises(GluingError):
         Triangulation(1, g)
+
+
+def disjoint_union(a, b, number=None):
+    """The gluings of a and b side by side: b's tetrahedra follow a's, and
+    then tetrahedron t is renamed number[t] when number is given."""
+    out = {}
+    for shift, tri in ((0, a), (a.n, b)):
+        for t in range(tri.n):
+            for f in range(4):
+                t2, f2, perm = tri.gluing(t, f)
+                out[(t + shift, f)] = (t2 + shift, f2, perm)
+    if number is None:
+        return out
+    return {(number[t], f): (number[t2], f2, p) for (t, f), (t2, f2, p) in out.items()}
+
+
+@pytest.mark.parametrize(
+    "first,second,number,unreached",
+    [
+        # the first and second tables have isomorphic first components, and
+        # so have the third and fourth: a form of one component would call
+        # each pair isomorphic
+        ((4, 1), (4, 1), None, 1),
+        ((4, 1), (5, 2), None, 1),
+        ((4, 1), (5, 1), None, 1),
+        ((4, 1), (7, 2), None, 1),
+        ((5, 2), (7, 2), None, 1),
+        # T_5_1's two tetrahedra renamed 0 and 2, so tetrahedron 1 is T_4_1's
+        ((4, 1), (5, 1), (1, 0, 2), 1),
+        ((5, 1), (4, 1), None, 2),
+    ],
+)
+def test_constructor_rejects_disconnected_tables(first, second, number, unreached):
+    a, b = build_Tpq(*first), build_Tpq(*second)
+    with pytest.raises(
+        GluingError, match=f"tetrahedron {unreached} cannot be reached from tetrahedron 0"
+    ):
+        Triangulation(a.n + b.n, disjoint_union(a, b, number))
 
 
 # ---- cell classes -------------------------------------------------------------------
@@ -429,6 +472,74 @@ def test_isomorphism_invariance_under_relabeling():
 def test_canonical_form_is_stable():
     tri = load(T52)
     assert tri.canonical_form == load(serialize_triangulation(tri)).canonical_form
+
+
+def reference_encode(tri, start, p0):
+    """The gluing table relabelled from tetrahedron start with vertex map p0,
+    as the flat tuple of (k, f2, q0, q1, q2, q3) per face, built in full."""
+    idx_of = {start: 0}
+    perms = {start: p0}
+    order = [start]
+    out = []
+    ci = 0
+    while ci < len(order):
+        t = order[ci]
+        mt = perms[t]
+        mt_inv = perm_inverse(mt)
+        for face in range(4):
+            f = mt_inv[face]
+            t2, f2, phi = tri.gluing(t, f)
+            if t2 not in idx_of:
+                idx_of[t2] = len(order)
+                perms[t2] = perm_compose(mt, perm_inverse(phi))
+                order.append(t2)
+            m2 = perms[t2]
+            out.append(idx_of[t2])
+            out.append(m2[f2])
+            out.extend(perm_compose(m2, perm_compose(phi, mt_inv)))
+        ci += 1
+    return tuple(out)
+
+
+def reference_canonical_form(tri):
+    """The minimum over every relabeling, each one encoded in full first."""
+    return (tri.n,) + min(reference_encode(tri, s, p) for s in range(tri.n) for p in ALL_PERMS)
+
+
+def random_relabel(tri, rng):
+    tets = list(range(tri.n))
+    rng.shuffle(tets)
+    return relabel(tri, tets, [rng.choice(ALL_PERMS) for _ in range(tri.n)])
+
+
+def test_canonical_form_agrees_with_the_full_minimum():
+    # the pruned loop must return the minimum of the full encodings. Ties are
+    # where an early stop could go wrong: four relabelings of the
+    # 1-tetrahedron T_5_2 tie to the end, and the runner-up of T_7_2 ties
+    # with the minimum over three whole faces before it parts
+    def encodings(tri):
+        return sorted(reference_encode(tri, s, p) for s in range(tri.n) for p in ALL_PERMS)
+
+    t52 = encodings(load(T52))
+    assert t52.count(t52[0]) == 4
+    t72 = sorted(set(encodings(build_Tpq(7, 2))))
+    assert t72[0][:18] == t72[1][:18]
+    corpus = [load(text) for text in ALL_FIXTURES.values()]
+    corpus += [build_Tpq(p, q) for p in range(4, 13) for q in range(1, p) if gcd(p, q) == 1]
+    corpus += [
+        random_pachner_walk(build_Tpq(p, q), 8, seed=seed)
+        for p, q in ((7, 2), (8, 3), (12, 5))
+        for seed in range(3)
+    ]
+    rng = random.Random(10)
+    for tri in corpus:
+        form = reference_canonical_form(tri)
+        assert tri.canonical_form == form, serialize_triangulation(tri)
+        # the form itself, not only the isomorphism test, is unchanged by a
+        # relabeling
+        moved = random_relabel(tri, rng)
+        assert moved.canonical_form == form, serialize_triangulation(tri)
+    assert len(corpus) == 6 + 42 + 9
 
 
 # ---- homology -----------------------------------------------------------------------
