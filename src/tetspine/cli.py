@@ -24,7 +24,7 @@ from .errors import (
     TetspineError,
 )
 from .homology import h1
-from .lens import build_Tpq, kappa_expected, lens_params, t_expected, tau_expected
+from .lens import S_MAX, build_Tpq, kappa_expected, lens_params, t_expected, tau_expected
 from .moves import SplitMix64, iter_pachner_walk, pachner_23, pachner_32
 from .spine import dual_spine, enumerate_simple_subpolyhedra, t_manifold
 from .surfaces import census
@@ -195,6 +195,10 @@ _LENS_COLUMNS = [
 def cmd_verify_lens(args) -> int:
     if args.pmax < 4:
         print("error: --pmax must be at least 4", file=sys.stderr)
+        return 2
+    if args.pmax > S_MAX:
+        # T_(pmax,1) has S = pmax
+        print(f"error: --pmax must be at most {S_MAX}", file=sys.stderr)
         return 2
     rows = []
     for p in range(4, args.pmax + 1):

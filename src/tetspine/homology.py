@@ -1,9 +1,15 @@
-"""Integer homology of the quotient cell complex via Smith normal form."""
+"""Integer homology of the quotient cell complex via Smith normal form.
+
+The boundary maps are sparse: a column of d2 has at most three nonzero
+entries. `sparse_smith_diagonal` first eliminates the +-1 pivots, touching
+only the nonzero entries of each pivot's row and column, and runs the dense
+`smith_diagonal` on the small block that is left.
+"""
 
 from __future__ import annotations
 
 from .errors import NotClosedError
-from .triangulation import FACE_VERTS, Triangulation
+from .triangulation import _PAIR_OFFSET, EDGE_PAIRS, FACE_VERTS, Triangulation
 
 
 def _move_pivot(a: list[list[int]], t: int) -> bool:
@@ -79,37 +85,115 @@ def smith_diagonal(matrix: list[list[int]]) -> list[int]:
     return diag
 
 
+def sparse_smith_diagonal(rows: list[dict[int, int]]) -> list[int]:
+    """smith_diagonal of the matrix whose row i holds the entries rows[i],
+    as {column: value}.
+
+    Each +-1 entry that is still present is a pivot: row operations clear
+    the rest of its column, column operations then clear its row, and the
+    matrix is 1 (+) the block left when the pivot's row and column are
+    dropped. Pivots are taken column by column, in the sparsest row, until
+    a pass finds none; the remainder, usually small, goes to smith_diagonal.
+    The Smith form is unique, so this equals smith_diagonal on the whole
+    matrix. The input is not changed.
+    """
+    rows = [{j: x for j, x in row.items() if x} for row in rows]
+    cols: dict[int, set[int]] = {}  # the rows holding each column
+    for i, row in enumerate(rows):
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    units = 0
+    found = True
+    while found:
+        found = False
+        for j in sorted(cols):
+            holders = cols.get(j)
+            if holders is None:
+                continue
+            best = None
+            for i in holders:
+                if rows[i][j] in (1, -1) and (best is None or len(rows[i]) < len(rows[best])):
+                    best = i
+            if best is None:
+                continue
+            pivot = rows[best]
+            rows[best] = {}
+            for c in pivot:
+                cols[c].discard(best)
+            u = pivot[j]
+            for r in list(holders):
+                row = rows[r]
+                m = row[j] * u  # row r minus m times the pivot row clears column j
+                for c, v in pivot.items():
+                    x = row.get(c, 0) - m * v
+                    if x:
+                        if c not in row:
+                            cols[c].add(r)
+                        row[c] = x
+                    else:
+                        del row[c]
+                        cols[c].discard(r)
+            for c in pivot:
+                if not cols[c]:
+                    del cols[c]
+            units += 1
+            found = True
+    left = sorted(cols)
+    where = {j: k for k, j in enumerate(left)}
+    dense = []
+    for row in rows:
+        if row:
+            line = [0] * len(left)
+            for j, x in row.items():
+                line[where[j]] = x
+            dense.append(line)
+    return [1] * units + smith_diagonal(dense)
+
+
 def h1(tri: Triangulation) -> tuple[int, list[int]]:
-    """First homology (betti rank, torsion divisors) of a closed triangulation."""
+    """First homology (betti rank, torsion divisors) of a closed triangulation.
+
+    The boundary maps are read off the slot tables of the edge and vertex
+    classes, one sparse row per vertex class (d1) and edge class (d2).
+    """
     if not tri.is_closed:
         raise NotClosedError("h1 requires a closed triangulation")
-    nv = len(tri.vertex_classes)
-    ne = len(tri.edge_classes)
+    edges, edge_class_of, edge_sign_of = tri._edge_data
+    vertex_class_of = tri._vertex_data[1]
+    ne = len(edges)
 
     # boundary of edge classes: head vertex minus tail vertex of the
     # representative slot, mapped to vertex classes
-    d1 = [[0] * ne for _ in range(nv)]
-    for ec in tri.edge_classes:
-        rep = ec.rep
-        t, pair = rep // 6, rep % 6
-        i, j = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))[pair]
-        d1[tri.vertex_class_of(t, j)][ec.index] += 1
-        d1[tri.vertex_class_of(t, i)][ec.index] -= 1
+    d1: list[dict[int, int]] = [{} for _ in tri.vertex_classes]
+    for ec in edges:
+        t, pair = divmod(ec.rep, 6)
+        i, j = EDGE_PAIRS[pair]
+        head = d1[vertex_class_of[4 * t + j]]
+        head[ec.index] = head.get(ec.index, 0) + 1
+        tail = d1[vertex_class_of[4 * t + i]]
+        tail[ec.index] = tail.get(ec.index, 0) - 1
 
     # boundary of triangle classes: the representative face's oriented edge
-    # cycle, each edge compared against its class orientation
-    tcs = tri.triangle_classes
-    d2 = [[0] * len(tcs) for _ in range(ne)]
-    for tc in tcs:
-        t, f = tc.rep
-        a, b, c = FACE_VERTS[f]
-        for u, v in ((a, b), (b, c), (c, a)):
-            asc = u < v
-            sign = tri.edge_sign_of(t, u, v) * (1 if asc else -1)
-            d2[tri.edge_class_of(t, u, v)][tc.index] += sign
+    # cycle, each edge compared against its class orientation; a triangle
+    # class's representative is its first slot in (tetrahedron, face) order
+    d2: list[dict[int, int]] = [{} for _ in range(ne)]
+    column = 0
+    for t in range(tri.n):
+        for f in range(4):
+            t2, f2, _ = tri.gluing(t, f)
+            if (t2, f2) < (t, f):
+                continue
+            a, b, c = FACE_VERTS[f]
+            for u, v in ((a, b), (b, c), (c, a)):
+                slot = 6 * t + _PAIR_OFFSET[u][v]
+                row = d2[edge_class_of[slot]]
+                row[column] = row.get(column, 0) + (
+                    edge_sign_of[slot] if u < v else -edge_sign_of[slot]
+                )
+            column += 1
 
-    rank1 = len(smith_diagonal(d1))
-    div2 = smith_diagonal(d2)
+    rank1 = len(sparse_smith_diagonal(d1))
+    div2 = sparse_smith_diagonal(d2)
     betti = ne - rank1 - len(div2)
     torsion = [d for d in div2 if d > 1]
     return betti, torsion

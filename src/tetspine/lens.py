@@ -25,13 +25,18 @@ from .homology import h1
 from .triangulation import (
     FACE_EDGES,
     FACE_VERTS,
+    SignedEdgeUnion,
     Triangulation,
     edge_slot,
     perm_inverse,
-    signed_edge_classes,
 )
 
 Pair = tuple[int, int]
+
+# The largest sum S of partial quotients lens_params accepts. T_(p,q) has
+# S - 3 tetrahedra and its build takes time linear in S; a larger S is
+# refused before any word or table is built.
+S_MAX = 1000
 
 
 @dataclass(frozen=True)
@@ -57,6 +62,12 @@ def apply_word(word: str, start: Pair = (1, 1)) -> Pair:
 
 
 def lens_params(p: int, q: int) -> LensParams:
+    """The continued fraction of p/q, its sum S and the word of T_(p,q).
+
+    Raises InvalidParamsError unless p >= 4, 0 < q < p, gcd(p, q) = 1 and
+    S <= S_MAX; S is checked from the continued fraction, in O(log p) steps,
+    before the S - 2 letter word is built.
+    """
     if p < 4:
         raise InvalidParamsError(f"p must be at least 4, got {p}")
     if not 0 < q < p:
@@ -69,6 +80,10 @@ def lens_params(p: int, q: int) -> LensParams:
         cf.append(a // b)
         a, b = b, a % b
     S = sum(cf)
+    if S > S_MAX:
+        raise InvalidParamsError(
+            f"the partial quotients of {p}/{q} sum to S = {S}; at most S = {S_MAX} is supported"
+        )
     # walk back from (q, p-q) to (1, 1); letters come out last-applied first
     letters = []
     x, y = q, p - q
@@ -144,18 +159,18 @@ _CLOSE_RULE = {
 
 
 def _resolve_roles(
-    class_of: list[int],
+    union: SignedEdgeUnion,
     slot: tuple[int, int],
     role_x: tuple[int, int, int],
     role_y: tuple[int, int, int],
 ) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
     """The x-role, y-role, and diagonal edge of one boundary triangle."""
     t, f = slot
-    rx = class_of[edge_slot(*role_x)]
-    ry = class_of[edge_slot(*role_y)]
+    rx = union.find(edge_slot(*role_x))[0]
+    ry = union.find(edge_slot(*role_y))[0]
     ex = ey = ed = None
     for (u, v) in FACE_EDGES[f]:
-        r = class_of[edge_slot(t, u, v)]
+        r = union.find(edge_slot(t, u, v))[0]
         if r == rx:
             ex = (u, v)
         elif r == ry:
@@ -172,10 +187,13 @@ def _resolve_roles(
 def _build_layered(params: LensParams) -> Triangulation:
     word = params.word
     gluings: dict = {}
+    # the edge classes of the layers glued so far, kept across all layers
+    union = SignedEdgeUnion(1)
 
     def glue(ta: int, fa: int, tb: int, fb: int, perm: tuple) -> None:
         gluings[(ta, fa)] = (tb, fb, perm)
         gluings[(tb, fb)] = (ta, fa, perm_inverse(perm))
+        union.glue(ta, fa, tb, perm)
 
     # initial block: one tetrahedron with two faces folded together
     glue(0, 0, 0, 1, _INIT_PERM)
@@ -190,9 +208,8 @@ def _build_layered(params: LensParams) -> Triangulation:
 
     # middle letters, one layered tetrahedron each, right to left
     for ch in reversed(word[1:-1]):
-        class_of, sign_of = signed_edge_classes(n, gluings.items())
-        exa, eya, eda = _resolve_roles(class_of, sa, role_x, role_y)
-        exb, eyb, _ = _resolve_roles(class_of, sb, role_x, role_y)
+        exa, eya, eda = _resolve_roles(union, sa, role_x, role_y)
+        exb, eyb, _ = _resolve_roles(union, sb, role_x, role_y)
         bury_a, bury_b = (eya, eyb) if ch == "r" else (exa, exb)
         ta, fa = sa
         tb, fb = sb
@@ -200,10 +217,11 @@ def _build_layered(params: LensParams) -> Triangulation:
         third_b = next(v for v in FACE_VERTS[fb] if v not in bury_b)
         # both buried edges lie in one class; b's endpoints are swapped when
         # its ascending order runs against a's
-        if sign_of[edge_slot(ta, *bury_a)] == sign_of[edge_slot(tb, *bury_b)]:
+        if union.find(edge_slot(ta, *bury_a))[1] == union.find(edge_slot(tb, *bury_b))[1]:
             b_pair = bury_b
         else:
             b_pair = (bury_b[1], bury_b[0])
+        union.add_tetrahedron()
         glue(n, 3, ta, fa, (bury_a[0], bury_a[1], third_a, fa))
         glue(n, 2, tb, fb, (b_pair[0], b_pair[1], fb, third_b))
         if ch == "r":
@@ -214,9 +232,8 @@ def _build_layered(params: LensParams) -> Triangulation:
         n += 1
 
     # final letter: fold the two boundary triangles onto each other
-    class_of, _ = signed_edge_classes(n, gluings.items())
-    exa, eya, eda = _resolve_roles(class_of, sa, role_x, role_y)
-    exb, eyb, edb = _resolve_roles(class_of, sb, role_x, role_y)
+    exa, eya, eda = _resolve_roles(union, sa, role_x, role_y)
+    exb, eyb, edb = _resolve_roles(union, sb, role_x, role_y)
     corners_a = {
         "xy": (set(exa) & set(eya)).pop(),
         "xd": (set(exa) & set(eda)).pop(),

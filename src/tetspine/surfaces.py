@@ -83,28 +83,12 @@ class NormalTables(NamedTuple):
     arc_runs: tuple[tuple[int, int, int, int, int, int, int, int, int, int], ...]
 
 
-def build_normal_tables(tr: Triangulation) -> NormalTables:
-    """The tables of tr; read them through tr._normal_tables, which caches them."""
-    n = tr.n
-    class_of = tr._edge_data[1]
-    weight_terms = []
-    for t in range(n):
-        for p, (u, v) in enumerate(EDGE_PAIRS):
-            k = QTYPE_OF_PAIR[(u, v)]
-            weight_terms.append((
-                class_of[6 * t + p],
-                7 * t + u,
-                7 * t + v,
-                7 * t + 4 + (k + 1) % 3,
-                7 * t + 4 + (k + 2) % 3,
-            ))
-
-    def arc_count_terms(t: int, f: int, v: int) -> tuple[int, int]:
-        return 7 * t + v, 7 * t + 4 + QTYPE_OF_PAIR[(min(v, f), max(v, f))]
-
-    # in one tetrahedron's labels, keyed by (face, corner): the direction of
-    # the triangle at the corner along its arc on that face, and the direction
-    # and order of the quad cutting the corner off there
+def _corner_templates() -> tuple[tuple[tuple[int, ...] | None, ...], ...]:
+    """Per face f and corner v of it, in one tetrahedron's labels: the
+    offsets of the triangle at v and of the quad cutting v off on f, whose
+    counts sum to the arcs there; the direction of that triangle along its
+    arc on f; the direction and order of that quad there; and the other two
+    vertices of f, ascending. None where v == f."""
     tri_dir = {}
     for v in range(4):
         oa, ob, oc = (u for u in range(4) if u != v)
@@ -116,22 +100,51 @@ def build_normal_tables(tr: Triangulation) -> NormalTables:
         quad_side[(e0, e1)] = (0, 0)
         quad_side[(e2, e3)] = (1, 1)
         quad_side[(e1, e0)] = (1, 0)
+    return tuple(
+        tuple(
+            None
+            if v == f
+            else (v, 4 + QTYPE_OF_PAIR[_pair(v, f)], tri_dir[(f, v)], *quad_side[(f, v)])
+            + tuple(u for u in FACE_VERTS[f] if u != v)
+            for v in range(4)
+        )
+        for f in range(4)
+    )
+
+
+# the offsets within one tetrahedron's 7 coordinates of the two triangles
+# and two quads meeting each edge slot, whose counts sum to its weight
+_WEIGHT_OFFSETS: tuple[tuple[int, int, int, int], ...] = tuple(
+    (u, v, 4 + (QTYPE_OF_PAIR[(u, v)] + 1) % 3, 4 + (QTYPE_OF_PAIR[(u, v)] + 2) % 3)
+    for u, v in EDGE_PAIRS
+)
+_CORNERS = _corner_templates()
+
+
+def build_normal_tables(tr: Triangulation) -> NormalTables:
+    """The tables of tr; read them through tr._normal_tables, which caches them."""
+    class_of = tr._edge_data[1]
+    weight_terms = []
+    for t in range(tr.n):
+        base = 7 * t
+        for cls, (a, b, x, y) in zip(class_of[6 * t : 6 * t + 6], _WEIGHT_OFFSETS):
+            weight_terms.append((cls, base + a, base + b, base + x, base + y))
 
     arc_runs = []
     for tc in tr.triangle_classes:
         (t0, f0), (t1, f1) = tc.rep, tc.other
         phi = tc.perm
+        b0, b1 = 7 * t0, 7 * t1
+        side0 = _CORNERS[f0]
+        side1 = _CORNERS[f1]
         for v in FACE_VERTS[f0]:
-            w = phi[v]
-            terms = arc_count_terms(t0, f0, v) + arc_count_terms(t1, f1, w)
+            ta, qa, tri_a, quad_a, rev_a, x0, y0 = side0[v]
+            tb, qb, tri_b, quad_b, rev_b, _, _ = side1[phi[v]]
             # the other side's directions, read in the representative labels
-            x0, y0 = (u for u in FACE_VERTS[f0] if u != v)
             flip = int(phi[x0] > phi[y0])
-            quad_dir, quad_rev = quad_side[(f0, v)]
-            other_dir, other_rev = quad_side[(f1, w)]
-            arc_runs.append(terms + (
-                tri_dir[(f0, v)], quad_dir, quad_rev,
-                tri_dir[(f1, w)] ^ flip, other_dir ^ flip, other_rev,
+            arc_runs.append((
+                b0 + ta, b0 + qa, b1 + tb, b1 + qb,
+                tri_a, quad_a, rev_a, tri_b ^ flip, quad_b ^ flip, rev_b,
             ))
     return NormalTables(tuple(weight_terms), tuple(arc_runs))
 
@@ -193,7 +206,8 @@ class NormalSurface:
 
     @property
     def is_trivial(self) -> bool:
-        return not any(any(qs) for qs in self.quad)
+        c = self.coords
+        return not (any(c[4::7]) or any(c[5::7]) or any(c[6::7]))
 
     def arc_count(self, t: int, f: int, v: int) -> int:
         """Normal arcs on face f of tetrahedron t cutting off corner v."""

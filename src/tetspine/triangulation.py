@@ -7,11 +7,13 @@ involution, and the two directions carry mutually inverse permutations.
 Partially glued and disconnected complexes are rejected, so the underlying
 space is a connected closed or ideal pseudo-manifold.
 
-Edge classes come from a signed union-find over the gluings. Vertex classes
-and vertex links come from one normal surface, the one with a triangle at
-every corner: its components are the links, one per vertex class, and the
-disc-complex sweep that summarises any normal surface (`surfaces`) gives
-their Euler characteristics and orientability.
+Edge classes come from a signed union-find over the gluings
+(`SignedEdgeUnion`), fed each glued face pair once; it can be read between
+gluings, so the layered lens build keeps one across all its layers. Vertex
+classes and vertex links come from one normal surface, the one with a
+triangle at every corner: its components are the links, one per vertex
+class, and the disc-complex sweep that summarises any normal surface
+(`surfaces`) gives their Euler characteristics and orientability.
 """
 
 from __future__ import annotations
@@ -88,23 +90,37 @@ def edge_slot(t: int, u: int, v: int) -> int:
     return t * 6 + PAIR_INDEX[(u, v)]
 
 
-def signed_edge_classes(
-    n: int, gluings: Iterable[tuple[tuple[int, int], tuple[int, int, Perm]]]
-) -> tuple[list[int], list[int]]:
-    """Signed classes of the 6n edge slots under the given face gluings.
+class SignedEdgeUnion:
+    """Signed classes of edge slots under face gluings, built incrementally.
 
-    gluings yields ((t, f), (t2, f2, perm)) pairs; any face not given stays
-    open. Returns (class_of, sign_of) indexed by edge slot: classes are
-    numbered in order of their smallest slot, and sign_of[s] is +1 when slot
-    s's ascending vertex order agrees with that smallest slot's.  Raises
-    GluingError when a slot is identified with itself reversed.
+    A union-find over the 6n edge slots of the tetrahedra added so far: add a
+    tetrahedron, glue a face, and read the classes at any point. A root's
+    flip is 0; flip[s] is 1 when slot s's ascending vertex order runs
+    against its parent's. Feeding each glued face pair once is enough, since
+    its reverse direction joins the same slots with the same parities.
     """
-    # a union-find over the slots; flip[s] is 1 when slot s runs against its parent
-    parent = list(range(6 * n))
-    flip = [0] * (6 * n)
 
-    def find(s: int) -> tuple[int, int]:
-        """(root, flip of s against it), compressing the path on the way."""
+    __slots__ = ("parent", "flip")
+
+    def __init__(self, n: int = 0) -> None:
+        self.parent = list(range(6 * n))
+        self.flip = [0] * (6 * n)
+
+    def add_tetrahedron(self) -> int:
+        """Add six open edge slots; returns the new tetrahedron's index."""
+        t = len(self.parent) // 6
+        self.parent.extend(range(6 * t, 6 * t + 6))
+        self.flip.extend((0, 0, 0, 0, 0, 0))
+        return t
+
+    def find(self, s: int) -> tuple[int, int]:
+        """(root, flip of slot s against it), compressing the path on the way."""
+        parent, flip = self.parent, self.flip
+        up = parent[s]
+        if up == s:
+            return s, 0
+        if parent[up] == up:
+            return up, flip[s]
         path = []
         while parent[s] != s:
             path.append(s)
@@ -116,7 +132,11 @@ def signed_edge_classes(
             flip[y] = total
         return s, total
 
-    for (t, f), (t2, _, perm) in gluings:
+    def glue(self, t: int, f: int, t2: int, perm: Perm) -> None:
+        """Join the three edges of face f of tetrahedron t to their images
+        under perm on tetrahedron t2. Raises GluingError when a slot is
+        identified with itself reversed."""
+        parent, flip, find = self.parent, self.flip, self.find
         for a, b in FACE_EDGES[f]:
             a2, b2 = perm[a], perm[b]
             rx, sx = find(6 * t + _PAIR_OFFSET[a][b])
@@ -129,15 +149,22 @@ def signed_edge_classes(
                 raise GluingError(
                     f"edge {(a, b)} of tetrahedron {t} is identified with itself reversed"
                 )
-    class_of = [0] * (6 * n)
-    sign_of = [0] * (6 * n)
-    first: dict[int, tuple[int, int]] = {}  # root -> (class index, flip of smallest slot)
-    for slot in range(6 * n):
-        root, sign = find(slot)
-        idx, rep_sign = first.setdefault(root, (len(first), sign))
-        class_of[slot] = idx
-        sign_of[slot] = 1 if sign == rep_sign else -1
-    return class_of, sign_of
+
+    def classes(self) -> tuple[list[int], list[int]]:
+        """(class_of, sign_of) indexed by edge slot: classes are numbered in
+        order of their smallest slot, and sign_of[s] is +1 when slot s's
+        ascending vertex order agrees with that smallest slot's."""
+        find = self.find
+        size = len(self.parent)
+        class_of = [0] * size
+        sign_of = [0] * size
+        first: dict[int, tuple[int, int]] = {}  # root -> (class index, flip of smallest slot)
+        for slot in range(size):
+            root, sign = find(slot)
+            idx, rep_sign = first.setdefault(root, (len(first), sign))
+            class_of[slot] = idx
+            sign_of[slot] = 1 if sign == rep_sign else -1
+        return class_of, sign_of
 
 
 @dataclass(frozen=True)
@@ -287,9 +314,12 @@ class Triangulation:
 
     @cached_property
     def _edge_data(self) -> tuple[tuple[EdgeClass, ...], list[int], list[int]]:
-        class_of, sign_of = signed_edge_classes(
-            self.n, (((t, f), self._table[t][f]) for t in range(self.n) for f in range(4))
-        )
+        union = SignedEdgeUnion(self.n)
+        for t, row in enumerate(self._table):
+            for f, (t2, f2, perm) in enumerate(row):
+                if t < t2 or (t == t2 and f < f2):
+                    union.glue(t, f, t2, perm)
+        class_of, sign_of = union.classes()
         members: list[list[int]] = [[] for _ in range(max(class_of) + 1)]
         for slot, idx in enumerate(class_of):
             members[idx].append(slot)

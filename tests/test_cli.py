@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from fixtures_data import CUSPED, DOUBLE, RP2LINK, S3_ONE_TET, T41, T52
 from tetspine.cli import main
 from tetspine.homology import h1
+from tetspine.lens import S_MAX
 from tetspine.moves import applicable_moves
 from tetspine.triangulation import parse_triangulation
 
@@ -41,6 +43,35 @@ def test_lens_build_default_filename(tmp_path, capsys, monkeypatch):
 def test_lens_build_rejects_bad_params(capsys):
     assert main(["lens-build", "-p", "3", "-q", "1", "-o", "/dev/null"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_lens_build_above_the_cap_fails_fast(tmp_path):
+    # p = 10^6 would need a word of 999,998 letters and as many tetrahedra
+    out = tmp_path / "T.txt"
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "tetspine.cli", "lens-build", "-p", "1000000", "-q", "1",
+         "-o", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"error: the partial quotients of 1000000/1 sum to S = 1000000; at most S = {S_MAX}"
+        " is supported\n"
+    )
+    assert not out.exists()
+    assert elapsed < 1.0
+
+
+def test_verify_lens_refuses_a_pmax_above_the_cap_up_front(capsys):
+    assert main(["verify", "lens", "--pmax", str(S_MAX + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --pmax must be at most {S_MAX}\n"
+    assert captured.out == ""
 
 
 def test_invariant_output(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import time
 from math import gcd
 
 import pytest
@@ -7,6 +8,7 @@ from tetspine.errors import ConstructionInvariantError, InvalidParamsError
 from tetspine.golden import GoldenInt
 from tetspine.homology import h1
 from tetspine.lens import (
+    S_MAX,
     LensParams,
     apply_word,
     build_Tpq,
@@ -134,6 +136,49 @@ def test_frozen_gluings():
     assert digest.hexdigest() == (
         "b5462961e548733a75b1a81e3b0982b60f55d6abedf6c4ae8f5ce0db8f5f8d2b"
     )
+
+
+def test_frozen_gluings_past_25():
+    # the same pin past p = 25: every coprime (p, q) with 26 <= p <= 60, in
+    # p-then-q order, then three subjects of a few hundred tetrahedra
+    pairs = [(p, q) for p in range(26, 61) for q in range(1, p) if gcd(p, q) == 1]
+    pairs += [(401, 1), (401, 150), (400, 171)]
+    digest = hashlib.sha256()
+    for p, q in pairs:
+        digest.update(serialize_triangulation(build_Tpq(p, q)).encode())
+    assert digest.hexdigest() == (
+        "3a76ded51166ee109804ec08c14fe70aa83f700631c8b0ca3833c338130a53d1"
+    )
+
+
+@pytest.mark.parametrize("p", [401, S_MAX])
+def test_long_layered_builds_pass_the_battery(p):
+    # S = p when q = 1, so T_(S_MAX, 1) is the largest build accepted
+    lp = lens_params(p, 1)
+    assert lp.S == p
+    tr = build_Tpq(p, 1)
+    assert tr.n == lp.S - 3
+    assert len(tr.vertex_classes) == 1
+    assert len(tr.edge_classes) == lp.S - 2
+    assert h1(tr) == (0, [p])
+
+
+def test_lens_params_refuse_an_S_above_the_cap_at_once():
+    # S comes from the continued fraction, so a huge p fails before its
+    # word of S - 2 letters is built
+    start = time.perf_counter()
+    with pytest.raises(InvalidParamsError, match="S = 1000000000001; at most S = 1000"):
+        lens_params(10**12 + 1, 1)
+    assert time.perf_counter() - start < 0.5
+    assert lens_params(S_MAX, 1).S == S_MAX
+    assert lens_params(S_MAX, S_MAX - 1).S == S_MAX
+    for p, q in [(S_MAX + 1, 1), (S_MAX + 1, S_MAX), (2 * S_MAX + 1, 2)]:
+        with pytest.raises(InvalidParamsError, match=f"at most S = {S_MAX}"):
+            lens_params(p, q)
+        with pytest.raises(InvalidParamsError):
+            build_Tpq(p, q)
+        with pytest.raises(InvalidParamsError):
+            t_expected(p, q)
 
 
 def test_word_check_survives_optimized_mode(monkeypatch):

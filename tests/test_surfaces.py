@@ -361,6 +361,18 @@ def test_trivial_census_entries_are_the_vertex_links():
         assert all(e.report.classification == "sphere" for e in trivial), name
 
 
+def test_is_trivial_reads_the_quad_coordinates():
+    quad_types = set()  # the quad types some nontrivial surface uses
+    for name, tr in corpus().items():
+        for e in census(tr):
+            ns = e.surface
+            assert ns.is_trivial == (not any(any(qs) for qs in ns.quad)), name
+            quad_types.update(k for qs in ns.quad for k in range(3) if qs[k])
+        links = NormalSurface(tr, [(1, 1, 1, 1)] * tr.n, [(0, 0, 0)] * tr.n, ("external", 0))
+        assert links.is_trivial, name
+    assert quad_types == {0, 1, 2}
+
+
 def test_split_components_runs_the_complex_checks_itself():
     # neither surface goes through check_valid: the disc complex must refuse it
     tri = parse_triangulation(T52)

@@ -5,13 +5,15 @@ import pytest
 
 from fixtures_data import CUSPED, DOUBLE, RP2LINK, S3_ONE_TET, T41, T52
 from tetspine.errors import GluingError, NotClosedError, ParseError, UngluedFaceError
-from tetspine.homology import h1, smith_diagonal
+from tetspine.homology import h1, smith_diagonal, sparse_smith_diagonal
 from tetspine.lens import build_Tpq
 from tetspine.moves import iter_pachner_walk, random_pachner_walk
 from tetspine.triangulation import (
     ALL_PERMS,
     EDGE_PAIRS,
+    FACE_EDGES,
     FACE_VERTS,
+    SignedEdgeUnion,
     Triangulation,
     VertexLinkSurface,
     edge_slot,
@@ -318,6 +320,122 @@ def test_edge_classes_match_naive_closure(name):
             assert tri.edge_sign_of(t, u, v) == sign
 
 
+def reference_signed_edge_classes(n, gluings):
+    """The whole-table routine SignedEdgeUnion replaced: a fresh union-find
+    over all 6n slots, fed ((t, f), (t2, f2, perm)) pairs in the given order."""
+    parent = list(range(6 * n))
+    flip = [0] * (6 * n)
+
+    def find(s):
+        path = []
+        while parent[s] != s:
+            path.append(s)
+            s = parent[s]
+        total = 0
+        for y in reversed(path):
+            total ^= flip[y]
+            parent[y] = s
+            flip[y] = total
+        return s, total
+
+    for (t, f), (t2, _, perm) in gluings:
+        for a, b in FACE_EDGES[f]:
+            a2, b2 = perm[a], perm[b]
+            rx, sx = find(edge_slot(t, a, b))
+            ry, sy = find(edge_slot(t2, a2, b2))
+            odd = sx ^ sy ^ (a2 > b2)
+            if rx != ry:
+                parent[ry] = rx
+                flip[ry] = odd
+            elif odd:
+                raise GluingError(
+                    f"edge {(a, b)} of tetrahedron {t} is identified with itself reversed"
+                )
+    class_of = [0] * (6 * n)
+    sign_of = [0] * (6 * n)
+    first = {}
+    for slot in range(6 * n):
+        root, sign = find(slot)
+        idx, rep_sign = first.setdefault(root, (len(first), sign))
+        class_of[slot] = idx
+        sign_of[slot] = 1 if sign == rep_sign else -1
+    return class_of, sign_of
+
+
+def random_face_pairing(rng, n):
+    """Both directions of a random face pairing of n tetrahedra; it may be
+    disconnected or reverse an edge onto itself."""
+    slots = [(t, f) for t in range(n) for f in range(4)]
+    rng.shuffle(slots)
+    gluings = {}
+    for (t, f), (t2, f2) in zip(slots[::2], slots[1::2]):
+        perm = rng.choice([p for p in ALL_PERMS if p[f] == f2])
+        gluings[(t, f)] = (t2, f2, perm)
+        gluings[(t2, f2)] = (t, f, perm_inverse(perm))
+    return gluings
+
+
+def test_edge_union_fed_each_pair_once_matches_the_whole_table_routine():
+    # the constructor feeds each glued face pair once, in slot order; the
+    # reference feeds every slot, so both directions. Classes, signs and the
+    # text of a reversed-edge error must agree.
+    rng = random.Random(11)
+    failures = 0
+    for _ in range(1500):
+        n = rng.randint(1, 4)
+        gluings = random_face_pairing(rng, n)
+        try:
+            want = reference_signed_edge_classes(n, sorted(gluings.items()))
+        except GluingError as exc:
+            want = str(exc)
+            failures += 1
+        union = SignedEdgeUnion(n)
+        try:
+            for (t, f), (t2, f2, perm) in sorted(gluings.items()):
+                if (t, f) < (t2, f2):
+                    union.glue(t, f, t2, perm)
+            got = union.classes()
+        except GluingError as exc:
+            got = str(exc)
+        assert got == want, gluings
+        try:
+            tri = Triangulation(n, gluings)
+        except GluingError as exc:
+            if "disconnected" not in str(exc):
+                assert str(exc) == want, gluings
+        else:
+            assert tri._edge_data[1:] == want, gluings
+    assert 300 < failures < 1200
+
+
+def test_edge_union_resumes_between_gluings():
+    # tetrahedra added as they are first needed and faces glued in a random
+    # order: after every gluing the classes equal the whole-table routine on
+    # the gluings so far, both directions of each
+    rng = random.Random(12)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        gluings = random_face_pairing(rng, n)
+        pairs = [(a, b) for a, b in gluings.items() if a < b[:2]]
+        rng.shuffle(pairs)
+        union = SignedEdgeUnion()
+        size = 0
+        fed = []
+        for (t, f), (t2, f2, perm) in pairs:
+            while size <= max(t, t2):
+                assert union.add_tetrahedron() == size
+                size += 1
+            fed += [((t, f), (t2, f2, perm)), ((t2, f2), (t, f, perm_inverse(perm)))]
+            try:
+                union.glue(t, f, t2, perm)
+            except GluingError as exc:
+                with pytest.raises(GluingError) as want:
+                    reference_signed_edge_classes(size, fed)
+                assert str(exc) == str(want.value)
+                break
+            assert union.classes() == reference_signed_edge_classes(size, fed)
+
+
 def oracle_vertex_partition(tri):
     slots = {(t, v) for t in range(tri.n) for v in range(4)}
     parent = {s: s for s in slots}
@@ -571,6 +689,27 @@ def test_smith_diagonal_against_sympy():
         ref = smith_normal_form(Matrix(m))
         want = [abs(ref[i, i]) for i in range(min(rows, cols)) if ref[i, i]]
         assert [abs(x) for x in got] == want
+
+
+def test_unit_pivots_then_dense_remainder_equal_smith_diagonal():
+    # the Smith form is unique, so eliminating the +-1 pivots first must not
+    # change the diagonal; half the matrices are sparse, as boundary maps are
+    rng = random.Random(41)
+    values = (-2, -1, 0, 1, 2, 3, 5)
+    for k in range(3000):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        zeros = 0.6 if k % 2 else 0.0
+        m = [
+            [0 if rng.random() < zeros else rng.choice(values) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        sparse = [{j: x for j, x in enumerate(row) if x} for row in m]
+        kept = [dict(row) for row in sparse]
+        assert sparse_smith_diagonal(sparse) == smith_diagonal(m), m
+        assert sparse == kept  # the input is not changed
+    assert sparse_smith_diagonal([]) == []
+    assert sparse_smith_diagonal([{}, {}]) == []
+    assert sparse_smith_diagonal([{3: 2}, {3: 4, 7: 6}]) == [2, 6]
 
 
 @pytest.mark.parametrize(
