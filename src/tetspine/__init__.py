@@ -48,10 +48,8 @@ from .spine import (
     dual_spine,
     enumerate_simple_subpolyhedra,
     subpolyhedron,
-    surface_space_nullity,
     t_manifold,
     t_spine,
-    universal_subpolyhedron,
 )
 from .surfaces import (
     CensusEntry,
@@ -64,7 +62,6 @@ from .surfaces import (
     split_components,
     type_I_surface,
     type_II_surface,
-    vertex_bound_after_cut,
 )
 from .triangulation import (
     Triangulation,

@@ -221,11 +221,13 @@ def cmd_verify_lens(args) -> int:
             h1_order = torsion[0] if (betti, len(torsion)) == (0, 1) else f"({betti},{torsion})"
             t = t_manifold(tri)
             t_val = str(t)
+            tau_want = tau_expected(p, q)
+            kappa_want = kappa_expected(p, q)
             ok = (
                 tri.n == params.S - 3
                 and h1_order == p
-                and tau == tau_expected(p, q)
-                and kappa == kappa_expected(p, q)
+                and tau == tau_want
+                and kappa == kappa_want
                 and rp2 == 0
                 and bad_spheres == 0
                 and t == t_expected(p, q)
@@ -238,9 +240,9 @@ def cmd_verify_lens(args) -> int:
                     "h1_order": h1_order,
                     "h1_expected": p,
                     "tau": tau,
-                    "tau_expected": tau_expected(p, q),
+                    "tau_expected": tau_want,
                     "kappa": kappa,
-                    "kappa_expected": kappa_expected(p, q),
+                    "kappa_expected": kappa_want,
                     "rp2": rp2,
                     "nontrivial_spheres": bad_spheres,
                     "t": t_val,

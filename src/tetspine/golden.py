@@ -22,10 +22,6 @@ class GoldenInt:
     def b(self) -> int:
         return self._b
 
-    @classmethod
-    def from_int(cls, a: int) -> GoldenInt:
-        return cls(a, 0)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
             other = GoldenInt(other)

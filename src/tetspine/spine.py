@@ -27,7 +27,7 @@ from .errors import (
     NotSimpleError,
 )
 from .golden import EPS, ZERO, GoldenInt, divexact
-from .triangulation import EDGE_PAIRS, FACE_VERTS, Triangulation
+from .triangulation import FACE_VERTS, Triangulation
 
 DEFAULT_FACE_BUDGET = 40
 BUDGET_ENV_VAR = "SPINE_FACE_BUDGET"
@@ -204,29 +204,6 @@ def enumerate_simple_subpolyhedra(spine: SpecialSpine) -> list[SubPolyhedron]:
     return list(spine._subpolyhedra)
 
 
-def surface_space_nullity(spine: SpecialSpine) -> int:
-    """GF(2) nullity of the map (face subsets) -> (edge germ parities).
-
-    The kernel consists exactly of the face subsets that are closed
-    surfaces, so 2**nullity counts them.
-    """
-    rank = 0
-    basis: dict[int, int] = {}
-    for germs in spine.edge_germs:
-        row = 0
-        for f in germs:
-            row ^= 1 << f
-        while row:
-            h = row.bit_length() - 1
-            if h in basis:
-                row ^= basis[h]
-            else:
-                basis[h] = row
-                rank += 1
-                break
-    return spine.num_faces - rank
-
-
 def t_spine(spine: SpecialSpine) -> GoldenInt:
     """Signed sum of eps^(chi(Q) - v_Q) over all simple subpolyhedra Q.
 
@@ -261,18 +238,3 @@ def t_manifold(tri: Triangulation) -> GoldenInt:
             f"t value {value} is not divisible by (2+e)^{exponent}"
         )
     return out
-
-
-def universal_subpolyhedron(tri: Triangulation) -> SubPolyhedron:
-    """Faces of the dual spine touching two distinct complement components.
-
-    The components of the spine complement correspond to vertex classes, so
-    the mask collects the faces whose dual edge joins two distinct vertex
-    classes. Empty when the triangulation has a single vertex class.
-    """
-    mask = 0
-    for f, ec in enumerate(tri.edge_classes):
-        t, (u, v) = ec.rep // 6, EDGE_PAIRS[ec.rep % 6]
-        if tri.vertex_class_of(t, u) != tri.vertex_class_of(t, v):
-            mask |= 1 << f
-    return subpolyhedron(dual_spine(tri), mask)

@@ -153,8 +153,9 @@ class NormalSurface:
     """Normal coordinates of one normal isotopy class.
 
     Stored flat, 7 per tetrahedron (see QTYPE_OF_PAIR); `tri` and `quad` are
-    per-tetrahedron views of the same numbers. Instances are immutable, and
-    the topology summary is computed on first use and kept.
+    per-tetrahedron views of the same numbers. The constructor takes the
+    flat coordinates as given; the topology summary, computed on first use
+    and kept, is what validates them. Instances are immutable.
     """
 
     __slots__ = ("triangulation", "coords", "provenance", "_summary")
@@ -162,19 +163,11 @@ class NormalSurface:
     def __init__(
         self,
         triangulation: Triangulation,
-        tri: Sequence[Sequence[int]],
-        quad: Sequence[Sequence[int]],
+        coords: Sequence[int],
         provenance: tuple[str, int],  # ("I" | "II" | "external", face bitmask)
     ) -> None:
-        flat: list[int] = []
-        for t in range(triangulation.n):
-            flat.extend(tri[t])
-            flat.extend(quad[t])
-        self._fill(triangulation, tuple(flat), provenance)
-
-    def _fill(self, triangulation: Triangulation, coords: tuple[int, ...], provenance) -> None:
         object.__setattr__(self, "triangulation", triangulation)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "coords", tuple(coords))
         object.__setattr__(self, "provenance", provenance)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -208,17 +201,6 @@ class NormalSurface:
     def is_trivial(self) -> bool:
         c = self.coords
         return not (any(c[4::7]) or any(c[5::7]) or any(c[6::7]))
-
-    def arc_count(self, t: int, f: int, v: int) -> int:
-        """Normal arcs on face f of tetrahedron t cutting off corner v."""
-        c = self.coords
-        return c[7 * t + v] + c[7 * t + 4 + QTYPE_OF_PAIR[_pair(v, f)]]
-
-    def slot_weight(self, t: int, u: int, v: int) -> int:
-        """Intersection points with the edge {u, v} of tetrahedron t."""
-        skip = QTYPE_OF_PAIR[_pair(u, v)]
-        c = self.coords
-        return c[7 * t + u] + c[7 * t + v] + sum(c[7 * t + 4 + k] for k in range(3) if k != skip)
 
     def check_valid(self) -> None:
         """Raise MatchingViolationError unless the coordinates are a normal
@@ -301,8 +283,7 @@ def _no_shape(pattern: int) -> InternalLinkError:
 
 def _build(coords: Sequence[int], provenance: tuple[str, int], tr: Triangulation) -> NormalSurface:
     """A checked surface from flat coordinates, 7 per tetrahedron."""
-    ns = object.__new__(NormalSurface)
-    ns._fill(tr, tuple(coords), provenance)
+    ns = NormalSurface(tr, coords, provenance)
     ns._topology  # computing the summary validates the surface
     return ns
 
@@ -488,11 +469,6 @@ def edge_weights(ns: NormalSurface) -> list[int]:
 
 def max_edge_weight(ns: NormalSurface) -> int:
     return max(ns._topology.weights, default=0)
-
-
-def vertex_bound_after_cut(tr: Triangulation, ns: NormalSurface) -> int:
-    """Tetrahedra free of quads: bounds the complexity after cutting."""
-    return sum(1 for qs in ns.quad if not any(qs))
 
 
 def split_components(ns: NormalSurface) -> list[NormalSurface]:

@@ -35,7 +35,6 @@ PAIR_INDEX: dict[tuple[int, int], int] = {p: i for i, p in enumerate(EDGE_PAIRS)
 FACE_VERTS: tuple[tuple[int, int, int], ...] = tuple(
     tuple(v for v in range(4) if v != f) for f in range(4)
 )
-IDENTITY: Perm = (0, 1, 2, 3)
 # the three edges of face f, each as an ascending vertex pair
 FACE_EDGES: tuple[tuple[tuple[int, int], ...], ...] = tuple(
     ((a, b), (a, c), (b, c)) for a, b, c in FACE_VERTS
@@ -171,14 +170,13 @@ class SignedEdgeUnion:
 class EdgeClass:
     """Orbit of edge slots under the gluing maps.
 
-    slots are global edge-slot indices sorted ascending; signs[i] is +1 when
-    slot i's ascending vertex order agrees with the class orientation (the
-    ascending order of the representative slot slots[0]).
+    slots are global edge-slot indices sorted ascending. The class is
+    oriented by the ascending vertex order of its representative slot
+    slots[0]; `Triangulation.edge_sign_of` gives each slot's sign against it.
     """
 
     index: int
     slots: tuple[int, ...]
-    signs: tuple[int, ...]
 
     @property
     def degree(self) -> int:
@@ -323,10 +321,7 @@ class Triangulation:
         members: list[list[int]] = [[] for _ in range(max(class_of) + 1)]
         for slot, idx in enumerate(class_of):
             members[idx].append(slot)
-        classes = tuple(
-            EdgeClass(idx, tuple(m), tuple(sign_of[slot] for slot in m))
-            for idx, m in enumerate(members)
-        )
+        classes = tuple(EdgeClass(idx, tuple(m)) for idx, m in enumerate(members))
         return classes, class_of, sign_of
 
     @property

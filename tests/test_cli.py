@@ -1,9 +1,11 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -12,7 +14,7 @@ from tetspine.cli import main
 from tetspine.homology import h1
 from tetspine.lens import S_MAX
 from tetspine.moves import applicable_moves
-from tetspine.triangulation import parse_triangulation
+from tetspine.triangulation import ALL_PERMS, parse_triangulation, perm_inverse
 
 
 def write(tmp_path, name, text):
@@ -328,6 +330,51 @@ def test_disconnected_table_is_a_usage_error(tmp_path):
         "error: tetrahedron 1 cannot be reached from tetrahedron 0:"
         " the gluing table is disconnected\n"
     )
+
+
+def random_gluing_text(rng):
+    """A random gluing table of 1 to 3 tetrahedra in the file format: the 4n
+    face slots paired at random, each pair by a random permutation carrying
+    one face onto the other, both directions written. About a third of them
+    are valid; the rest are refused, as an edge glued to itself reversed or
+    a disconnected table."""
+    n = rng.randint(1, 3)
+    slots = [(t, f) for t in range(n) for f in range(4)]
+    rng.shuffle(slots)
+    lines = [f"tets: {n}"]
+    for (t, f), (t2, f2) in zip(slots[::2], slots[1::2]):
+        perm = rng.choice([p for p in ALL_PERMS if p[f] == f2])
+        for a, fa, b, fb, q in ((t, f, t2, f2, perm), (t2, f2, t, f, perm_inverse(perm))):
+            lines.append(f"g {a} {fa} {b} {fb} {''.join(map(str, q))}")
+    return "\n".join(lines) + "\n"
+
+
+def test_hostile_gluing_tables_exit_0_or_2(tmp_path, capsys):
+    # seeded: 150 random tables, 30 % of them with one character replaced,
+    # through every command that reads a triangulation file; each must
+    # succeed or be refused as a usage error, never raise
+    rng = random.Random(20261018)
+    commands = (
+        ["invariant"],
+        ["surfaces"],
+        ["subpolyhedra"],
+        ["pachner", "--move", "23:0"],
+        ["pachner", "--move", "32:0"],
+    )
+    seen = Counter()
+    for i in range(150):
+        text = random_gluing_text(rng)
+        if rng.random() < 0.3:
+            k = rng.randrange(len(text))
+            text = text[:k] + rng.choice("0123456789 -:#gx\n") + text[k + 1 :]
+        path = write(tmp_path, f"t{i}.txt", text)
+        for command in commands:
+            code = main([command[0], path, *command[1:]])
+            capsys.readouterr()
+            assert code in (0, 2), (command, text)
+            seen[code] += 1
+    # both the accepted and the refused paths ran
+    assert seen[0] and seen[2], seen
 
 
 def test_file_that_is_not_utf8_is_a_parse_error(tmp_path):

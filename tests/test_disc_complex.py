@@ -109,12 +109,7 @@ def flood_fill_complex(ns):
 
 def surface(tr, coords):
     """An unchecked surface with these flat coordinates."""
-    return NormalSurface(
-        tr,
-        [coords[i : i + 4] for i in range(0, len(coords), 7)],
-        [coords[i + 4 : i + 7] for i in range(0, len(coords), 7)],
-        ("external", 0),
-    )
+    return NormalSurface(tr, coords, ("external", 0))
 
 
 def outcome(sweep, ns):

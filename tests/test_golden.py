@@ -117,7 +117,6 @@ def test_int_mixing():
     assert 1 + GoldenInt(2, 3) == GoldenInt(3, 3)
     assert 5 - GoldenInt(2, 3) == GoldenInt(3, -3)
     assert GoldenInt(2, 3) * 4 == GoldenInt(8, 12)
-    assert GoldenInt.from_int(9) == GoldenInt(9, 0)
     assert GoldenInt(7, 0) == 7
     assert GoldenInt(7, 1) != 7
     assert bool(ZERO) is False and bool(EPS) is True

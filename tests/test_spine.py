@@ -5,7 +5,8 @@ import weakref
 
 import pytest
 
-from fixtures_data import CUSPED, DOUBLE, RP2LINK, S3_ONE_TET, T41, T52
+from fixtures_data import CUSPED, DOUBLE, RP2LINK, S3_ONE_TET, T41, T52, TWO_KLEIN
+from spine_oracles import surface_space_nullity, universal_subpolyhedron
 from tetspine.errors import EnumerationBudgetError, NotSimpleError
 from tetspine.golden import EPS, GoldenInt, ONE
 from tetspine.lens import build_Tpq
@@ -16,10 +17,8 @@ from tetspine.spine import (
     dual_spine,
     enumerate_simple_subpolyhedra,
     subpolyhedron,
-    surface_space_nullity,
     t_manifold,
     t_spine,
-    universal_subpolyhedron,
 )
 from tetspine.surfaces import census
 from tetspine.triangulation import parse_triangulation
@@ -376,9 +375,12 @@ def test_omega_subsum_is_product_over_components():
 def test_omega_only_identity_when_hypothesis_holds():
     # when the only proper nonempty simple subpolyhedra are unions of
     # omega's components, the t sum splits as the full-spine term plus the
-    # omega product; scan the corpus for instances (absence keeps this
-    # vacuous rather than failing)
-    for name, tri in corpus().items():
+    # omega product; no subject of the corpus meets the hypothesis, so the
+    # scan adds TWO_KLEIN, which does and is not closed
+    subjects = corpus()
+    subjects["TWO_KLEIN"] = parse_triangulation(TWO_KLEIN)
+    checked = []
+    for name, tri in subjects.items():
         om = universal_subpolyhedron(tri)
         if om.is_empty or not om.is_surface or not om.is_proper:
             continue
@@ -393,6 +395,8 @@ def test_omega_only_identity_when_hypothesis_holds():
         for comp_mask in omega_components(sp, om):
             prod = prod * (ONE + EPS ** subpolyhedron(sp, comp_mask).chi)
         assert t_spine(sp) == (-1) ** (full.v_q % 2) * EPS ** (full.chi - full.v_q) + prod, name
+        checked.append(name)
+    assert "TWO_KLEIN" in checked
 
 
 def test_chi_of_lens_spines_is_one():

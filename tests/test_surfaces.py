@@ -7,6 +7,8 @@ from math import gcd
 import pytest
 
 from fixtures_data import DOUBLE, S3_ONE_TET, T41, T52
+from spine_oracles import quad_free_tetrahedra, universal_subpolyhedron
+from test_weight_oracle import arc_count
 from tetspine.errors import InternalLinkError, MatchingViolationError, NotASurfaceError
 from tetspine.lens import build_Tpq
 from tetspine.moves import random_pachner_walk
@@ -14,7 +16,6 @@ from tetspine.spine import (
     dual_spine,
     enumerate_simple_subpolyhedra,
     subpolyhedron,
-    universal_subpolyhedron,
 )
 from tetspine.surfaces import (
     _TYPE_I_ROWS,
@@ -29,7 +30,6 @@ from tetspine.surfaces import (
     split_components,
     type_I_surface,
     type_II_surface,
-    vertex_bound_after_cut,
 )
 from tetspine.triangulation import EDGE_PAIRS, parse_triangulation
 
@@ -127,15 +127,23 @@ def test_t52_census_is_one_trivial_sphere():
     assert rep.max_edge_weight == 2
 
 
+def slot_weight(coords, t, u, v):
+    """Intersection points with the edge {u, v} of tetrahedron t: the two
+    triangles at its ends and the two quads that separate u from v."""
+    skip = QTYPE_OF_PAIR[(u, v)]
+    row = coords[7 * t : 7 * t + 7]
+    return row[u] + row[v] + sum(row[4 + k] for k in range(3) if k != skip)
+
+
 def test_arc_and_slot_counts_of_vertex_link():
     ns = trivial_sphere_t52().surface
     for f in range(4):
         for v in range(4):
             if v == f:
                 continue
-            assert ns.arc_count(0, f, v) == 1
+            assert arc_count(ns.coords, 0, f, v) == 1
     for u, v in EDGE_PAIRS:
-        assert ns.slot_weight(0, u, v) == 2
+        assert slot_weight(ns.coords, 0, u, v) == 2
     assert edge_weights(ns) == [2, 2]
     assert max_edge_weight(ns) == 2
     ns.check_valid()
@@ -143,24 +151,14 @@ def test_arc_and_slot_counts_of_vertex_link():
 
 def test_matching_violation_detection():
     tri = parse_triangulation(T52)
-    bad = NormalSurface(
-        triangulation=tri,
-        tri=((1, 0, 1, 1),),
-        quad=((0, 0, 0),),
-        provenance=("external", 0),
-    )
+    bad = NormalSurface(tri, (1, 0, 1, 1, 0, 0, 0), ("external", 0))
     with pytest.raises(MatchingViolationError, match="sees weights"):
         bad.check_valid()
 
 
 def test_two_quad_types_per_tet_rejected():
     tri = parse_triangulation(T52)
-    bad = NormalSurface(
-        triangulation=tri,
-        tri=((0, 0, 0, 0),),
-        quad=((1, 1, 0),),
-        provenance=("external", 0),
-    )
+    bad = NormalSurface(tri, (0, 0, 0, 0, 1, 1, 0), ("external", 0))
     with pytest.raises(MatchingViolationError, match="two quad types"):
         bad.check_valid()
 
@@ -255,7 +253,7 @@ def test_every_construction_is_valid_and_weights_agree():
             for ec in tr.edge_classes:
                 for slot in ec.slots:
                     t, pair = slot // 6, EDGE_PAIRS[slot % 6]
-                    assert ns.slot_weight(t, *pair) == w[ec.index], name
+                    assert slot_weight(ns.coords, t, *pair) == w[ec.index], name
 
 
 # ---- components and reconstruction --------------------------------------------------
@@ -318,9 +316,9 @@ def test_double_census():
     assert len(trivial) == 4 and len(quady) == 3
     for e in quady:
         assert sum(e.surface.coords) == 2  # one quad on each side
-        assert vertex_bound_after_cut(e.surface.triangulation, e.surface) == 0
+        assert quad_free_tetrahedra(e.surface) == 0
     for e in trivial:
-        assert vertex_bound_after_cut(e.surface.triangulation, e.surface) == 2
+        assert quad_free_tetrahedra(e.surface) == 2
 
 
 def test_s3_one_tet_census():
@@ -347,7 +345,7 @@ def test_vertex_bound_after_cut():
         if not tr.is_closed:
             continue
         for e in census(tr):
-            bound = vertex_bound_after_cut(tr, e.surface)
+            bound = quad_free_tetrahedra(e.surface)
             assert bound <= tr.n, name
             assert (bound == tr.n) == e.report.trivial, name
 
@@ -368,7 +366,7 @@ def test_is_trivial_reads_the_quad_coordinates():
             ns = e.surface
             assert ns.is_trivial == (not any(any(qs) for qs in ns.quad)), name
             quad_types.update(k for qs in ns.quad for k in range(3) if qs[k])
-        links = NormalSurface(tr, [(1, 1, 1, 1)] * tr.n, [(0, 0, 0)] * tr.n, ("external", 0))
+        links = NormalSurface(tr, (1, 1, 1, 1, 0, 0, 0) * tr.n, ("external", 0))
         assert links.is_trivial, name
     assert quad_types == {0, 1, 2}
 
@@ -376,11 +374,11 @@ def test_is_trivial_reads_the_quad_coordinates():
 def test_split_components_runs_the_complex_checks_itself():
     # neither surface goes through check_valid: the disc complex must refuse it
     tri = parse_triangulation(T52)
-    uneven = NormalSurface(tri, ((0, 0, 0, 0),), ((0, 0, 1),), ("external", 0))
+    uneven = NormalSurface(tri, (0, 0, 0, 0, 0, 0, 1), ("external", 0))
     with pytest.raises(MatchingViolationError, match="edge class 1 sees weights"):
         split_components(uneven)
     # the weights agree, and the arc counts with them, but a count is negative
-    unpaired = NormalSurface(tri, ((0, 0, 1, 1),), ((0, 1, -1),), ("external", 0))
+    unpaired = NormalSurface(tri, (0, 0, 1, 1, 0, 1, -1), ("external", 0))
     with pytest.raises(MatchingViolationError, match="negative normal coordinate"):
         split_components(unpaired)
     with pytest.raises(MatchingViolationError, match="negative normal coordinate"):
@@ -390,7 +388,7 @@ def test_split_components_runs_the_complex_checks_itself():
 def test_topology_readers_reject_a_negative_coordinate():
     # the class weights agree ([-1, 0]) and there are no discs to pair, so
     # only the check for negative counts can refuse it
-    ns = NormalSurface(build_Tpq(4, 1), ((0, 0, 0, 0),), ((0, -1, 0),), ("external", 0))
+    ns = NormalSurface(build_Tpq(4, 1), (0, 0, 0, 0, 0, -1, 0), ("external", 0))
     for reader in (split_components, edge_weights, max_edge_weight, reconstruct):
         with pytest.raises(MatchingViolationError, match="negative normal coordinate"):
             reader(ns)

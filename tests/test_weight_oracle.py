@@ -50,12 +50,7 @@ def rows_and_weights(bound):
 
 def surface(tr, coords):
     """An unchecked surface with these flat coordinates."""
-    return NormalSurface(
-        tr,
-        [coords[i : i + 4] for i in range(0, len(coords), 7)],
-        [coords[i + 4 : i + 7] for i in range(0, len(coords), 7)],
-        ("external", 0),
-    )
+    return NormalSurface(tr, coords, ("external", 0))
 
 
 def arc_count(coords, t, f, v):
