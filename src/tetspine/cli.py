@@ -162,10 +162,13 @@ def cmd_subpolyhedra(args) -> int:
 def cmd_pachner(args) -> int:
     tri = _load(args.file)
     kind, _, idx_text = args.move.partition(":")
-    if kind not in ("23", "32") or not idx_text.isdigit():
+    try:
+        idx = int(idx_text) if idx_text.isdigit() else -1
+    except ValueError:  # "²" passes isdigit(), as do more than 4300 digits
+        idx = -1
+    if kind not in ("23", "32") or idx < 0:
         print(f"error: --move must be 23:<face> or 32:<edge>, got {args.move!r}", file=sys.stderr)
         return 2
-    idx = int(idx_text)
     try:
         out = pachner_23(tri, idx) if kind == "23" else pachner_32(tri, idx)
     except MoveNotApplicableError as exc:

@@ -9,7 +9,7 @@ only the nonzero entries of each pivot's row and column, and runs the dense
 from __future__ import annotations
 
 from .errors import NotClosedError
-from .triangulation import _PAIR_OFFSET, EDGE_PAIRS, FACE_VERTS, Triangulation
+from .triangulation import _PAIR_OFFSET, FACE_VERTS, Triangulation
 
 
 def _move_pivot(a: list[list[int]], t: int) -> bool:
@@ -153,25 +153,13 @@ def sparse_smith_diagonal(rows: list[dict[int, int]]) -> list[int]:
 def h1(tri: Triangulation) -> tuple[int, list[int]]:
     """First homology (betti rank, torsion divisors) of a closed triangulation.
 
-    The boundary maps are read off the slot tables of the edge and vertex
-    classes, one sparse row per vertex class (d1) and edge class (d2).
+    The table is connected (the constructor refuses others), so d1 has rank
+    V - 1; d2 is read off the slot tables, one sparse row per edge class.
     """
     if not tri.is_closed:
         raise NotClosedError("h1 requires a closed triangulation")
     edges, edge_class_of, edge_sign_of = tri._edge_data
-    vertex_class_of = tri._vertex_data[1]
     ne = len(edges)
-
-    # boundary of edge classes: head vertex minus tail vertex of the
-    # representative slot, mapped to vertex classes
-    d1: list[dict[int, int]] = [{} for _ in tri.vertex_classes]
-    for ec in edges:
-        t, pair = divmod(ec.rep, 6)
-        i, j = EDGE_PAIRS[pair]
-        head = d1[vertex_class_of[4 * t + j]]
-        head[ec.index] = head.get(ec.index, 0) + 1
-        tail = d1[vertex_class_of[4 * t + i]]
-        tail[ec.index] = tail.get(ec.index, 0) - 1
 
     # boundary of triangle classes: the representative face's oriented edge
     # cycle, each edge compared against its class orientation; a triangle
@@ -192,7 +180,7 @@ def h1(tri: Triangulation) -> tuple[int, list[int]]:
                 )
             column += 1
 
-    rank1 = len(sparse_smith_diagonal(d1))
+    rank1 = len(tri.vertex_classes) - 1
     div2 = sparse_smith_diagonal(d2)
     betti = ne - rank1 - len(div2)
     torsion = [d for d in div2 if d > 1]

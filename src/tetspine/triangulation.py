@@ -544,11 +544,9 @@ def parse_triangulation(text: str) -> Triangulation:
             except ValueError:
                 raise ParseError("gluing fields must be integers", lineno, col)
             word = tokens[5]
-            if len(word) != 4 or not word.isdigit():
+            if len(word) != 4 or sorted(word) != list("0123"):
                 raise ParseError(f"bad permutation {word!r}", lineno, col)
             perm = tuple(int(c) for c in word)
-            if sorted(perm) != [0, 1, 2, 3]:
-                raise ParseError(f"bad permutation {word!r}", lineno, col)
             if (t, f) in gluings:
                 raise ParseError(f"duplicate gluing for slot ({t},{f})", lineno, col)
             gluings[(t, f)] = (t2, f2, perm)

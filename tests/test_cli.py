@@ -91,9 +91,12 @@ def test_missing_file_is_io_error(capsys):
 
 
 def test_corrupt_file_is_parse_error(tmp_path, capsys):
-    path = write(tmp_path, "bad.txt", "tets: x\n")
-    assert main(["invariant", path]) == 2
-    assert "error:" in capsys.readouterr().err
+    # "²" passes str.isdigit() but int() refuses it
+    for text in ("tets: x\n", T52.replace("1230", "012\u00b2")):
+        path = write(tmp_path, "bad.txt", text)
+        assert main(["invariant", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_surfaces_tsv(tmp_path, capsys):
@@ -165,6 +168,11 @@ def test_pachner_rejections(tmp_path, capsys):
     # T_{5,2} has one tet, so no 2-3 move applies anywhere
     assert main(["pachner", path, "--move", "23:0"]) == 2
     capsys.readouterr()
+    # both pass str.isdigit(); int() refuses "²" and more than 4300 digits
+    for move in ("23:\u00b2", "32:" + "1" * 5000):
+        assert main(["pachner", path, "--move", move]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --move must be") and err.count("\n") == 1
 
 
 def test_verify_lens(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 
@@ -5,7 +6,9 @@ import pytest
 
 from tetspine._enum import enumerate_masks
 from tetspine.lens import build_Tpq
+from tetspine.moves import random_pachner_walk
 from tetspine.spine import dual_spine
+from tetspine.triangulation import ALL_PERMS
 
 
 def random_instance(rng):
@@ -67,3 +70,25 @@ def test_search_depth_is_not_bounded_by_the_recursion_limit():
     finally:
         sys.setrecursionlimit(limit)
     assert masks == [(1 << k) - 1 for k in range(num_faces + 1)]
+
+
+def test_walk_spine_beyond_brute_force_reach_is_frozen():
+    # past brute-force reach: pins taken from a kernel that propagated forced
+    # faces; a relabeling renumbers the faces, so only the count is shared
+    from test_triangulation import relabel
+
+    tri = random_pachner_walk(build_Tpq(21, 4), 25, seed=5)
+    rng = random.Random(7)
+    tets = list(range(tri.n))
+    rng.shuffle(tets)
+    moved = relabel(tri, tets, [rng.choice(ALL_PERMS) for _ in range(tri.n)])
+    pins = [
+        (tri, "d7ec719c48241a7fc0d72265776e8bfb5742f3c3a7fd679023b372727bb64176"),
+        (moved, "9dd93749c15053ac23f38d7804727535c797cb7aa1e548e0cd88dad2cc547903"),
+    ]
+    for subject, digest in pins:
+        sp = dual_spine(subject)
+        assert sp.num_faces == 24
+        masks = enumerate_masks(sp.num_faces, list(sp.edge_germs))
+        assert len(masks) == 18265
+        assert hashlib.sha256(" ".join(f"{m:x}" for m in masks).encode()).hexdigest() == digest

@@ -81,6 +81,7 @@ def test_serialize_comment_and_blank_lines():
         ("tets: 1\ng 0 a 0 1 1230", 2, "integers"),
         ("tets: 1\ng 0 0 0 1 12345", 2, "bad permutation"),
         ("tets: 1\ng 0 0 0 1 1130", 2, "bad permutation"),
+        ("tets: 1\ng 0 0 0 1 012\u00b2", 2, "bad permutation"),  # "²".isdigit()
         ("tets: 1\ng 0 0 0 1 1230\ng 0 0 0 1 1230", 3, "duplicate gluing"),
         ("tets: 1\nbogus line", 2, "unrecognized"),
         ("# two tets\ntets: 2\ng 0 0 0 1 1230\ng 0 1 0 0 1230", 2, "need 8 gluing lines, found 2"),
