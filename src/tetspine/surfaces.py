@@ -5,25 +5,29 @@ counts (indexed by the cut-off corner) and 3 quadrilateral counts. Quad type
 q separates the edge {0, q+1} from the opposite edge. Two constructions are
 provided: a surface subpolyhedron is itself normal (type I), and the
 boundary of a small regular neighborhood of any simple subpolyhedron is
-normal (type II). Both read each tetrahedron's 6-bit germ pattern off the
-edge classes of its six slots (spine face f is edge class f) and copy its
-coordinate row from a 64-entry table built at import by one complement
-rule: inside a tetrahedron the type II surface has one disc per region of
-the complement of Q (see `_type_II_row`), and the type I surface is half
-of it.
+normal (type II). Both OR together the germ bits of Q's faces
+(`NormalTables.face_bytes`; spine face f is edge class f), which gives one
+byte per tetrahedron, the 6-bit germ pattern of its six edge slots, and join
+the tetrahedra's 7-byte coordinate rows from a 64-entry table built at
+import by one complement rule: inside a tetrahedron the type II surface has
+one disc per region of the complement of Q (see `_type_II_row`), and the
+type I surface is half of it.
 
 Topology comes from one pass over the disc complex, read through flat
 integer tables cached per triangulation (`NormalTables`). Along each corner
 of each triangle class the arcs are paired arithmetically: the arc at depth
 j joins the j-th disc outward from the corner on one side to the j-th on
 the other. Each arc joins its two discs, with a parity bit, in a
-union-find over the discs, which yields the components and orientability.
-With the edge weights this gives chi = V - E + F. The result is a small
-summary cached on the surface. Computing it is the surface's one
-validation: no negative count, at most one quad type per tetrahedron and one
-weight per edge class, which implies the matching equations. The sweep then
-runs on counts it may trust, and `check_valid`, `split_components`,
-`reconstruct`, `edge_weights` and `max_edge_weight` all read the summary.
+union-find over the discs with parent pointers and path halving, which
+yields the components and orientability. With the edge weights this gives
+chi = V - E + F. The result is a small summary cached on the surface.
+Computing it is the surface's one validation: no negative count, at most
+one quad type per tetrahedron, and the same arc count on the two sides of
+every triangle-class corner, checked as the sweep reaches the corner; that
+is the matching equations, and the same as one weight per edge class. The
+sweep then runs on counts it may trust, and `check_valid`,
+`split_components`, `reconstruct`, `edge_weights` and `max_edge_weight` all
+read the summary.
 """
 
 from __future__ import annotations
@@ -32,13 +36,11 @@ from dataclasses import FrozenInstanceError, dataclass
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
-from .errors import (
-    InternalLinkError,
-    MatchingViolationError,
-    NotASurfaceError,
-)
+from .errors import InternalLinkError, MatchingViolationError, NotASurfaceError
 from .spine import SubPolyhedron, dual_spine, enumerate_simple_subpolyhedra
-from .triangulation import EDGE_PAIRS, FACE_EDGES, FACE_VERTS, Triangulation, surface_name
+from .triangulation import (
+    ALL_PERMS, EDGE_PAIRS, FACE_EDGES, FACE_VERTS, Triangulation, surface_name,
+)
 
 # Normal coordinates are flat, 7 per tetrahedron t: the triangle cutting off
 # corner v at 7t + v, then the quad of type k at 7t + 4 + k. Quad type k
@@ -56,60 +58,74 @@ QSEP: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = (
 )
 
 
-def _pair(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
 class NormalTables(NamedTuple):
-    """Flat lookup tables that read normal coordinates on one triangulation.
+    """Flat lookup tables that read normal coordinates on one triangulation:
+    one weight term per edge class, one arc run per triangle-class corner
+    and one germ bitmask per spine face; none grows with the surface.
 
     A normal arc is named (triangle class, corner, depth): the corner is read
     on the representative side of the triangle class, and the depth counts
     the arcs between it and that corner.
     """
 
-    # per edge slot: (edge class, four coordinate indices summing to its weight)
-    weight_terms: tuple[tuple[int, int, int, int, int], ...]
+    # per edge class: the four coordinate indices that sum to its weight at
+    # its smallest slot
+    class_terms: tuple[tuple[int, int, int, int], ...]
     # per triangle class and corner of its representative side: coordinate
     # indices (a, b, c, d) with arc count coords[a] + coords[b] on the
     # representative side and coords[c] + coords[d] on the other, where a
-    # and c are triangles and b and d quads; then how the discs meet the
-    # arcs on each side: (triangle direction, quad direction, quad reversed)
-    # on the representative side, then the same on the other. Outward from
-    # the corner come the triangle copies, then the quad copies, in reverse
-    # order when reversed is 1. Direction 0 means the disc's boundary runs
-    # from the arc's end on the corner's edge toward the smaller other
-    # vertex of the representative face to the end toward the larger.
-    arc_runs: tuple[tuple[int, int, int, int, int, int, int, int, int, int], ...]
+    # and c are triangles and b and d quads; then, packed in bits 0-5, how
+    # the discs meet the arcs: triangle direction, quad direction and quad
+    # reversed on the representative side, then the same on the other side
+    # with both directions negated. Outward from the corner come the triangle
+    # copies, then the quad copies, in reverse order when reversed is 1.
+    # Direction 0 means the disc's boundary runs from the arc's end on the
+    # corner's edge toward the smaller other vertex of the representative
+    # face to the end toward the larger.
+    arc_runs: tuple[tuple[int, int, int, int, int], ...]
+    # per spine face, that is edge class: bit 8t + p set for each of its
+    # slots p of tetrahedron t (see EDGE_PAIRS), so the OR over the faces of
+    # a subpolyhedron holds one germ pattern per byte
+    face_bytes: tuple[int, ...]
 
 
-def _corner_templates() -> tuple[tuple[tuple[int, ...] | None, ...], ...]:
-    """Per face f and corner v of it, in one tetrahedron's labels: the
-    offsets of the triangle at v and of the quad cutting v off on f, whose
-    counts sum to the arcs there; the direction of that triangle along its
-    arc on f; the direction and order of that quad there; and the other two
-    vertices of f, ascending. None where v == f."""
-    tri_dir = {}
+def _arc_run_templates() -> tuple[dict[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
+    """The arc runs of one triangle class, with coordinate offsets within its
+    two tetrahedra, by the face f of its representative side and its gluing
+    permutation phi: per face f and perm phi, the three runs for the corners
+    of f in ascending order (see NormalTables.arc_runs)."""
+    tri_dir = {}  # (face, corner): direction of the triangle at the corner
     for v in range(4):
         oa, ob, oc = (u for u in range(4) if u != v)
         tri_dir[(oc, v)] = tri_dir[(oa, v)] = 0
         tri_dir[(ob, v)] = 1
-    quad_side = {}
+    quad_side = {}  # (face, corner): direction and order of the quad cutting it off
     for (e0, e1), (e2, e3) in QSEP:
         quad_side[(e3, e2)] = (0, 1)
         quad_side[(e0, e1)] = (0, 0)
         quad_side[(e2, e3)] = (1, 1)
         quad_side[(e1, e0)] = (1, 0)
-    return tuple(
-        tuple(
-            None
-            if v == f
-            else (v, 4 + QTYPE_OF_PAIR[_pair(v, f)], tri_dir[(f, v)], *quad_side[(f, v)])
-            + tuple(u for u in FACE_VERTS[f] if u != v)
-            for v in range(4)
-        )
-        for f in range(4)
-    )
+
+    def side(f: int, v: int, negate: int) -> tuple[int, int, int]:
+        quad, rev = quad_side[(f, v)]
+        bits = (tri_dir[(f, v)] ^ negate) | (quad ^ negate) << 1 | rev << 2
+        return v, 4 + QTYPE_OF_PAIR[(min(v, f), max(v, f))], bits
+
+    templates: list[dict[tuple[int, ...], tuple[tuple[int, ...], ...]]] = []
+    for f in range(4):
+        runs = {}
+        for phi in ALL_PERMS:
+            corners = []
+            for v in FACE_VERTS[f]:
+                ta, qa, bits_a = side(f, v, 0)
+                x, y = (u for u in FACE_VERTS[f] if u != v)
+                # the other side's directions, read in the representative
+                # labels and negated
+                tb, qb, bits_b = side(phi[f], phi[v], int(phi[x] < phi[y]))
+                corners.append((ta, qa, tb, qb, bits_a | bits_b << 3))
+            runs[phi] = tuple(corners)
+        templates.append(runs)
+    return tuple(templates)
 
 
 # the offsets within one tetrahedron's 7 coordinates of the two triangles
@@ -118,35 +134,28 @@ _WEIGHT_OFFSETS: tuple[tuple[int, int, int, int], ...] = tuple(
     (u, v, 4 + (QTYPE_OF_PAIR[(u, v)] + 1) % 3, 4 + (QTYPE_OF_PAIR[(u, v)] + 2) % 3)
     for u, v in EDGE_PAIRS
 )
-_CORNERS = _corner_templates()
+_ARC_RUNS = _arc_run_templates()
 
 
 def build_normal_tables(tr: Triangulation) -> NormalTables:
     """The tables of tr; read them through tr._normal_tables, which caches them."""
-    class_of = tr._edge_data[1]
-    weight_terms = []
+    classes, class_of, _ = tr._edge_data
+    face_bytes = [0] * len(classes)
     for t in range(tr.n):
-        base = 7 * t
-        for cls, (a, b, x, y) in zip(class_of[6 * t : 6 * t + 6], _WEIGHT_OFFSETS):
-            weight_terms.append((cls, base + a, base + b, base + x, base + y))
-
+        bit = 1 << 8 * t
+        for p, cls in enumerate(class_of[6 * t : 6 * t + 6]):
+            face_bytes[cls] |= bit << p
+    class_terms = []
+    for ec in classes:
+        t, p = divmod(ec.rep, 6)
+        a, b, x, y = _WEIGHT_OFFSETS[p]
+        class_terms.append((7 * t + a, 7 * t + b, 7 * t + x, 7 * t + y))
     arc_runs = []
     for tc in tr.triangle_classes:
-        (t0, f0), (t1, f1) = tc.rep, tc.other
-        phi = tc.perm
-        b0, b1 = 7 * t0, 7 * t1
-        side0 = _CORNERS[f0]
-        side1 = _CORNERS[f1]
-        for v in FACE_VERTS[f0]:
-            ta, qa, tri_a, quad_a, rev_a, x0, y0 = side0[v]
-            tb, qb, tri_b, quad_b, rev_b, _, _ = side1[phi[v]]
-            # the other side's directions, read in the representative labels
-            flip = int(phi[x0] > phi[y0])
-            arc_runs.append((
-                b0 + ta, b0 + qa, b1 + tb, b1 + qb,
-                tri_a, quad_a, rev_a, tri_b ^ flip, quad_b ^ flip, rev_b,
-            ))
-    return NormalTables(tuple(weight_terms), tuple(arc_runs))
+        b0, b1 = 7 * tc.rep[0], 7 * tc.other[0]
+        for ta, qa, tb, qb, bits in _ARC_RUNS[tc.rep[1]][tc.perm]:
+            arc_runs.append((b0 + ta, b0 + qa, b1 + tb, b1 + qb, bits))
+    return NormalTables(tuple(class_terms), tuple(arc_runs), tuple(face_bytes))
 
 
 class NormalSurface:
@@ -253,32 +262,33 @@ def _type_II_row(pattern: int) -> tuple[int, ...] | None:
 
 
 # per 6-bit germ pattern: its type II row, and its type I row, which is half
-# of it; None for a pattern no simple subpolyhedron has, and a type I row of
-# None where the type II row has an odd entry, a pattern no surface has
-_TYPE_II_ROWS = tuple(_type_II_row(pattern) for pattern in range(64))
+# of it, as 7 bytes; empty for a pattern no simple subpolyhedron has, and a
+# type I row is empty where the type II row has an odd entry, a pattern no
+# surface has
+_TYPE_II_ROWS = tuple(bytes(_type_II_row(pattern) or ()) for pattern in range(64))
 _TYPE_I_ROWS = tuple(
-    None if row is None or any(k % 2 for k in row) else tuple(k // 2 for k in row)
-    for row in _TYPE_II_ROWS
+    b"" if any(k % 2 for k in row) else bytes(k // 2 for k in row) for row in _TYPE_II_ROWS
 )
 
 
-def _germ_patterns(tr: Triangulation, faces: int) -> list[int]:
-    """Per tetrahedron, the 6-bit set of edge slots whose dual face is in faces."""
-    slots = iter(tr._edge_data[1])  # edge class, that is dual face, of each slot
-    return [
-        (faces >> g0 & 1)
-        | (faces >> g1 & 1) << 1
-        | (faces >> g2 & 1) << 2
-        | (faces >> g3 & 1) << 3
-        | (faces >> g4 & 1) << 4
-        | (faces >> g5 & 1) << 5
-        for g0, g1, g2, g3, g4, g5 in zip(slots, slots, slots, slots, slots, slots)
-    ]
-
-
-def _no_shape(pattern: int) -> InternalLinkError:
-    slots = [p for p in range(6) if pattern >> p & 1]
-    return InternalLinkError(f"germ slots {slots} form no admissible link shape")
+def _coords(tr: Triangulation, faces: int, rows: tuple[bytes, ...]) -> bytes:
+    """Flat coordinates with rows[pattern] in each tetrahedron, where pattern
+    is the set of its edge slots whose dual face is in faces."""
+    face_bytes = tr._normal_tables.face_bytes
+    germs = 0
+    while faces:
+        low = faces & -faces
+        germs |= face_bytes[low.bit_length() - 1]
+        faces ^= low
+    patterns = germs.to_bytes(tr.n, "little")
+    coords = b"".join(map(rows.__getitem__, patterns))
+    if len(coords) < 7 * tr.n:
+        t = next(t for t, pattern in enumerate(patterns) if not rows[pattern])
+        if not _TYPE_II_ROWS[patterns[t]]:
+            slots = [p for p in range(6) if patterns[t] >> p & 1]
+            raise InternalLinkError(f"germ slots {slots} form no admissible link shape")
+        raise InternalLinkError(f"surface subpolyhedron has a germ count of 3 in tetrahedron {t}")
+    return coords
 
 
 def _build(coords: Sequence[int], provenance: tuple[str, int], tr: Triangulation) -> NormalSurface:
@@ -294,17 +304,7 @@ def type_I_surface(tr: Triangulation, q: SubPolyhedron) -> NormalSurface:
         raise NotASurfaceError("subpolyhedron has a germ count of 3 at some edge")
     if q.is_empty:
         raise NotASurfaceError("the empty subpolyhedron has no type I surface")
-    coords: list[int] = []
-    for t, pattern in enumerate(_germ_patterns(tr, q.faces)):
-        row = _TYPE_I_ROWS[pattern]
-        if row is None:
-            if _TYPE_II_ROWS[pattern] is None:
-                raise _no_shape(pattern)
-            raise InternalLinkError(
-                f"surface subpolyhedron has a germ count of 3 in tetrahedron {t}"
-            )
-        coords.extend(row)
-    return _build(coords, ("I", q.faces), tr)
+    return _build(_coords(tr, q.faces, _TYPE_I_ROWS), ("I", q.faces), tr)
 
 
 def type_II_surface(tr: Triangulation, q: SubPolyhedron) -> NormalSurface:
@@ -312,13 +312,7 @@ def type_II_surface(tr: Triangulation, q: SubPolyhedron) -> NormalSurface:
     tr's dual spine."""
     if q.is_empty:
         raise ValueError("type II surface needs a nonempty subpolyhedron")
-    coords: list[int] = []
-    for pattern in _germ_patterns(tr, q.faces):
-        row = _TYPE_II_ROWS[pattern]
-        if row is None:
-            raise _no_shape(pattern)
-        coords.extend(row)
-    return _build(coords, ("II", q.faces), tr)
+    return _build(_coords(tr, q.faces, _TYPE_II_ROWS), ("II", q.faces), tr)
 
 
 class _Topology(NamedTuple):
@@ -338,23 +332,27 @@ def _disc_complex(ns: NormalSurface) -> _Topology:
 
     The coordinates are a normal surface when three conditions hold, checked
     in this order: no count is negative, no tetrahedron holds two quad types,
-    and every slot of an edge class sees the same weight. The last one is
-    the matching equations: the arcs cutting corner v off face {v, a, b}
-    number (w_va + w_vb - w_ab) / 2 of the face's edge weights, so one weight
-    per edge class gives the two sides of every face the same arc counts,
-    and conversely.
+    and the two sides of every triangle-class corner hold the same number of
+    arcs (the matching equations). The last one is checked corner by corner
+    as the sweep reaches it, and is the same as one weight per edge class: a
+    slot's weight is the sum of the arc counts at its two ends on either face
+    that holds it, and edge classes are generated by face gluings; conversely
+    the arcs cutting corner v off face {v, a, b} number (w_va + w_vb - w_ab)
+    / 2 of the face's edge weights. A failure is reported by edge class, as
+    the first slot whose weight differs from its class's smallest slot.
 
     Discs are numbered in coordinate order. Each triangle-class corner pairs
     its arcs arithmetically: the arc at depth j is bounded by the j-th disc
     outward from the corner on each side (see NormalTables.arc_runs).
-    Each pair joins its two discs in a union-find with parity, where the
-    parity records whether the two discs' boundary orientations disagree
-    across the arc; a parity clash inside one set means non-orientable.
-    Every disc holds its root and its parity against it, so a find is one
-    lookup, and a union relabels the smaller of the two sets: O(D log D)
-    relabels in all for D discs. Numbering the roots in order of first disc
-    gives the components in that order. Every intersection point lies on
-    one edge class, so V is the sum of the weights and chi = V - E + F.
+    Each pair joins its two discs in a union-find with parity: every disc
+    has a parent, a root is its own, and a bit says whether the disc's
+    boundary orientation, carried across the arcs between them, disagrees
+    with its parent's. A find follows the parents to the root, gathering the
+    bits, and points every other disc on the way at its grandparent (path
+    halving); a join points one root at the other. A parity clash inside one
+    set means non-orientable. Components are discs minus joins, numbered in
+    order of first disc. Every intersection point lies on one edge class, so
+    V is the sum of the weights and chi = V - E + F.
     """
     tables = ns.triangulation._normal_tables
     c = ns.coords
@@ -365,79 +363,103 @@ def _disc_complex(ns: NormalSurface) -> _Topology:
             raise MatchingViolationError(
                 f"tetrahedron {i // 7} holds two quad types: {c[i : i + 3]}"
             )
-    weights: list[int | None] = [None] * len(ns.triangulation.edge_classes)
-    for cls, a, b, x, y in tables.weight_terms:
-        w = c[a] + c[b] + c[x] + c[y]
-        if weights[cls] is None:
-            weights[cls] = w
-        elif weights[cls] != w:
-            seen = {c[a] + c[b] + c[x] + c[y] for k, a, b, x, y in tables.weight_terms if k == cls}
-            raise MatchingViolationError(f"edge class {cls} sees weights {sorted(seen)}")
 
     first = [0, *accumulate(c)]  # first[i]: the first disc of coordinate i
     discs = first[-1]
-    # label[x] = 2 * root + (1 when disc x and its root disagree in orientation)
-    label = list(range(0, 2 * discs, 2))
-    # the discs of each set form a cycle under ring, so two sets join by
-    # swapping one successor each; size counts a root's set
-    ring = list(range(discs))
-    size = [1] * discs
+    parent = list(range(discs))
+    flip = [0] * discs  # 1 when a disc and its parent disagree in orientation
     arcs = 0
     joins = 0
     orientable = True
-    for ta, qa, tb, qb, da, ea, ra, db, eb, rb in tables.arc_runs:
-        ka, la, kb, lb = c[ta], c[qa], c[tb], c[qb]
-        depth = ka + la
+    for ta, qa, tb, qb, bits in tables.arc_runs:
+        depth = c[ta] + c[qa]
+        if depth != c[tb] + c[qb]:
+            raise _weight_error(ns)
         if not depth:
             continue
+        ka = c[ta]
+        kb = c[tb]
         arcs += depth
-        for j in range(depth):
-            # the label of the disc bounding the arc on each side, with its
-            # direction folded in, so that the two roots must satisfy
-            # side(x root) ^ side(y root) == (x ^ y) & 1
+        j = 0
+        while j < depth:
+            # the discs bounding the arc at depth j on each side, and whether
+            # their orientations must disagree
             if j < ka:
-                x = label[first[ta] + j] ^ da
+                x = first[ta] + j
+                s = bits
+            elif bits & 4:
+                x = first[qa] + depth - 1 - j
+                s = bits >> 1
             else:
-                x = label[first[qa] + (la - 1 - (j - ka) if ra else j - ka)] ^ ea
+                x = first[qa] + j - ka
+                s = bits >> 1
             if j < kb:
-                y = label[first[tb] + j] ^ db ^ 1
+                y = first[tb] + j
+                s ^= bits >> 3
+            elif bits & 32:
+                y = first[qb] + depth - 1 - j
+                s ^= bits >> 4
             else:
-                y = label[first[qb] + (lb - 1 - (j - kb) if rb else j - kb)] ^ eb ^ 1
-            parity = (x ^ y) & 1
-            x >>= 1
-            y >>= 1
-            if x == y:
-                if parity:
-                    orientable = False
-                continue
-            joins += 1
-            if size[x] < size[y]:
-                x, y = y, x
-            size[x] += size[y]
-            # relabel the smaller set, rooted at y, onto the root x
-            shift = 2 * (x - y)
-            z = y
-            while True:
-                label[z] = (label[z] ^ parity) + shift
-                z = ring[z]
-                if z == y:
-                    break
-            ring[x], ring[y] = ring[y], ring[x]
+                y = first[qb] + j - kb
+                s ^= bits >> 4
+            s &= 1
+            j += 1
+            # find both roots, halving the paths and gathering the parities
+            while (p := parent[x]) != x:
+                g = parent[p]
+                s ^= flip[x]
+                if g != p:
+                    flip[x] ^= flip[p]
+                    s ^= flip[p]
+                    parent[x] = g
+                x = g
+            while (p := parent[y]) != y:
+                g = parent[p]
+                s ^= flip[y]
+                if g != p:
+                    flip[y] ^= flip[p]
+                    s ^= flip[p]
+                    parent[y] = g
+                y = g
+            if x != y:
+                joins += 1
+                parent[y] = x
+                flip[y] = s
+            elif s:
+                orientable = False
     components = discs - joins
+    weights = tuple([c[a] + c[b] + c[x] + c[y] for a, b, x, y in tables.class_terms])
 
     parts = None
     if components > 1:
         index: dict[int, int] = {}  # component number of each root, in order of first disc
         rows: list[list[int]] = []
         for i, k in enumerate(c):
-            for x in range(first[i], first[i] + k):
-                root = label[x] >> 1
+            for root in range(first[i], first[i] + k):
+                while parent[root] != root:
+                    root = parent[root]
                 if root not in index:
                     index[root] = len(rows)
                     rows.append([0] * len(c))
                 rows[index[root]][i] += 1
         parts = tuple(tuple(r) for r in rows)
-    return _Topology(tuple(weights), sum(weights) - arcs + discs, orientable, components, parts)
+    return _Topology(weights, sum(weights) - arcs + discs, orientable, components, parts)
+
+
+def _weight_error(ns: NormalSurface) -> MatchingViolationError:
+    """The error for coordinates whose arc counts differ at some corner: the
+    edge class of the first slot whose weight differs from that of its
+    class's smallest slot, with every weight the class sees."""
+    c = ns.coords
+    classes, class_of, _ = ns.triangulation._edge_data
+    slot_weights = [
+        sum(c[7 * (s // 6) + o] for o in _WEIGHT_OFFSETS[s % 6]) for s in range(len(class_of))
+    ]
+    bad = next(
+        k for s, k in enumerate(class_of) if slot_weights[s] != slot_weights[classes[k].rep]
+    )
+    seen = sorted({slot_weights[s] for s in classes[bad].slots})
+    return MatchingViolationError(f"edge class {bad} sees weights {seen}")
 
 
 def reconstruct(ns: NormalSurface) -> SurfaceReport:

@@ -503,6 +503,13 @@ class Triangulation:
 # ---- text format --------------------------------------------------------------------
 
 
+def _ascii_int(text: str) -> int:
+    """int(text), refusing the non-ASCII digits that int() also reads."""
+    if not text.isascii():
+        raise ValueError(f"not ASCII: {text!r}")
+    return int(text)
+
+
 def parse_triangulation(text: str) -> Triangulation:
     """Parse the gluing-table text format.
 
@@ -526,7 +533,7 @@ def parse_triangulation(text: str) -> Triangulation:
             if len(tokens) != 2:
                 raise ParseError("tets: header takes one count", lineno, 1)
             try:
-                n = int(tokens[1])
+                n = _ascii_int(tokens[1])
             except ValueError:
                 raise ParseError(f"bad tetrahedron count {tokens[1]!r}", lineno, len(tokens[0]) + 2)
             if n < 1:
@@ -540,7 +547,7 @@ def parse_triangulation(text: str) -> Triangulation:
                 raise ParseError("gluing line needs 5 fields after g", lineno, 1)
             col = raw.index(tokens[0]) + 1
             try:
-                t, f, t2, f2 = (int(x) for x in tokens[1:5])
+                t, f, t2, f2 = (_ascii_int(x) for x in tokens[1:5])
             except ValueError:
                 raise ParseError("gluing fields must be integers", lineno, col)
             word = tokens[5]

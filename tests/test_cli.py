@@ -91,8 +91,14 @@ def test_missing_file_is_io_error(capsys):
 
 
 def test_corrupt_file_is_parse_error(tmp_path, capsys):
-    # "²" passes str.isdigit() but int() refuses it
-    for text in ("tets: x\n", T52.replace("1230", "012\u00b2")):
+    # "²" passes str.isdigit() but int() refuses it; int() reads the
+    # Arabic-Indic digits, which the format refuses
+    for text in (
+        "tets: x\n",
+        T52.replace("1230", "012\u00b2"),
+        T52.replace("tets: 1", "tets: \u0661"),
+        T52.replace("g 0 0 0 1 1230", "g \u0660 0 0 1 1230"),
+    ):
         path = write(tmp_path, "bad.txt", text)
         assert main(["invariant", path]) == 2
         err = capsys.readouterr().err

@@ -3,14 +3,20 @@
 `flood_fill_complex` below is the earlier implementation of
 `surfaces._disc_complex`: it pairs the arcs the same way, gives every disc a
 list of neighbours with a parity bit, and finds the components and
-orientability by a flood fill over the discs in index order. The sweep must
-return the same summary, `parts` order included, or raise the same error,
-on census surfaces, surfaces of two or more components, sums and
-perturbations with negative entries. Neither gated benchmark workload meets
-a surface of two or more components, so this is what guards `parts`.
+orientability by a flood fill over the discs in index order. It reads its
+own tables, `flood_fill_tables`, in the layout the sweep used then: per edge
+slot, its class and the four coordinates summing to its weight, checked slot
+by slot, and per triangle-class corner ten plain fields. So it shares no
+table with the sweep, which checks the matching corner by corner. The sweep
+must return the same summary, `parts` order included, or raise the same
+error, on census surfaces, surfaces of two or more components, sums,
+perturbations with negative entries and vectors whose arc counts differ at
+exactly one triangle-class corner. Neither gated benchmark workload meets a
+surface of two or more components, so this is what guards `parts`.
 """
 
 import random
+import time
 from itertools import accumulate
 
 from fixtures_data import CUSPED, DOUBLE, RP2LINK, S3_ONE_TET, T41
@@ -19,6 +25,8 @@ from tetspine.lens import build_Tpq
 from tetspine.moves import random_pachner_walk
 from tetspine.spine import dual_spine, enumerate_simple_subpolyhedra, subpolyhedron
 from tetspine.surfaces import (
+    QSEP,
+    QTYPE_OF_PAIR,
     NormalSurface,
     _disc_complex,
     _Topology,
@@ -26,12 +34,62 @@ from tetspine.surfaces import (
     type_I_surface,
     type_II_surface,
 )
-from tetspine.triangulation import parse_triangulation
+from tetspine.triangulation import EDGE_PAIRS, FACE_VERTS, parse_triangulation
+
+
+def flood_fill_tables(tr):
+    """(weight terms, arc runs) of tr.
+
+    Weight terms: per edge slot, (edge class, four coordinate indices summing
+    to its weight). Arc runs: per triangle class and corner of its
+    representative side, (a, b, c, d) with arc count coords[a] + coords[b]
+    on the representative side and coords[c] + coords[d] on the other, a and
+    c triangles and b and d quads; then (triangle direction, quad direction,
+    quad reversed) on the representative side and the same on the other,
+    read in the representative labels.
+    """
+    tri_dir = {}
+    for v in range(4):
+        oa, ob, oc = (u for u in range(4) if u != v)
+        tri_dir[(oc, v)] = tri_dir[(oa, v)] = 0
+        tri_dir[(ob, v)] = 1
+    quad_side = {}
+    for (e0, e1), (e2, e3) in QSEP:
+        quad_side[(e3, e2)] = (0, 1)
+        quad_side[(e0, e1)] = (0, 0)
+        quad_side[(e2, e3)] = (1, 1)
+        quad_side[(e1, e0)] = (1, 0)
+
+    def corner(f, v):
+        return (v, 4 + QTYPE_OF_PAIR[tuple(sorted((v, f)))], tri_dir[(f, v)], *quad_side[(f, v)])
+
+    weight_terms = []
+    for slot, cls in enumerate(tr._edge_data[1]):
+        u, v = EDGE_PAIRS[slot % 6]
+        qt = QTYPE_OF_PAIR[(u, v)]
+        base = 7 * (slot // 6)
+        weight_terms.append(
+            (cls, base + u, base + v, base + 4 + (qt + 1) % 3, base + 4 + (qt + 2) % 3)
+        )
+    arc_runs = []
+    for tc in tr.triangle_classes:
+        (t0, f0), (t1, f1) = tc.rep, tc.other
+        phi = tc.perm
+        for v in FACE_VERTS[f0]:
+            ta, qa, tri_a, quad_a, rev_a = corner(f0, v)
+            tb, qb, tri_b, quad_b, rev_b = corner(f1, phi[v])
+            x0, y0 = (u for u in FACE_VERTS[f0] if u != v)
+            flip = int(phi[x0] > phi[y0])
+            arc_runs.append((
+                7 * t0 + ta, 7 * t0 + qa, 7 * t1 + tb, 7 * t1 + qb,
+                tri_a, quad_a, rev_a, tri_b ^ flip, quad_b ^ flip, rev_b,
+            ))
+    return weight_terms, arc_runs
 
 
 def flood_fill_complex(ns):
     """Edge weights, chi, orientability and components by a flood fill."""
-    tables = ns.triangulation._normal_tables
+    weight_terms, arc_runs = flood_fill_tables(ns.triangulation)
     c = ns.coords
     if min(c, default=0) < 0:
         raise MatchingViolationError(f"negative normal coordinate in {c}")
@@ -42,19 +100,19 @@ def flood_fill_complex(ns):
             )
 
     weights = [None] * len(ns.triangulation.edge_classes)
-    for cls, a, b, x, y in tables.weight_terms:
+    for cls, a, b, x, y in weight_terms:
         w = c[a] + c[b] + c[x] + c[y]
         if weights[cls] is None:
             weights[cls] = w
         elif weights[cls] != w:
-            seen = {c[a] + c[b] + c[x] + c[y] for k, a, b, x, y in tables.weight_terms if k == cls}
+            seen = {c[a] + c[b] + c[x] + c[y] for k, a, b, x, y in weight_terms if k == cls}
             raise MatchingViolationError(f"edge class {cls} sees weights {sorted(seen)}")
 
     first = [0, *accumulate(c)]
     discs = first[-1]
     nbrs = [[] for _ in range(discs)]  # per disc: 2 * neighbour + parity
     arcs = 0
-    for ta, qa, tb, qb, da, ea, ra, db, eb, rb in tables.arc_runs:
+    for ta, qa, tb, qb, da, ea, ra, db, eb, rb in arc_runs:
         ka, la, kb, lb = c[ta], c[qa], c[tb], c[qb]
         depth = ka + la
         # one weight per edge class makes the two sides' arc counts agree
@@ -165,6 +223,50 @@ def test_sweep_agrees_with_the_flood_fill():
     assert min(tally["split"], tally["errors"], tally["negative"]) >= 20, tally
 
 
+def one_corner_breaks(tr):
+    """Census surfaces and the vertex-link surface of tr, each with one
+    coordinate moved by one, kept when no count is negative, no tetrahedron
+    holds two quad types and the arc counts differ at exactly one
+    triangle-class corner; with the index of that corner's arc run."""
+    _, arc_runs = flood_fill_tables(tr)
+    valid = [e.surface.coords for e in census(tr)] + [(1, 1, 1, 1, 0, 0, 0) * tr.n]
+    out = []
+    for coords in valid:
+        for i in range(len(coords)):
+            for step in (1, -1):
+                c = list(coords)
+                c[i] += step
+                quads = c[7 * (i // 7) + 4 : 7 * (i // 7) + 7]
+                if c[i] < 0 or sum(k > 0 for k in quads) > 1:
+                    continue
+                bad = [
+                    r for r, (ta, qa, tb, qb, *_) in enumerate(arc_runs)
+                    if c[ta] + c[qa] != c[tb] + c[qb]
+                ]
+                if len(bad) == 1:
+                    out.append((tuple(c), bad[0]))
+    return out
+
+
+def test_a_break_at_one_corner_raises_the_flood_fills_error():
+    # the sweep checks the matching corner by corner and names the edge
+    # class the per-slot weights give; the flood fill checks slot by slot
+    count = 0
+    corners = set()  # (subject, arc run)
+    where = set()  # how far into the sweep the break sits
+    for k, tr in enumerate(subjects()):
+        for coords, run in one_corner_breaks(tr):
+            want = outcome(flood_fill_complex, surface(tr, coords))
+            assert want.startswith("edge class"), coords
+            assert outcome(_disc_complex, surface(tr, coords)) == want, coords
+            count += 1
+            corners.add((k, run))
+            where.add(run / (6 * tr.n))
+    # breaks at the very first corner, before any join, and late in the sweep
+    assert count >= 200 and len(corners) >= 8, (count, corners)
+    assert min(where) == 0 and max(where) > 0.75, where
+
+
 def test_parts_keep_the_order_of_first_disc():
     # twice the type II surface of the full spine of the 4-vertex double
     # is eight spheres, each vertex link twice over
@@ -185,3 +287,20 @@ def test_parts_keep_the_order_of_first_disc():
         topo = _disc_complex(links)
         assert topo == flood_fill_complex(links)
         assert topo.components == len(tr.vertex_classes)
+
+
+def test_sweep_of_a_large_surface_stays_fast():
+    # five parallel vertex links of the 997-tetrahedron T_1000_1: 19,940
+    # discs, 19,935 joins and five parts. The bound is about 100 times the
+    # sweep's time on a 2-vCPU VM; a join that costs time linear in the disc
+    # count would take minutes.
+    tr = build_Tpq(1000, 1)
+    tr._normal_tables
+    links = surface(tr, (5, 5, 5, 5, 0, 0, 0) * tr.n)
+    start = time.perf_counter()
+    topo = _disc_complex(links)
+    elapsed = time.perf_counter() - start
+    assert sum(links.coords) == 19940
+    assert (topo.components, topo.chi, topo.orientable) == (5, 10, True)
+    assert topo.parts == ((1, 1, 1, 1, 0, 0, 0) * tr.n,) * 5
+    assert elapsed < 2.0, elapsed

@@ -92,8 +92,9 @@ TYPE_I_ROWS = {
 
 def test_germ_pattern_tables_are_frozen():
     assert len(_TYPE_II_ROWS) == len(_TYPE_I_ROWS) == 64
-    assert {p: r for p, r in enumerate(_TYPE_II_ROWS) if r is not None} == ADMISSIBLE_TYPE_II_ROWS
-    assert {p: r for p, r in enumerate(_TYPE_I_ROWS) if r is not None} == TYPE_I_ROWS
+    # rows are 7 bytes, empty for a pattern with no row
+    assert {p: tuple(r) for p, r in enumerate(_TYPE_II_ROWS) if r} == ADMISSIBLE_TYPE_II_ROWS
+    assert {p: tuple(r) for p, r in enumerate(_TYPE_I_ROWS) if r} == TYPE_I_ROWS
 
 
 def test_type_I_refuses_a_germ_count_of_3_on_a_surface_flag():

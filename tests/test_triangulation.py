@@ -74,6 +74,10 @@ def test_serialize_comment_and_blank_lines():
     [
         ("tets: x", 1, "bad tetrahedron count"),
         ("tets: 0", 1, "must be positive"),
+        # int() reads Arabic-Indic, full-width and other Unicode decimal digits
+        ("tets: \u0661", 1, "col 7: bad tetrahedron count"),
+        ("tets: \uff11", 1, "col 7: bad tetrahedron count"),
+        ("tets: 1\ng \u0660 0 0 1 1230", 2, "col 1: gluing fields must be integers"),
         ("tets: 1\ntets: 1", 2, "duplicate tets"),
         ("tets: 1 2", 1, "one count"),
         ("g 0 0 0 1 1230", 1, "before tets"),
