@@ -92,10 +92,6 @@ class SubPolyhedron:
     is_proper: bool
     is_empty: bool
 
-    @property
-    def face_count(self) -> int:
-        return self.faces.bit_count()
-
 
 def dual_spine(tri: Triangulation) -> SpecialSpine:
     """The spine dual to tri, built on the first call and kept on tri.

@@ -13,21 +13,25 @@ import by one complement rule: inside a tetrahedron the type II surface has
 one disc per region of the complement of Q (see `_type_II_row`), and the
 type I surface is half of it.
 
-Topology comes from one pass over the disc complex, read through flat
-integer tables cached per triangulation (`NormalTables`). Along each corner
-of each triangle class the arcs are paired arithmetically: the arc at depth
-j joins the j-th disc outward from the corner on one side to the j-th on
-the other. Each arc joins its two discs, with a parity bit, in a
-union-find over the discs with parent pointers and path halving, which
-yields the components and orientability. With the edge weights this gives
-chi = V - E + F. The result is a small summary cached on the surface.
-Computing it is the surface's one validation: no negative count, at most
-one quad type per tetrahedron, and the same arc count on the two sides of
-every triangle-class corner, checked as the sweep reaches the corner; that
-is the matching equations, and the same as one weight per edge class. The
-sweep then runs on counts it may trust, and `check_valid`,
-`split_components`, `reconstruct`, `edge_weights` and `max_edge_weight` all
-read the summary.
+Topology comes from one sweep over the disc complex, one triangle class at
+a time, read through flat integer tables cached per triangulation
+(`NormalTables`). The arcs across a triangle class depend only on its
+gluing template (one of 96) and the rows of its two tetrahedra. The 22
+distinct rows of the two tables form a registry, each checked once at
+import, and census surfaces reach the sweep as row ids: the arcs between
+two registry rows are worked out once, kept in the memo `_JOINS` (at most
+96 R^2 entries for R rows) and looked up after that. Each arc joins its two
+discs, with a parity bit, in a union-find with parent pointers and path
+halving, which yields the components and orientability; with the edge
+weights this gives chi = V - E + F. The result is a small summary cached on
+the surface. Computing it is the surface's one validation: no negative
+count and at most one quad type per tetrahedron, which the registry
+guarantees for census rows and `_disc_complex` checks for other
+coordinates, and the same arc count on the two sides of every
+triangle-class corner, checked as a triangle class's arcs are worked out;
+that is the matching equations, and the same as one weight per edge class.
+`check_valid`, `split_components`, `reconstruct`, `edge_weights` and
+`max_edge_weight` all read the summary.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from typing import NamedTuple, Sequence
 from .errors import InternalLinkError, MatchingViolationError, NotASurfaceError
 from .spine import SubPolyhedron, dual_spine, enumerate_simple_subpolyhedra
 from .triangulation import (
-    ALL_PERMS, EDGE_PAIRS, FACE_EDGES, FACE_VERTS, Triangulation, surface_name,
+    ALL_PERMS, EDGE_PAIRS, FACE_EDGES, FACE_VERTS, _PERM_INDEX, Triangulation, surface_name,
 )
 
 # Normal coordinates are flat, 7 per tetrahedron t: the triangle cutting off
@@ -60,40 +64,41 @@ QSEP: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = (
 
 class NormalTables(NamedTuple):
     """Flat lookup tables that read normal coordinates on one triangulation:
-    one weight term per edge class, one arc run per triangle-class corner
-    and one germ bitmask per spine face; none grows with the surface.
-
-    A normal arc is named (triangle class, corner, depth): the corner is read
-    on the representative side of the triangle class, and the depth counts
-    the arcs between it and that corner.
-    """
+    one weight term per edge class, one gluing template per triangle class
+    and one germ bitmask per spine face; none grows with the surface."""
 
     # per edge class: the four coordinate indices that sum to its weight at
     # its smallest slot
     class_terms: tuple[tuple[int, int, int, int], ...]
-    # per triangle class and corner of its representative side: coordinate
-    # indices (a, b, c, d) with arc count coords[a] + coords[b] on the
-    # representative side and coords[c] + coords[d] on the other, where a
-    # and c are triangles and b and d quads; then, packed in bits 0-5, how
-    # the discs meet the arcs: triangle direction, quad direction and quad
-    # reversed on the representative side, then the same on the other side
-    # with both directions negated. Outward from the corner come the triangle
-    # copies, then the quad copies, in reverse order when reversed is 1.
-    # Direction 0 means the disc's boundary runs from the arc's end on the
-    # corner's edge toward the smaller other vertex of the representative
-    # face to the end toward the larger.
-    arc_runs: tuple[tuple[int, int, int, int, int], ...]
+    # per triangle class: its representative tetrahedron, the tetrahedron on
+    # its other side and the index into _ARC_RUNS of its gluing, 24 f + i for
+    # the face f of its representative side and the permutation ALL_PERMS[i]
+    triangle_templates: tuple[tuple[int, int, int], ...]
     # per spine face, that is edge class: bit 8t + p set for each of its
     # slots p of tetrahedron t (see EDGE_PAIRS), so the OR over the faces of
     # a subpolyhedron holds one germ pattern per byte
     face_bytes: tuple[int, ...]
 
 
-def _arc_run_templates() -> tuple[dict[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
-    """The arc runs of one triangle class, with coordinate offsets within its
-    two tetrahedra, by the face f of its representative side and its gluing
-    permutation phi: per face f and perm phi, the three runs for the corners
-    of f in ascending order (see NormalTables.arc_runs)."""
+def _arc_run_templates() -> tuple[tuple[tuple[int, int, int, int, int], ...], ...]:
+    """The arc runs of one triangle class, per gluing template.
+
+    A normal arc is named (triangle class, corner, depth): the corner is read
+    on the representative side of the triangle class, and the depth counts
+    the arcs between it and that corner. Template 24 f + i is the triangle
+    class whose representative side is face f, glued by ALL_PERMS[i]; it
+    holds one run per corner of f, in ascending order: offsets (a, b, c, d)
+    within the two tetrahedra's 7 coordinates, with arc count coords[a] +
+    coords[b] on the representative side and coords[c] + coords[d] on the
+    other, where a and c are triangles and b and d quads; then, packed in
+    bits 0-5, how the discs meet the arcs: triangle direction, quad direction
+    and quad reversed on the representative side, then the same on the other
+    side with both directions negated. Outward from the corner come the
+    triangle copies, then the quad copies, in reverse order when reversed is
+    1. Direction 0 means the disc's boundary runs from the arc's end on the
+    corner's edge toward the smaller other vertex of the representative face
+    to the end toward the larger.
+    """
     tri_dir = {}  # (face, corner): direction of the triangle at the corner
     for v in range(4):
         oa, ob, oc = (u for u in range(4) if u != v)
@@ -111,9 +116,8 @@ def _arc_run_templates() -> tuple[dict[tuple[int, ...], tuple[tuple[int, ...], .
         bits = (tri_dir[(f, v)] ^ negate) | (quad ^ negate) << 1 | rev << 2
         return v, 4 + QTYPE_OF_PAIR[(min(v, f), max(v, f))], bits
 
-    templates: list[dict[tuple[int, ...], tuple[tuple[int, ...], ...]]] = []
+    templates = []
     for f in range(4):
-        runs = {}
         for phi in ALL_PERMS:
             corners = []
             for v in FACE_VERTS[f]:
@@ -123,8 +127,7 @@ def _arc_run_templates() -> tuple[dict[tuple[int, ...], tuple[tuple[int, ...], .
                 # labels and negated
                 tb, qb, bits_b = side(phi[f], phi[v], int(phi[x] < phi[y]))
                 corners.append((ta, qa, tb, qb, bits_a | bits_b << 3))
-            runs[phi] = tuple(corners)
-        templates.append(runs)
+            templates.append(tuple(corners))
     return tuple(templates)
 
 
@@ -150,12 +153,11 @@ def build_normal_tables(tr: Triangulation) -> NormalTables:
         t, p = divmod(ec.rep, 6)
         a, b, x, y = _WEIGHT_OFFSETS[p]
         class_terms.append((7 * t + a, 7 * t + b, 7 * t + x, 7 * t + y))
-    arc_runs = []
-    for tc in tr.triangle_classes:
-        b0, b1 = 7 * tc.rep[0], 7 * tc.other[0]
-        for ta, qa, tb, qb, bits in _ARC_RUNS[tc.rep[1]][tc.perm]:
-            arc_runs.append((b0 + ta, b0 + qa, b1 + tb, b1 + qb, bits))
-    return NormalTables(tuple(class_terms), tuple(arc_runs), tuple(face_bytes))
+    triangle_templates = tuple(
+        (tc.rep[0], tc.other[0], 24 * tc.rep[1] + _PERM_INDEX[tc.perm])
+        for tc in tr.triangle_classes
+    )
+    return NormalTables(tuple(class_terms), triangle_templates, tuple(face_bytes))
 
 
 class NormalSurface:
@@ -271,15 +273,61 @@ _TYPE_I_ROWS = tuple(
 )
 
 
-def _coords(tr: Triangulation, faces: int, rows: tuple[bytes, ...]) -> bytes:
-    """Flat coordinates with rows[pattern] in each tetrahedron, where pattern
-    is the set of its edge slots whose dual face is in faces."""
+# the row id of a row outside the registry
+_OUTSIDE = 255
+
+
+def _row_registry(
+    tables: Sequence[Sequence[Sequence[int]]],
+) -> tuple[dict[tuple[int, ...], int], tuple[bytes, ...]]:
+    """Number the distinct nonempty rows of the tables, in order of first
+    appearance, checking each once: no negative count and at most one quad
+    type. Returns each row's id, and per table a 256-byte translation from
+    index to row id, _OUTSIDE where the row is empty."""
+    ids: dict[tuple[int, ...], int] = {}
+    translations = []
+    for table in tables:
+        for row in map(tuple, table):
+            if row and row not in ids:
+                if min(row) < 0 or sum(k > 0 for k in row[4:]) > 1:
+                    raise ValueError(f"row {row} is not a normal surface's")
+                ids[row] = len(ids)
+        translations.append(
+            bytes(ids.get(tuple(row), _OUTSIDE) for row in table).ljust(256, bytes([_OUTSIDE]))
+        )
+    return ids, tuple(translations)
+
+
+# The registry: each row a type I or II surface can hold, checked once here,
+# so the sweep of a census surface needs no per-surface check of its counts.
+# _ROW_DISCS translates a row id to the row's disc count.
+_ROW_ID, (_TYPE_I_IDS, _TYPE_II_IDS) = _row_registry((_TYPE_I_ROWS, _TYPE_II_ROWS))
+_ROW_DISCS = bytes(map(sum, _ROW_ID)).ljust(256, b"\0")
+
+# The arcs of a triangle class, as _arc_joins gives them, by its gluing
+# template, the row id on its representative side and the row id on the
+# other, packed as template << 16 | id << 8 | id. The sweep fills it as it
+# meets registry rows, so with R registry rows it holds at most 96 R^2
+# entries. It lives as long as the process, so the join triples and the
+# tuples of them it holds are shared through _INTERNED, one copy of each:
+# after `verify existence --seeds 40`, 2,844 keys share 491 distinct values.
+_JOINS: dict[int, tuple[tuple[int, int, int], ...] | None] = {}
+_INTERNED: dict[tuple, tuple] = {}
+
+
+def _census_surface(
+    tr: Triangulation, faces: int, kind: str, rows: tuple[bytes, ...], ids: bytes
+) -> NormalSurface:
+    """The checked surface with rows[pattern] in each tetrahedron, where
+    pattern is the set of its edge slots whose dual face is in faces, and
+    ids[pattern] is that row's id."""
     face_bytes = tr._normal_tables.face_bytes
     germs = 0
-    while faces:
-        low = faces & -faces
+    rest = faces
+    while rest:
+        low = rest & -rest
         germs |= face_bytes[low.bit_length() - 1]
-        faces ^= low
+        rest ^= low
     patterns = germs.to_bytes(tr.n, "little")
     coords = b"".join(map(rows.__getitem__, patterns))
     if len(coords) < 7 * tr.n:
@@ -288,7 +336,10 @@ def _coords(tr: Triangulation, faces: int, rows: tuple[bytes, ...]) -> bytes:
             slots = [p for p in range(6) if patterns[t] >> p & 1]
             raise InternalLinkError(f"germ slots {slots} form no admissible link shape")
         raise InternalLinkError(f"surface subpolyhedron has a germ count of 3 in tetrahedron {t}")
-    return coords
+    ns = NormalSurface(tr, coords, (kind, faces))
+    row_ids = patterns.translate(ids)
+    object.__setattr__(ns, "_summary", _sweep(ns, row_ids, row_ids.translate(_ROW_DISCS)))
+    return ns
 
 
 def _build(coords: Sequence[int], provenance: tuple[str, int], tr: Triangulation) -> NormalSurface:
@@ -304,7 +355,7 @@ def type_I_surface(tr: Triangulation, q: SubPolyhedron) -> NormalSurface:
         raise NotASurfaceError("subpolyhedron has a germ count of 3 at some edge")
     if q.is_empty:
         raise NotASurfaceError("the empty subpolyhedron has no type I surface")
-    return _build(_coords(tr, q.faces, _TYPE_I_ROWS), ("I", q.faces), tr)
+    return _census_surface(tr, q.faces, "I", _TYPE_I_ROWS, _TYPE_I_IDS)
 
 
 def type_II_surface(tr: Triangulation, q: SubPolyhedron) -> NormalSurface:
@@ -312,7 +363,7 @@ def type_II_surface(tr: Triangulation, q: SubPolyhedron) -> NormalSurface:
     tr's dual spine."""
     if q.is_empty:
         raise ValueError("type II surface needs a nonempty subpolyhedron")
-    return _build(_coords(tr, q.faces, _TYPE_II_ROWS), ("II", q.faces), tr)
+    return _census_surface(tr, q.faces, "II", _TYPE_II_ROWS, _TYPE_II_IDS)
 
 
 class _Topology(NamedTuple):
@@ -327,83 +378,132 @@ class _Topology(NamedTuple):
 
 
 def _disc_complex(ns: NormalSurface) -> _Topology:
-    """Validate the coordinates, then find edge weights, chi, orientability
-    and components in one sweep of the discs.
+    """Validate coordinates from outside the census, then sweep them.
 
     The coordinates are a normal surface when three conditions hold, checked
     in this order: no count is negative, no tetrahedron holds two quad types,
     and the two sides of every triangle-class corner hold the same number of
-    arcs (the matching equations). The last one is checked corner by corner
-    as the sweep reaches it, and is the same as one weight per edge class: a
-    slot's weight is the sum of the arc counts at its two ends on either face
-    that holds it, and edge classes are generated by face gluings; conversely
-    the arcs cutting corner v off face {v, a, b} number (w_va + w_vb - w_ab)
-    / 2 of the face's edge weights. A failure is reported by edge class, as
-    the first slot whose weight differs from its class's smallest slot.
+    arcs (the matching equations). The first is checked here over the whole
+    vector. Each tetrahedron's row is then looked up in the registry, whose
+    rows passed the first two checks at import; the quad check runs here on
+    the rows outside it. The last condition is checked by the sweep.
+    """
+    c = ns.coords
+    if min(c, default=0) < 0:
+        raise MatchingViolationError(f"negative normal coordinate in {c}")
+    row_ids = []
+    disc_counts = []
+    for i in range(0, len(c), 7):
+        row = c[i : i + 7]
+        k = _ROW_ID.get(row, _OUTSIDE)
+        if k == _OUTSIDE and ((row[4] and row[5]) or (row[4] and row[6]) or (row[5] and row[6])):
+            raise MatchingViolationError(f"tetrahedron {i // 7} holds two quad types: {row[4:]}")
+        row_ids.append(k)
+        disc_counts.append(sum(row))
+    return _sweep(ns, row_ids, disc_counts)
 
-    Discs are numbered in coordinate order. Each triangle-class corner pairs
-    its arcs arithmetically: the arc at depth j is bounded by the j-th disc
-    outward from the corner on each side (see NormalTables.arc_runs).
-    Each pair joins its two discs in a union-find with parity: every disc
-    has a parent, a root is its own, and a bit says whether the disc's
-    boundary orientation, carried across the arcs between them, disagrees
-    with its parent's. A find follows the parents to the root, gathering the
-    bits, and points every other disc on the way at its grandparent (path
+
+def _arc_joins(
+    runs: tuple[tuple[int, int, int, int, int], ...], row_a: Sequence[int], row_b: Sequence[int]
+) -> tuple[tuple[int, int, int], ...] | None:
+    """The arcs of a triangle class glued by the template runs (see
+    _arc_run_templates) whose representative tetrahedron holds row_a and the
+    other row_b, in sweep order: per arc, the discs bounding it on each side,
+    numbered in coordinate order within their tetrahedron, and 1 when their
+    orientations must disagree. None when the two sides of some corner hold
+    different numbers of arcs.
+
+    Along each corner the arcs pair arithmetically: the arc at depth j is
+    bounded by the j-th disc outward from the corner on each side.
+    """
+    first_a = [0, *accumulate(row_a)]  # first_a[i]: the first disc of coordinate i
+    first_b = [0, *accumulate(row_b)]
+    out = []
+    for ta, qa, tb, qb, bits in runs:
+        ka = row_a[ta]
+        kb = row_b[tb]
+        depth = ka + row_a[qa]
+        if depth != kb + row_b[qb]:
+            return None
+        for j in range(depth):
+            if j < ka:
+                x = first_a[ta] + j
+                s = bits
+            elif bits & 4:
+                x = first_a[qa] + depth - 1 - j
+                s = bits >> 1
+            else:
+                x = first_a[qa] + j - ka
+                s = bits >> 1
+            if j < kb:
+                y = first_b[tb] + j
+                s ^= bits >> 3
+            elif bits & 32:
+                y = first_b[qb] + depth - 1 - j
+                s ^= bits >> 4
+            else:
+                y = first_b[qb] + j - kb
+                s ^= bits >> 4
+            out.append((x, y, s & 1))
+    return tuple(out)
+
+
+def _sweep(ns: NormalSurface, row_ids: Sequence[int], disc_counts: Sequence[int]) -> _Topology:
+    """Find edge weights, chi, orientability and components of ns in one
+    sweep of its discs, one triangle class at a time, checking the matching.
+
+    Tetrahedron t holds the row with id row_ids[t] (_OUTSIDE for a row
+    outside the registry) and disc_counts[t] discs; the counts have passed
+    the negative and quad checks. Discs are numbered in coordinate order.
+    The arcs across a triangle class come from the memo _JOINS when both
+    rows are registry rows, and from _arc_joins, not kept, otherwise. Two
+    sides that differ in arc count at some corner fail the matching
+    equations, which is the same as one weight per edge class: a slot's
+    weight is the sum of the arc counts at its two ends on either face that
+    holds it, and conversely the arcs cutting corner v off face {v, a, b}
+    number (w_va + w_vb - w_ab) / 2. A failure is reported by edge class
+    (see _weight_error).
+
+    Each arc joins its two discs in a union-find with parity: every disc has
+    a parent, a root is its own, and a bit says whether the disc's boundary
+    orientation, carried across the arcs between them, disagrees with its
+    parent's. A find follows the parents to the root, gathering the bits,
+    and points every other disc on the way at its grandparent (path
     halving); a join points one root at the other. A parity clash inside one
     set means non-orientable. Components are discs minus joins, numbered in
     order of first disc. Every intersection point lies on one edge class, so
     V is the sum of the weights and chi = V - E + F.
     """
-    tables = ns.triangulation._normal_tables
     c = ns.coords
-    if min(c, default=0) < 0:
-        raise MatchingViolationError(f"negative normal coordinate in {c}")
-    for i in range(4, len(c), 7):
-        if (c[i] and c[i + 1]) or (c[i] and c[i + 2]) or (c[i + 1] and c[i + 2]):
-            raise MatchingViolationError(
-                f"tetrahedron {i // 7} holds two quad types: {c[i : i + 3]}"
-            )
-
-    first = [0, *accumulate(c)]  # first[i]: the first disc of coordinate i
-    discs = first[-1]
+    tables = ns.triangulation._normal_tables
+    offset = [0, *accumulate(disc_counts)]  # offset[t]: the first disc of tetrahedron t
+    discs = offset[-1]
     parent = list(range(discs))
     flip = [0] * discs  # 1 when a disc and its parent disagree in orientation
     arcs = 0
     joins = 0
     orientable = True
-    for ta, qa, tb, qb, bits in tables.arc_runs:
-        depth = c[ta] + c[qa]
-        if depth != c[tb] + c[qb]:
+    for a, b, template in tables.triangle_templates:
+        ra = row_ids[a]
+        rb = row_ids[b]
+        key = template << 16 | ra << 8 | rb
+        try:
+            pairs = _JOINS[key]
+        except KeyError:
+            pairs = _arc_joins(_ARC_RUNS[template], c[7 * a : 7 * a + 7], c[7 * b : 7 * b + 7])
+            if ra != _OUTSIDE and rb != _OUTSIDE:
+                if pairs is not None:
+                    pairs = tuple([_INTERNED.setdefault(p, p) for p in pairs])
+                    pairs = _INTERNED.setdefault(pairs, pairs)
+                _JOINS[key] = pairs
+        if pairs is None:
             raise _weight_error(ns)
-        if not depth:
-            continue
-        ka = c[ta]
-        kb = c[tb]
-        arcs += depth
-        j = 0
-        while j < depth:
-            # the discs bounding the arc at depth j on each side, and whether
-            # their orientations must disagree
-            if j < ka:
-                x = first[ta] + j
-                s = bits
-            elif bits & 4:
-                x = first[qa] + depth - 1 - j
-                s = bits >> 1
-            else:
-                x = first[qa] + j - ka
-                s = bits >> 1
-            if j < kb:
-                y = first[tb] + j
-                s ^= bits >> 3
-            elif bits & 32:
-                y = first[qb] + depth - 1 - j
-                s ^= bits >> 4
-            else:
-                y = first[qb] + j - kb
-                s ^= bits >> 4
-            s &= 1
-            j += 1
+        arcs += len(pairs)
+        base_a = offset[a]
+        base_b = offset[b]
+        for x, y, s in pairs:
+            x += base_a
+            y += base_b
             # find both roots, halving the paths and gathering the parities
             while (p := parent[x]) != x:
                 g = parent[p]
@@ -434,14 +534,16 @@ def _disc_complex(ns: NormalSurface) -> _Topology:
     if components > 1:
         index: dict[int, int] = {}  # component number of each root, in order of first disc
         rows: list[list[int]] = []
+        disc = 0
         for i, k in enumerate(c):
-            for root in range(first[i], first[i] + k):
+            for root in range(disc, disc + k):
                 while parent[root] != root:
                     root = parent[root]
                 if root not in index:
                     index[root] = len(rows)
                     rows.append([0] * len(c))
                 rows[index[root]][i] += 1
+            disc += k
         parts = tuple(tuple(r) for r in rows)
     return _Topology(weights, sum(weights) - arcs + discs, orientable, components, parts)
 

@@ -13,18 +13,30 @@ error, on census surfaces, surfaces of two or more components, sums,
 perturbations with negative entries and vectors whose arc counts differ at
 exactly one triangle-class corner. Neither gated benchmark workload meets a
 surface of two or more components, so this is what guards `parts`.
+
+Type I and II surfaces skip `_disc_complex`: they are swept from their row
+ids, with the arcs of each triangle class read from the memo `_JOINS`. The
+summary they store must equal the flood fill's too, a key that fails the
+matching must fail the same way each time it is met, and rows outside the
+registry must never reach the memo.
 """
 
 import random
 import time
 from itertools import accumulate
+from math import gcd
 
 from fixtures_data import CUSPED, DOUBLE, RP2LINK, S3_ONE_TET, T41
+from test_triangulation import relabel
+from tetspine.cli import main
 from tetspine.errors import MatchingViolationError
 from tetspine.lens import build_Tpq
 from tetspine.moves import random_pachner_walk
 from tetspine.spine import dual_spine, enumerate_simple_subpolyhedra, subpolyhedron
 from tetspine.surfaces import (
+    _JOINS,
+    _OUTSIDE,
+    _ROW_ID,
     QSEP,
     QTYPE_OF_PAIR,
     NormalSurface,
@@ -34,7 +46,7 @@ from tetspine.surfaces import (
     type_I_surface,
     type_II_surface,
 )
-from tetspine.triangulation import EDGE_PAIRS, FACE_VERTS, parse_triangulation
+from tetspine.triangulation import ALL_PERMS, EDGE_PAIRS, FACE_VERTS, parse_triangulation
 
 
 def flood_fill_tables(tr):
@@ -184,17 +196,24 @@ def subjects():
     return bases + walks + fixtures
 
 
+def census_surfaces(tr):
+    """Every type I and type II surface of tr, as built, before splitting."""
+    out = []
+    for q in enumerate_simple_subpolyhedra(dual_spine(tr)):
+        if q.is_empty:
+            continue
+        if q.is_surface:
+            out.append(type_I_surface(tr, q))
+        out.append(type_II_surface(tr, q))
+    return out
+
+
 def vectors(tr, rng):
     """Coordinate vectors on tr: census surfaces, every type I/II surface
     before splitting, the surface with one triangle at every corner, sums,
     and +-1 perturbations, some with negative entries."""
     found = [e.surface.coords for e in census(tr)]
-    for q in enumerate_simple_subpolyhedra(dual_spine(tr)):
-        if q.is_empty:
-            continue
-        if q.is_surface:
-            found.append(type_I_surface(tr, q).coords)
-        found.append(type_II_surface(tr, q).coords)
+    found += [ns.coords for ns in census_surfaces(tr)]
     found.append(tuple([1, 1, 1, 1, 0, 0, 0] * tr.n))
     sums = [
         tuple(a + b for a, b in zip(rng.choice(found), rng.choice(found))) for _ in range(20)
@@ -297,10 +316,109 @@ def test_sweep_of_a_large_surface_stays_fast():
     tr = build_Tpq(1000, 1)
     tr._normal_tables
     links = surface(tr, (5, 5, 5, 5, 0, 0, 0) * tr.n)
+    keys = len(_JOINS)
     start = time.perf_counter()
     topo = _disc_complex(links)
     elapsed = time.perf_counter() - start
+    # the row is outside the registry, so its joins are not kept
+    assert len(_JOINS) == keys
     assert sum(links.coords) == 19940
     assert (topo.components, topo.chi, topo.orientable) == (5, 10, True)
     assert topo.parts == ((1, 1, 1, 1, 0, 0, 0) * tr.n,) * 5
     assert elapsed < 2.0, elapsed
+
+
+def relabeled_lens_spaces(rng):
+    """Every coprime T_(p,q) with 4 <= p <= 9, its tetrahedra and vertices renamed."""
+    for p in range(4, 10):
+        for q in range(1, p):
+            if gcd(p, q) == 1:
+                tr = build_Tpq(p, q)
+                tets = list(range(tr.n))
+                rng.shuffle(tets)
+                yield relabel(tr, tets, [rng.choice(ALL_PERMS) for _ in range(tr.n)])
+
+
+def test_census_summaries_equal_the_flood_fill():
+    # the summary type I and II surfaces store comes from their row ids and
+    # the memo; the flood fill and _disc_complex read the coordinates alone
+    fixtures = [parse_triangulation(t) for t in (CUSPED, DOUBLE, RP2LINK, S3_ONE_TET, T41)]
+    count = 0
+    for tr in fixtures + list(relabeled_lens_spaces(random.Random(3))):
+        for ns in census_surfaces(tr):
+            want = flood_fill_complex(surface(tr, ns.coords))
+            assert ns._topology == want == _disc_complex(surface(tr, ns.coords)), ns.coords
+            count += 1
+    assert count >= 150, count
+
+
+def first_failing_key(tr, coords):
+    """The memo key of the first triangle class, in sweep order, whose two
+    sides differ in arc count, read from the flood fill's own tables."""
+    _, arc_runs = flood_fill_tables(tr)
+    run = next(
+        r for r, (ta, qa, tb, qb, *_) in enumerate(arc_runs)
+        if coords[ta] + coords[qa] != coords[tb] + coords[qb]
+    )
+    a, b, template = tr._normal_tables.triangle_templates[run // 3]
+    ra = _ROW_ID[coords[7 * a : 7 * a + 7]]
+    rb = _ROW_ID[coords[7 * b : 7 * b + 7]]
+    return template << 16 | ra << 8 | rb
+
+
+def test_a_key_that_fails_the_matching_fails_the_same_way_again():
+    # a census surface with one tetrahedron's row swapped for another
+    # registry row: the memo records the failing key as None on the first
+    # lookup, and the lookup that finds the None raises the same error
+    count = 0
+    for tr in (build_Tpq(7, 2), random_pachner_walk(build_Tpq(8, 3), 6, seed=2)):
+        for ns in census_surfaces(tr)[:12]:
+            for t in range(tr.n):
+                for row in _ROW_ID:
+                    coords = ns.coords[: 7 * t] + row + ns.coords[7 * t + 7 :]
+                    want = outcome(flood_fill_complex, surface(tr, coords))
+                    if not isinstance(want, str):
+                        continue
+                    assert want.startswith("edge class"), coords
+                    key = first_failing_key(tr, coords)
+                    _JOINS.pop(key, None)
+                    assert outcome(_disc_complex, surface(tr, coords)) == want, coords
+                    assert _JOINS[key] is None
+                    assert outcome(_disc_complex, surface(tr, coords)) == want, coords
+                    count += 1
+    assert count >= 100, count
+
+
+def test_rows_outside_the_registry_add_no_memo_key():
+    # census surfaces twice and three times over: only triangle classes
+    # between two registry rows (the empty row, or twice a lone triangle or
+    # quad) may add keys
+    rng = random.Random(7)
+    subjects = [build_Tpq(7, 2), build_Tpq(11, 3), parse_triangulation(DOUBLE)]
+    count = 0
+    for tr in subjects:
+        found = census_surfaces(tr)
+        for ns in rng.sample(found, min(15, len(found))):
+            for k in (2, 3):
+                coords = tuple(k * x for x in ns.coords)
+                ids = [_ROW_ID.get(coords[i : i + 7], _OUTSIDE) for i in range(0, len(coords), 7)]
+                allowed = {
+                    template << 16 | ids[a] << 8 | ids[b]
+                    for a, b, template in tr._normal_tables.triangle_templates
+                    if _OUTSIDE not in (ids[a], ids[b])
+                }
+                before = set(_JOINS)
+                topo = _disc_complex(surface(tr, coords))
+                assert topo == flood_fill_complex(surface(tr, coords)), coords
+                assert set(_JOINS) - before <= allowed
+                count += _OUTSIDE in ids
+    assert count >= 30, count
+    assert all(_OUTSIDE not in (key >> 8 & 255, key & 255) for key in _JOINS)
+
+
+def test_the_memo_stays_within_its_bound(capsys):
+    assert main(["verify", "existence", "--seeds", "5"]) == 0
+    capsys.readouterr()
+    rows = len(_ROW_ID)
+    assert 0 < len(_JOINS) <= 96 * rows**2
+    assert all(key >> 16 < 96 and key >> 8 & 255 < rows and key & 255 < rows for key in _JOINS)

@@ -18,11 +18,17 @@ from tetspine.spine import (
     subpolyhedron,
 )
 from tetspine.surfaces import (
+    _OUTSIDE,
+    _ROW_DISCS,
+    _ROW_ID,
+    _TYPE_I_IDS,
     _TYPE_I_ROWS,
+    _TYPE_II_IDS,
     _TYPE_II_ROWS,
     QSEP,
     QTYPE_OF_PAIR,
     NormalSurface,
+    _row_registry,
     census,
     edge_weights,
     max_edge_weight,
@@ -95,6 +101,30 @@ def test_germ_pattern_tables_are_frozen():
     # rows are 7 bytes, empty for a pattern with no row
     assert {p: tuple(r) for p, r in enumerate(_TYPE_II_ROWS) if r} == ADMISSIBLE_TYPE_II_ROWS
     assert {p: tuple(r) for p, r in enumerate(_TYPE_I_ROWS) if r} == TYPE_I_ROWS
+
+
+def test_row_registry_numbers_every_row_once():
+    # the registry holds each nonempty row of the two tables once, checked at
+    # import: no negative count, at most one quad type; none has more than 4 discs
+    rows = set(ADMISSIBLE_TYPE_II_ROWS.values()) | set(TYPE_I_ROWS.values())
+    assert set(_ROW_ID) == rows and len(rows) == 22
+    assert sorted(_ROW_ID.values()) == list(range(len(rows)))
+    for row, k in _ROW_ID.items():
+        assert min(row) >= 0 and sum(n > 0 for n in row[4:]) <= 1
+        assert _ROW_DISCS[k] == sum(row) <= 4
+    for table, ids in ((_TYPE_I_ROWS, _TYPE_I_IDS), (_TYPE_II_ROWS, _TYPE_II_IDS)):
+        assert len(ids) == 256
+        for pattern, row in enumerate(table):
+            assert ids[pattern] == (_ROW_ID[tuple(row)] if row else _OUTSIDE)
+
+
+def test_row_registry_refuses_a_row_no_normal_surface_has():
+    with pytest.raises(ValueError, match="not a normal surface"):
+        _row_registry([[bytes((0, 0, 0, 0, 1, 1, 0))]])
+    with pytest.raises(ValueError, match="not a normal surface"):
+        _row_registry([[(1, 0, 0, 0, 0, 0, 0)], [(0, 1, 0, 0, 0, 1, 1)]])
+    with pytest.raises(ValueError, match="not a normal surface"):
+        _row_registry([[(0, -1, 0, 0, 0, 0, 0)]])
 
 
 def test_type_I_refuses_a_germ_count_of_3_on_a_surface_flag():
