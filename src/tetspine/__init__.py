@@ -56,8 +56,6 @@ from .surfaces import (
     NormalSurface,
     SurfaceReport,
     census,
-    edge_weights,
-    max_edge_weight,
     reconstruct,
     split_components,
     type_I_surface,

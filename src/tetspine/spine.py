@@ -63,22 +63,10 @@ class SpecialSpine:
         object.__setattr__(self, "face_slices", tuple(map(tuple, slices)))
 
     @property
-    def num_edges(self) -> int:
-        return len(self.edge_germs)
-
-    @property
-    def chi(self) -> int:
-        return self.num_faces - self.num_vertices
-
-    @property
     def has_degree_one_face(self) -> bool:
         # a face dual to a degree-1 edge class wraps onto itself and is not
         # an embedded open disc; combinatorial counts are still used
         return any(d == 1 for d in self.face_degrees)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.num_faces) - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,7 +77,6 @@ class SubPolyhedron:
     v_q: int
     chi: int
     is_surface: bool
-    is_proper: bool
     is_empty: bool
 
 
@@ -154,7 +141,6 @@ def subpolyhedron(spine: SpecialSpine, faces: int) -> SubPolyhedron:
         v_q=spine.num_vertices - outside.bit_count(),
         chi=touched.bit_count() - edges_in + faces.bit_count(),
         is_surface=not three,
-        is_proper=faces != spine.full_mask,
         is_empty=faces == 0,
     )
 

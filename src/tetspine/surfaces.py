@@ -30,8 +30,9 @@ guarantees for census rows and `_disc_complex` checks for other
 coordinates, and the same arc count on the two sides of every
 triangle-class corner, checked as a triangle class's arcs are worked out;
 that is the matching equations, and the same as one weight per edge class.
-`check_valid`, `split_components`, `reconstruct`, `edge_weights` and
-`max_edge_weight` all read the summary.
+`split_components` and `reconstruct` read the summary; the parts that
+`split_components` returns are swept only when their own summary is first
+read, so the census sweeps only the parts it keeps.
 """
 
 from __future__ import annotations
@@ -42,9 +43,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import InternalLinkError, MatchingViolationError, NotASurfaceError
 from .spine import SubPolyhedron, dual_spine, enumerate_simple_subpolyhedra
-from .triangulation import (
-    ALL_PERMS, EDGE_PAIRS, FACE_EDGES, FACE_VERTS, _PERM_INDEX, Triangulation, surface_name,
-)
+from .triangulation import ALL_PERMS, EDGE_PAIRS, FACE_EDGES, FACE_VERTS, _PERM_INDEX, Triangulation
 
 # Normal coordinates are flat, 7 per tetrahedron t: the triangle cutting off
 # corner v at 7t + v, then the quad of type k at 7t + 4 + k. Quad type k
@@ -205,19 +204,9 @@ class NormalSurface:
             return summary
 
     @property
-    def is_empty(self) -> bool:
-        return not any(self.coords)
-
-    @property
     def is_trivial(self) -> bool:
         c = self.coords
         return not (any(c[4::7]) or any(c[5::7]) or any(c[6::7]))
-
-    def check_valid(self) -> None:
-        """Raise MatchingViolationError unless the coordinates are a normal
-        surface; the checks are those of the topology summary (see
-        `_disc_complex`)."""
-        self._topology
 
 
 @dataclass(frozen=True)
@@ -322,6 +311,8 @@ def _census_surface(
     pattern is the set of its edge slots whose dual face is in faces, and
     ids[pattern] is that row's id."""
     face_bytes = tr._normal_tables.face_bytes
+    if faces < 0 or faces >> len(face_bytes):
+        raise ValueError(f"mask {faces:#x} is not a subset of {len(face_bytes)} faces")
     germs = 0
     rest = faces
     while rest:
@@ -339,13 +330,6 @@ def _census_surface(
     ns = NormalSurface(tr, coords, (kind, faces))
     row_ids = patterns.translate(ids)
     object.__setattr__(ns, "_summary", _sweep(ns, row_ids, row_ids.translate(_ROW_DISCS)))
-    return ns
-
-
-def _build(coords: Sequence[int], provenance: tuple[str, int], tr: Triangulation) -> NormalSurface:
-    """A checked surface from flat coordinates, 7 per tetrahedron."""
-    ns = NormalSurface(tr, coords, provenance)
-    ns._topology  # computing the summary validates the surface
     return ns
 
 
@@ -380,16 +364,20 @@ class _Topology(NamedTuple):
 def _disc_complex(ns: NormalSurface) -> _Topology:
     """Validate coordinates from outside the census, then sweep them.
 
-    The coordinates are a normal surface when three conditions hold, checked
-    in this order: no count is negative, no tetrahedron holds two quad types,
-    and the two sides of every triangle-class corner hold the same number of
-    arcs (the matching equations). The first is checked here over the whole
-    vector. Each tetrahedron's row is then looked up in the registry, whose
-    rows passed the first two checks at import; the quad check runs here on
-    the rows outside it. The last condition is checked by the sweep.
+    The coordinates are a normal surface when there are 7 per tetrahedron
+    and three conditions hold, checked in this order: no count is negative,
+    no tetrahedron holds two quad types, and the two sides of every
+    triangle-class corner hold the same number of arcs (the matching
+    equations). The length and the first condition are checked here over the
+    whole vector. Each tetrahedron's row is then looked up in the registry,
+    whose rows passed the first two checks at import; the quad check runs
+    here on the rows outside it. The last condition is checked by the sweep.
     """
     c = ns.coords
-    if min(c, default=0) < 0:
+    n = ns.triangulation.n
+    if len(c) != 7 * n:
+        raise MatchingViolationError(f"{len(c)} normal coordinates for {n} tetrahedra")
+    if min(c) < 0:
         raise MatchingViolationError(f"negative normal coordinate in {c}")
     row_ids = []
     disc_counts = []
@@ -564,6 +552,18 @@ def _weight_error(ns: NormalSurface) -> MatchingViolationError:
     return MatchingViolationError(f"edge class {bad} sees weights {seen}")
 
 
+def surface_name(chi: int, orientable: bool) -> str | None:
+    """The closed connected surface of this chi and orientability, when it
+    is a sphere, torus, projective plane or Klein bottle; None otherwise."""
+    if chi == 2 and orientable:
+        return "sphere"
+    if chi == 1 and not orientable:
+        return "rp2"
+    if chi == 0:
+        return "torus" if orientable else "klein"
+    return None
+
+
 def reconstruct(ns: NormalSurface) -> SurfaceReport:
     """Topology of the normal surface: chi, orientability and component count."""
     topo = ns._topology
@@ -586,21 +586,13 @@ def reconstruct(ns: NormalSurface) -> SurfaceReport:
     )
 
 
-def edge_weights(ns: NormalSurface) -> list[int]:
-    """Intersection count with each edge class."""
-    return list(ns._topology.weights)
-
-
-def max_edge_weight(ns: NormalSurface) -> int:
-    return max(ns._topology.weights, default=0)
-
-
 def split_components(ns: NormalSurface) -> list[NormalSurface]:
-    """Restrict the coordinates to each connected component of the surface."""
+    """Restrict the coordinates to each connected component of the surface;
+    a part's summary is computed when it is first read."""
     parts = ns._topology.parts
     if parts is None:
         return [ns]
-    return [_build(part, ns.provenance, ns.triangulation) for part in parts]
+    return [NormalSurface(ns.triangulation, part, ns.provenance) for part in parts]
 
 
 @dataclass(frozen=True, eq=False)
@@ -615,8 +607,8 @@ def census(tr: Triangulation) -> list[CensusEntry]:
     Every surface subpolyhedron contributes itself (type I); every nonempty
     simple subpolyhedron contributes its neighborhood boundary (type II).
     Each surface is split into components as it is built, and a component
-    whose normal coordinates were already seen is dropped. Sorted by
-    coordinate vector.
+    whose normal coordinates were already seen is dropped before it is
+    swept. Sorted by coordinate vector.
     """
     seen: dict[tuple[int, ...], NormalSurface] = {}
 

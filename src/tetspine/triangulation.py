@@ -206,34 +206,17 @@ class TriangleClass:
     perm: Perm
 
 
-def surface_name(chi: int, orientable: bool) -> str | None:
-    """The closed connected surface of this chi and orientability, when it
-    is a sphere, torus, projective plane or Klein bottle; None otherwise."""
-    if chi == 2 and orientable:
-        return "sphere"
-    if chi == 1 and not orientable:
-        return "rp2"
-    if chi == 0:
-        return "torus" if orientable else "klein"
-    return None
-
-
 @dataclass(frozen=True)
 class VertexLinkSurface:
     """Link of a vertex class: the normal surface of one triangle at each of
-    its corners, so triangles is the size of the class."""
+    its corners."""
 
     chi: int
     orientable: bool
-    triangles: int
 
     @property
     def is_sphere(self) -> bool:
         return self.chi == 2 and self.orientable
-
-    @property
-    def classification(self) -> str:
-        return surface_name(self.chi, self.orientable) or "other"
 
 
 class Triangulation:
@@ -336,45 +319,38 @@ class Triangulation:
         return self._edge_data[2][edge_slot(t, u, v)]
 
     @cached_property
-    def _vertex_data(
-        self,
-    ) -> tuple[tuple[VertexClass, ...], list[int], tuple[VertexLinkSurface, ...]]:
+    def _vertex_data(self) -> tuple[tuple[VertexClass, ...], tuple[VertexLinkSurface, ...]]:
         # The vertex links are the components of the normal surface with one
         # triangle at every corner. Its discs are numbered in slot order, so
         # its components, in order of first disc, are the vertex classes in
         # order of smallest slot, and each component's own summary gives that
         # link's chi and orientability. Normal surfaces are defined in a
         # module that imports this one, hence the import here.
-        from .surfaces import _build
+        from .surfaces import NormalSurface
 
         n = self.n
-        whole = _build((1, 1, 1, 1, 0, 0, 0) * n, ("external", 0), self)
+        external = ("external", 0)
+        whole = NormalSurface(self, (1, 1, 1, 1, 0, 0, 0) * n, external)
         parts = whole._topology.parts
-        surfaces = [whole] if parts is None else [_build(p, ("external", 0), self) for p in parts]
+        surfaces = [whole] if parts is None else [NormalSurface(self, p, external) for p in parts]
         classes = []
-        class_of = [0] * (4 * n)
         links = []
         for idx, surface in enumerate(surfaces):
             c = surface.coords
             slots = tuple(s for s in range(4 * n) if c[7 * (s // 4) + s % 4])
-            for s in slots:
-                class_of[s] = idx
             classes.append(VertexClass(idx, slots))
             topo = surface._topology
-            links.append(VertexLinkSurface(topo.chi, topo.orientable, len(slots)))
-        return tuple(classes), class_of, tuple(links)
+            links.append(VertexLinkSurface(topo.chi, topo.orientable))
+        return tuple(classes), tuple(links)
 
     @property
     def vertex_classes(self) -> tuple[VertexClass, ...]:
         return self._vertex_data[0]
 
-    def vertex_class_of(self, t: int, v: int) -> int:
-        return self._vertex_data[1][t * 4 + v]
-
     @property
     def vertex_links(self) -> tuple[VertexLinkSurface, ...]:
         """Link surface of each vertex class, in the order of vertex_classes."""
-        return self._vertex_data[2]
+        return self._vertex_data[1]
 
     @cached_property
     def triangle_classes(self) -> tuple[TriangleClass, ...]:
@@ -417,13 +393,9 @@ class Triangulation:
     def kind(self) -> str:
         return "closed" if self.is_closed else "ideal"
 
-    def counts(self) -> tuple[int, int, int, int]:
-        """(vertex classes, edge classes, triangle classes, tetrahedra)."""
-        return (len(self.vertex_classes), len(self.edge_classes), 2 * self.n, self.n)
-
     def euler_characteristic(self) -> int:
-        v, e, f, t = self.counts()
-        return v - e + f - t
+        """V - E + F - T, with F = 2T triangle classes."""
+        return len(self.vertex_classes) - len(self.edge_classes) + self.n
 
     # ---- isomorphism ---------------------------------------------------------------
 

@@ -41,10 +41,11 @@ def universal_subpolyhedron(tri: Triangulation) -> SubPolyhedron:
     the mask collects the faces whose dual edge joins two distinct vertex
     classes. Empty when the triangulation has a single vertex class.
     """
+    class_of = {s: vc.index for vc in tri.vertex_classes for s in vc.slots}
     mask = 0
     for f, ec in enumerate(tri.edge_classes):
         t, (u, v) = ec.rep // 6, EDGE_PAIRS[ec.rep % 6]
-        if tri.vertex_class_of(t, u) != tri.vertex_class_of(t, v):
+        if class_of[4 * t + u] != class_of[4 * t + v]:
             mask |= 1 << f
     return subpolyhedron(dual_spine(tri), mask)
 

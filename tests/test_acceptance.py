@@ -73,8 +73,9 @@ def test_criterion_1_lens_verification_suite():
 def test_criterion_2_minimal_52_lens_space():
     tri = build_Tpq(5, 2)
     sp = dual_spine(tri)
+    full_mask = (1 << sp.num_faces) - 1
     proper = [
-        q for q in enumerate_simple_subpolyhedra(sp) if not q.is_empty and q.is_proper
+        q for q in enumerate_simple_subpolyhedra(sp) if not q.is_empty and q.faces != full_mask
     ]
     entries = census(tri)
     ok = (

@@ -290,8 +290,8 @@ def test_parts_keep_the_order_of_first_disc():
     # twice the type II surface of the full spine of the 4-vertex double
     # is eight spheres, each vertex link twice over
     tr = parse_triangulation(DOUBLE)
-    sp = dual_spine(tr)
-    twice = tuple(2 * k for k in type_II_surface(tr, subpolyhedron(sp, sp.full_mask)).coords)
+    full = subpolyhedron(dual_spine(tr), 0x3F)
+    twice = tuple(2 * k for k in type_II_surface(tr, full).coords)
     topo = _disc_complex(surface(tr, twice))
     assert topo == flood_fill_complex(surface(tr, twice))
     assert topo.components == 8 and topo.chi == 16 and topo.orientable

@@ -45,10 +45,8 @@ def test_dual_spine_shapes():
     tri = parse_triangulation(T52)
     sp = dual_spine(tri)
     assert sp.num_vertices == 1
-    assert sp.num_edges == 2  # one per triangle class
+    assert len(sp.edge_germs) == 2  # one per triangle class
     assert sp.num_faces == 2  # one per edge class
-    assert sp.chi == 1
-    assert sp.full_mask == 0x3
     assert len(sp.corner_germs) == 1 and len(sp.corner_germs[0]) == 6
     assert all(len(g) == 3 for g in sp.edge_germs)
     assert sp.face_degrees == tuple(ec.degree for ec in tri.edge_classes)
@@ -57,7 +55,6 @@ def test_dual_spine_shapes():
     sp214 = dual_spine(t214)
     assert sp214.num_vertices == 6
     assert sp214.num_faces == 7
-    assert sp214.chi == 1
 
 
 def test_degree_one_face_flag():
@@ -101,7 +98,7 @@ def test_frozen_subpolyhedron_lattices():
 
 def test_t52_has_no_proper_nonempty_simple_subpolyhedron():
     subs = enumerate_simple_subpolyhedra(dual_spine(parse_triangulation(T52)))
-    assert not [q for q in subs if not q.is_empty and q.is_proper]
+    assert [q.faces for q in subs] == [0x0, 0x3]
 
 
 def test_subpolyhedron_invariants_revalidate():
@@ -141,7 +138,6 @@ def reference_subpolyhedron(spine, faces):
         v_q=v_q,
         chi=touched - edges_in + faces.bit_count(),
         is_surface=surface,
-        is_proper=faces != spine.full_mask,
         is_empty=faces == 0,
     )
 
@@ -338,7 +334,7 @@ def test_universal_subpolyhedron_masks():
     assert om2.faces == 0x6 and om2.is_surface
     # the identity-glued double has every dual edge joining distinct classes
     omd = universal_subpolyhedron(parse_triangulation(DOUBLE))
-    assert omd.faces == 0x3F and not omd.is_proper
+    assert omd.faces == 0x3F == (1 << dual_spine(parse_triangulation(DOUBLE)).num_faces) - 1
 
 
 def test_omega_component_count_is_classes_minus_one():
@@ -382,15 +378,16 @@ def test_omega_only_identity_when_hypothesis_holds():
     checked = []
     for name, tri in subjects.items():
         om = universal_subpolyhedron(tri)
-        if om.is_empty or not om.is_surface or not om.is_proper:
-            continue
         sp = dual_spine(tri)
+        full_mask = (1 << sp.num_faces) - 1
+        if om.is_empty or not om.is_surface or om.faces == full_mask:
+            continue
         subs = enumerate_simple_subpolyhedra(sp)
-        proper = [q for q in subs if not q.is_empty and q.is_proper]
+        proper = [q for q in subs if not q.is_empty and q.faces != full_mask]
         if any(q.faces & ~om.faces for q in proper):
             continue
         n = sp.num_vertices
-        full = subpolyhedron(sp, sp.full_mask)
+        full = subpolyhedron(sp, full_mask)
         prod = ONE
         for comp_mask in omega_components(sp, om):
             prod = prod * (ONE + EPS ** subpolyhedron(sp, comp_mask).chi)
@@ -401,4 +398,5 @@ def test_omega_only_identity_when_hypothesis_holds():
 
 def test_chi_of_lens_spines_is_one():
     for p, q in ((4, 1), (5, 2), (7, 2), (21, 4)):
-        assert dual_spine(build_Tpq(p, q)).chi == 1
+        sp = dual_spine(build_Tpq(p, q))
+        assert sp.num_faces - sp.num_vertices == 1

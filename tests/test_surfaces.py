@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from fixtures_data import DOUBLE, S3_ONE_TET, T41, T52
+from fixtures_data import DOUBLE, RP2LINK, S3_ONE_TET, T41, T52, TWO_KLEIN
 from spine_oracles import quad_free_tetrahedra, universal_subpolyhedron
 from test_weight_oracle import arc_count
 from tetspine.errors import InternalLinkError, MatchingViolationError, NotASurfaceError
@@ -17,6 +17,7 @@ from tetspine.spine import (
     enumerate_simple_subpolyhedra,
     subpolyhedron,
 )
+from tetspine import surfaces
 from tetspine.surfaces import (
     _OUTSIDE,
     _ROW_DISCS,
@@ -30,8 +31,6 @@ from tetspine.surfaces import (
     NormalSurface,
     _row_registry,
     census,
-    edge_weights,
-    max_edge_weight,
     reconstruct,
     split_components,
     type_I_surface,
@@ -151,7 +150,7 @@ def test_t52_census_is_one_trivial_sphere():
     ns, rep = entry.surface, entry.report
     assert ns.coords == (1, 1, 1, 1, 0, 0, 0)
     assert ns.provenance == ("II", 0x3)
-    assert ns.is_trivial and not ns.is_empty
+    assert ns.is_trivial and any(ns.coords)
     assert rep.classification == "sphere" and rep.trivial
     assert rep.connected and rep.components == 1
     assert rep.chi == 2 and rep.orientable
@@ -175,23 +174,21 @@ def test_arc_and_slot_counts_of_vertex_link():
             assert arc_count(ns.coords, 0, f, v) == 1
     for u, v in EDGE_PAIRS:
         assert slot_weight(ns.coords, 0, u, v) == 2
-    assert edge_weights(ns) == [2, 2]
-    assert max_edge_weight(ns) == 2
-    ns.check_valid()
+    assert ns._topology.weights == (2, 2)
 
 
 def test_matching_violation_detection():
     tri = parse_triangulation(T52)
     bad = NormalSurface(tri, (1, 0, 1, 1, 0, 0, 0), ("external", 0))
     with pytest.raises(MatchingViolationError, match="sees weights"):
-        bad.check_valid()
+        reconstruct(bad)
 
 
 def test_two_quad_types_per_tet_rejected():
     tri = parse_triangulation(T52)
     bad = NormalSurface(tri, (0, 0, 0, 0, 1, 1, 0), ("external", 0))
     with pytest.raises(MatchingViolationError, match="two quad types"):
-        bad.check_valid()
+        reconstruct(bad)
 
 
 # ---- type I and type II -------------------------------------------------------------
@@ -208,7 +205,7 @@ def test_klein_and_torus_in_t41():
     rep1 = reconstruct(one)
     assert rep1.classification == "klein"
     assert rep1.chi == 0 and not rep1.orientable
-    assert max_edge_weight(one) == 1
+    assert rep1.max_edge_weight == 1
 
     two = type_II_surface(tri, q)
     assert two.coords == (0, 0, 0, 0, 0, 2, 0)
@@ -223,7 +220,7 @@ def test_type_I_rejects_non_surfaces_and_empty():
     tri = parse_triangulation(T41)
     sp = dual_spine(tri)
     with pytest.raises(NotASurfaceError):
-        type_I_surface(tri, subpolyhedron(sp, sp.full_mask))  # germ count 3
+        type_I_surface(tri, subpolyhedron(sp, (1 << sp.num_faces) - 1))  # germ count 3
     with pytest.raises(NotASurfaceError):
         type_I_surface(tri, subpolyhedron(sp, 0))
     with pytest.raises(ValueError):
@@ -244,7 +241,7 @@ def test_theta_configuration_type_II():
     rep = reconstruct(two)
     assert rep.classification == "torus"
     assert rep.chi == 2 * q.chi == 0
-    assert max_edge_weight(two) == 2
+    assert rep.max_edge_weight == 2
 
 
 def test_weight_bounds():
@@ -255,10 +252,10 @@ def test_weight_bounds():
             if q.is_empty:
                 continue
             two = type_II_surface(tr, q)
-            assert max_edge_weight(two) <= 2, name
+            assert reconstruct(two).max_edge_weight <= 2, name
             if q.is_surface:
                 one = type_I_surface(tr, q)
-                assert max_edge_weight(one) <= 1, name
+                assert reconstruct(one).max_edge_weight <= 1, name
 
 
 def test_euler_cross_checks():
@@ -279,8 +276,7 @@ def test_every_construction_is_valid_and_weights_agree():
             if q.is_empty:
                 continue
             ns = type_II_surface(tr, q)
-            ns.check_valid()
-            w = edge_weights(ns)
+            w = ns._topology.weights
             for ec in tr.edge_classes:
                 for slot in ec.slots:
                     t, pair = slot // 6, EDGE_PAIRS[slot % 6]
@@ -293,7 +289,7 @@ def test_every_construction_is_valid_and_weights_agree():
 def test_double_type_II_of_full_spine_splits_into_vertex_links():
     tri = parse_triangulation(DOUBLE)
     sp = dual_spine(tri)
-    full = subpolyhedron(sp, sp.full_mask)
+    full = subpolyhedron(sp, (1 << sp.num_faces) - 1)
     ns = type_II_surface(tri, full)
     rep = reconstruct(ns)
     assert rep.components == 4
@@ -368,7 +364,7 @@ def test_census_is_deduplicated_sorted_and_connected():
         assert len(set(coords)) == len(coords), name
         for e in entries:
             assert e.report.connected, name
-            e.surface.check_valid()
+            assert reconstruct(e.surface) == e.report, name
 
 
 def test_vertex_bound_after_cut():
@@ -403,7 +399,7 @@ def test_is_trivial_reads_the_quad_coordinates():
 
 
 def test_split_components_runs_the_complex_checks_itself():
-    # neither surface goes through check_valid: the disc complex must refuse it
+    # neither surface has been summarised before: the disc complex must refuse it
     tri = parse_triangulation(T52)
     uneven = NormalSurface(tri, (0, 0, 0, 0, 0, 0, 1), ("external", 0))
     with pytest.raises(MatchingViolationError, match="edge class 1 sees weights"):
@@ -413,16 +409,85 @@ def test_split_components_runs_the_complex_checks_itself():
     with pytest.raises(MatchingViolationError, match="negative normal coordinate"):
         split_components(unpaired)
     with pytest.raises(MatchingViolationError, match="negative normal coordinate"):
-        unpaired.check_valid()
+        reconstruct(unpaired)
 
 
 def test_topology_readers_reject_a_negative_coordinate():
     # the class weights agree ([-1, 0]) and there are no discs to pair, so
     # only the check for negative counts can refuse it
     ns = NormalSurface(build_Tpq(4, 1), (0, 0, 0, 0, 0, -1, 0), ("external", 0))
-    for reader in (split_components, edge_weights, max_edge_weight, reconstruct):
+    for reader in (split_components, reconstruct):
         with pytest.raises(MatchingViolationError, match="negative normal coordinate"):
             reader(ns)
+
+
+def test_topology_readers_reject_a_vector_of_other_than_7n_entries():
+    # on the one-tetrahedron T_5_2 the vertex link twice over would sweep as
+    # a surface, and a 6-entry vector would index past its end
+    tri = build_Tpq(5, 2)
+    for coords in ((1, 1, 1, 1, 0, 0, 0) * 2, (1, 1, 1, 1, 0, 0), (0, -1, 0, 0, 0, 0)):
+        ns = NormalSurface(tri, coords, ("external", 0))
+        for reader in (split_components, reconstruct):
+            with pytest.raises(MatchingViolationError, match=f"{len(coords)} normal coordinates"):
+                reader(ns)
+
+
+def test_type_I_and_II_refuse_a_mask_outside_the_spine():
+    # hand-made subpolyhedra of the 2-face spine of T_5_2 whose mask is
+    # negative or holds a third face
+    tri = parse_triangulation(T52)
+    q = subpolyhedron(dual_spine(tri), 0x3)
+    for faces in (-1, 0x4, 0x7):
+        bad = dataclasses.replace(q, faces=faces, is_surface=True)
+        for build in (type_I_surface, type_II_surface):
+            with pytest.raises(ValueError, match=f"mask {faces:#x} is not a subset of 2 faces"):
+                build(tri, bad)
+
+
+def eager_census(tr):
+    """The census with every part of every type I/II surface summarised as
+    it is split: the reference for a census that summarises only the parts
+    it keeps."""
+    seen = {}
+    for q in enumerate_simple_subpolyhedra(dual_spine(tr)):
+        if q.is_empty:
+            continue
+        for ns in ([type_I_surface(tr, q)] if q.is_surface else []) + [type_II_surface(tr, q)]:
+            for part in split_components(ns):
+                seen.setdefault(part.coords, (part.provenance, reconstruct(part)))
+    return [(coords, *seen[coords]) for coords in sorted(seen)]
+
+
+# per fixture: its census's sweeps, one per type I/II surface built plus one
+# per kept part of a surface of two or more components, and its entries;
+# summarising every part as it was split took 57, 8, 13 and 7 sweeps
+CENSUS_SWEEPS = {
+    "DOUBLE": (DOUBLE, 21, 7),
+    "RP2LINK": (RP2LINK, 5, 3),
+    "S3_ONE_TET": (S3_ONE_TET, 7, 3),
+    "TWO_KLEIN": (TWO_KLEIN, 4, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS_SWEEPS))
+def test_census_sweeps_a_part_only_when_it_keeps_it(name, monkeypatch):
+    text, want_sweeps, want_entries = CENSUS_SWEEPS[name]
+    tr = parse_triangulation(text)
+    want = eager_census(tr)
+    # the vertex links and the spine's enumeration are built and kept before counting
+    tr.vertex_links
+    enumerate_simple_subpolyhedra(dual_spine(tr))
+    sweeps = []
+    sweep = surfaces._sweep
+
+    def counted(*args):
+        sweeps.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(surfaces, "_sweep", counted)
+    entries = census(tr)
+    assert (len(sweeps), len(entries)) == (want_sweeps, want_entries)
+    assert [(e.surface.coords, e.surface.provenance, e.report) for e in entries] == want
 
 
 def test_census_reports_survive_relabeling():

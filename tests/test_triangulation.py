@@ -15,7 +15,6 @@ from tetspine.triangulation import (
     FACE_VERTS,
     SignedEdgeUnion,
     Triangulation,
-    VertexLinkSurface,
     edge_slot,
     parse_triangulation,
     perm_compose,
@@ -241,7 +240,8 @@ def test_constructor_rejects_disconnected_tables(first, second, number, unreache
 )
 def test_cell_counts(name, counts):
     tri = load(ALL_FIXTURES[name])
-    assert tri.counts() == counts
+    assert (len(tri.vertex_classes), len(tri.edge_classes), 2 * tri.n, tri.n) == counts
+    assert tri.euler_characteristic() == counts[0] - counts[1] + counts[2] - counts[3]
 
 
 def test_euler_characteristic():
@@ -480,9 +480,6 @@ def test_class_accessors_are_consistent():
             idx = tri.edge_class_of(t, u, v)
             assert edge_slot(t, u, v) in tri.edge_classes[idx].slots
             assert tri.edge_sign_of(t, u, v) in (-1, 1)
-        for v in range(4):
-            idx = tri.vertex_class_of(t, v)
-            assert t * 4 + v in tri.vertex_classes[idx].slots
         for f in range(4):
             tc = tri.triangle_classes[tri.triangle_class_of(t, f)]
             assert (t, f) in (tc.rep, tc.other)
@@ -502,33 +499,27 @@ def test_edge_sign_of_rep_is_positive():
 
 
 def test_vertex_links_classifications():
+    # (chi, orientable) per link: spheres, a torus, projective planes
     t52 = load(T52)
-    assert [lk.classification for lk in t52.vertex_links] == ["sphere"]
+    assert [(lk.chi, lk.orientable) for lk in t52.vertex_links] == [(2, True)]
     assert t52.is_closed and t52.kind == "closed"
 
     dbl = load(DOUBLE)
-    assert [lk.classification for lk in dbl.vertex_links] == ["sphere"] * 4
+    assert [(lk.chi, lk.orientable) for lk in dbl.vertex_links] == [(2, True)] * 4
     assert dbl.is_closed
 
     cusped = load(CUSPED)
-    assert [lk.classification for lk in cusped.vertex_links] == ["torus"]
+    assert [(lk.chi, lk.orientable) for lk in cusped.vertex_links] == [(0, True)]
     assert not cusped.is_closed and cusped.kind == "ideal"
 
     rp2 = load(RP2LINK)
-    assert [lk.classification for lk in rp2.vertex_links] == ["rp2", "rp2"]
+    assert [(lk.chi, lk.orientable) for lk in rp2.vertex_links] == [(1, False)] * 2
     assert not rp2.is_closed
 
     for text in ALL_FIXTURES.values():
         tri = load(text)
-        assert sum(lk.triangles for lk in tri.vertex_links) == 4 * tri.n
-
-
-def test_vertex_link_names_other_surfaces_plainly():
-    # a census surface prints as "other(chi)"; a vertex link as plain "other"
-    assert VertexLinkSurface(-2, True, 6).classification == "other"
-    assert VertexLinkSurface(1, True, 3).classification == "other"
-    assert VertexLinkSurface(2, False, 4).classification == "other"
-    assert VertexLinkSurface(0, False, 4).classification == "klein"
+        assert len(tri.vertex_links) == len(tri.vertex_classes)
+        assert sum(len(vc.slots) for vc in tri.vertex_classes) == 4 * tri.n
 
 
 @pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
@@ -546,8 +537,6 @@ def test_link_chi_sum_and_class_order_along_walks(name):
         for idx, vc in enumerate(tri.vertex_classes):
             assert vc.index == idx
             assert list(vc.slots) == sorted(vc.slots)
-            assert all(tri.vertex_class_of(s // 4, s % 4) == idx for s in vc.slots)
-            assert tri.vertex_links[idx].triangles == len(vc.slots)
         assert sorted(s for vc in tri.vertex_classes for s in vc.slots) == list(range(4 * tri.n))
 
 
@@ -555,9 +544,9 @@ def test_link_chi_matches_triangle_count():
     # each vertex link is built from one triangle per incident corner
     for text in ALL_FIXTURES.values():
         tri = load(text)
-        for lk in tri.vertex_links:
+        for lk, vc in zip(tri.vertex_links, tri.vertex_classes, strict=True):
             assert lk.chi <= 2
-            assert lk.triangles >= 1
+            assert len(vc.slots) >= 1
 
 
 # ---- isomorphism --------------------------------------------------------------------

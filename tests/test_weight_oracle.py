@@ -216,7 +216,7 @@ def test_the_surface_checks_accept_exactly_the_matching_solutions():
         for choice in product(rows, repeat=tr.n):
             coords = sum(choice, ())
             try:
-                surface(tr, coords).check_valid()
+                reconstruct(surface(tr, coords))
                 accepted = True
             except MatchingViolationError:
                 accepted = False
