@@ -103,8 +103,6 @@ def cmd_surfaces(args) -> int:
         rep = entry.report
         if rep.chi < args.chi_min:
             continue
-        if args.connected_only and not rep.connected:
-            continue
         if args.nontrivial_only and rep.trivial:
             continue
         kind, faces = entry.surface.provenance
@@ -347,7 +345,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("surfaces", help="normal surface census")
     p.add_argument("file")
     p.add_argument("--chi-min", type=int, default=-(10**9))
-    p.add_argument("--connected-only", action="store_true")
+    p.add_argument("--connected-only", action="store_true", help="no effect: entries are connected")
     p.add_argument("--nontrivial-only", action="store_true")
     _add_format(p)
     p.set_defaults(func=cmd_surfaces)

@@ -20,8 +20,12 @@ gluing template (one of 96) and the rows of its two tetrahedra. The 22
 distinct rows of the two tables form a registry, each checked once at
 import, and census surfaces reach the sweep as row ids: the arcs between
 two registry rows are worked out once, kept in the memo `_JOINS` (at most
-96 R^2 entries for R rows) and looked up after that. Each arc joins its two
-discs, with a parity bit, in a union-find with parent pointers and path
+96 R^2 entries for R rows) and looked up after that. A disc's normal points
+toward its corner for a triangle and toward vertex 0 for a quad, so the two
+discs bounding an arc disagree in orientation when the gluing permutation is
+even, flipped once per quad that faces away from the arc's corner (see
+`_arc_run_templates`). Each arc joins its two discs, with that parity bit,
+in a union-find with parent pointers and path
 halving, which yields the components and orientability; with the edge
 weights this gives chi = V - E + F. The result is a small summary cached on
 the surface. Computing it is the surface's one validation: no negative
@@ -53,12 +57,6 @@ QTYPE_OF_PAIR: dict[tuple[int, int], int] = {
     (0, 2): 1, (1, 3): 1,
     (0, 3): 2, (1, 2): 2,
 }
-# the two edge pairs separated by each quad type; the first contains vertex 0
-QSEP: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = (
-    ((0, 1), (2, 3)),
-    ((0, 2), (1, 3)),
-    ((0, 3), (1, 2)),
-)
 
 
 class NormalTables(NamedTuple):
@@ -69,9 +67,9 @@ class NormalTables(NamedTuple):
     # per edge class: the four coordinate indices that sum to its weight at
     # its smallest slot
     class_terms: tuple[tuple[int, int, int, int], ...]
-    # per triangle class: its representative tetrahedron, the tetrahedron on
-    # its other side and the index into _ARC_RUNS of its gluing, 24 f + i for
-    # the face f of its representative side and the permutation ALL_PERMS[i]
+    # per triangle class: (representative tetrahedron, other tetrahedron,
+    # template 24 f + i into _ARC_RUNS), where f is the representative face
+    # and ALL_PERMS[i] carries its vertex labels to the other side's
     triangle_templates: tuple[tuple[int, int, int], ...]
     # per spine face, that is edge class: bit 8t + p set for each of its
     # slots p of tetrahedron t (see EDGE_PAIRS), so the OR over the faces of
@@ -85,48 +83,35 @@ def _arc_run_templates() -> tuple[tuple[tuple[int, int, int, int, int], ...], ..
     A normal arc is named (triangle class, corner, depth): the corner is read
     on the representative side of the triangle class, and the depth counts
     the arcs between it and that corner. Template 24 f + i is the triangle
-    class whose representative side is face f, glued by ALL_PERMS[i]; it
-    holds one run per corner of f, in ascending order: offsets (a, b, c, d)
-    within the two tetrahedra's 7 coordinates, with arc count coords[a] +
+    class whose representative side is face f, glued by phi = ALL_PERMS[i];
+    it holds one run per corner v of f, in ascending order: offsets (a, b, c,
+    d) within the two tetrahedra's 7 coordinates, with arc count coords[a] +
     coords[b] on the representative side and coords[c] + coords[d] on the
-    other, where a and c are triangles and b and d quads; then, packed in
-    bits 0-5, how the discs meet the arcs: triangle direction, quad direction
-    and quad reversed on the representative side, then the same on the other
-    side with both directions negated. Outward from the corner come the
-    triangle copies, then the quad copies, in reverse order when reversed is
-    1. Direction 0 means the disc's boundary runs from the arc's end on the
-    corner's edge toward the smaller other vertex of the representative face
-    to the end toward the larger.
+    other, where a and c are triangles and b and d quads; then 3 bits: bit 0
+    when the quad on the representative side faces away from the corner
+    (neither v nor f is 0), bit 1 when the one on the other side does
+    (neither phi v nor phi f is 0), and bit 2 when phi is even.
+
+    A disc is oriented by its tetrahedron's vertex order and its normal,
+    which points toward the corner for a triangle and toward the side that
+    holds vertex 0 for a quad. The arc at corner v of face f, read from edge
+    vx to edge vy, has frame (v, x, y, f) on the representative side and
+    (phi v, phi x, phi y, phi f) on the other, whose signs differ by phi's:
+    the two discs bounding an arc disagree exactly when phi is even, flipped
+    once for each quad that faces away. Outward from the corner come the
+    triangle copies, then the quad copies, reversed if the quad faces away.
     """
-    tri_dir = {}  # (face, corner): direction of the triangle at the corner
-    for v in range(4):
-        oa, ob, oc = (u for u in range(4) if u != v)
-        tri_dir[(oc, v)] = tri_dir[(oa, v)] = 0
-        tri_dir[(ob, v)] = 1
-    quad_side = {}  # (face, corner): direction and order of the quad cutting it off
-    for (e0, e1), (e2, e3) in QSEP:
-        quad_side[(e3, e2)] = (0, 1)
-        quad_side[(e0, e1)] = (0, 0)
-        quad_side[(e2, e3)] = (1, 1)
-        quad_side[(e1, e0)] = (1, 0)
-
-    def side(f: int, v: int, negate: int) -> tuple[int, int, int]:
-        quad, rev = quad_side[(f, v)]
-        bits = (tri_dir[(f, v)] ^ negate) | (quad ^ negate) << 1 | rev << 2
-        return v, 4 + QTYPE_OF_PAIR[(min(v, f), max(v, f))], bits
-
     templates = []
     for f in range(4):
         for phi in ALL_PERMS:
-            corners = []
+            even = sum(phi[u] > phi[v] for u, v in EDGE_PAIRS) % 2 == 0
+            runs = []
             for v in FACE_VERTS[f]:
-                ta, qa, bits_a = side(f, v, 0)
-                x, y = (u for u in FACE_VERTS[f] if u != v)
-                # the other side's directions, read in the representative
-                # labels and negated
-                tb, qb, bits_b = side(phi[f], phi[v], int(phi[x] < phi[y]))
-                corners.append((ta, qa, tb, qb, bits_a | bits_b << 3))
-            templates.append(tuple(corners))
+                pv, pf = phi[v], phi[f]
+                bits = (v * f != 0) | (pv * pf != 0) << 1 | even << 2
+                qa = 4 + QTYPE_OF_PAIR[(min(v, f), max(v, f))]
+                runs.append((v, qa, pv, 4 + QTYPE_OF_PAIR[(min(pv, pf), max(pv, pf))], bits))
+            templates.append(tuple(runs))
     return tuple(templates)
 
 
@@ -414,25 +399,22 @@ def _arc_joins(
         if depth != kb + row_b[qb]:
             return None
         for j in range(depth):
+            s = bits >> 2
             if j < ka:
                 x = first_a[ta] + j
-                s = bits
-            elif bits & 4:
+            elif bits & 1:
                 x = first_a[qa] + depth - 1 - j
-                s = bits >> 1
+                s ^= 1
             else:
                 x = first_a[qa] + j - ka
-                s = bits >> 1
             if j < kb:
                 y = first_b[tb] + j
-                s ^= bits >> 3
-            elif bits & 32:
+            elif bits & 2:
                 y = first_b[qb] + depth - 1 - j
-                s ^= bits >> 4
+                s ^= 1
             else:
                 y = first_b[qb] + j - kb
-                s ^= bits >> 4
-            out.append((x, y, s & 1))
+            out.append((x, y, s))
     return tuple(out)
 
 

@@ -476,9 +476,9 @@ class Triangulation:
 
 
 def _ascii_int(text: str) -> int:
-    """int(text), refusing the non-ASCII digits that int() also reads."""
-    if not text.isascii():
-        raise ValueError(f"not ASCII: {text!r}")
+    """int(text), refusing all but ASCII decimal digits: no sign, no underscore."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not ASCII decimal digits: {text!r}")
     return int(text)
 
 

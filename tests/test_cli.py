@@ -134,6 +134,18 @@ def test_surfaces_json_and_filters(tmp_path, capsys):
     assert len(capsys.readouterr().out.strip().splitlines()) == 1  # header only
 
 
+def test_connected_only_changes_nothing(tmp_path, capsys):
+    # the census of the 4-vertex DOUBLE splits surfaces into components and
+    # keeps only the components, so the flag has nothing to drop
+    path = write(tmp_path, "double.txt", DOUBLE)
+    assert main(["surfaces", path, "--format", "json"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["surfaces", path, "--format", "json", "--connected-only"]) == 0
+    assert capsys.readouterr().out == plain
+    rows = json.loads(plain)
+    assert rows and all(r["connected"] is True for r in rows)
+
+
 def test_subpolyhedra_listing(tmp_path, capsys):
     path = write(tmp_path, "t41.txt", T41)
     assert main(["subpolyhedra", path]) == 0

@@ -6,8 +6,11 @@ list of neighbours with a parity bit, and finds the components and
 orientability by a flood fill over the discs in index order. It reads its
 own tables, `flood_fill_tables`, in the layout the sweep used then: per edge
 slot, its class and the four coordinates summing to its weight, checked slot
-by slot, and per triangle-class corner ten plain fields. So it shares no
-table with the sweep, which checks the matching corner by corner. The sweep
+by slot, and per triangle-class corner ten plain fields, from its own
+quad tables and its own disc directions. So it shares no table, and no
+orientation rule, with the sweep, which checks the matching corner by
+corner. The sweep orients discs by another rule, so its arc parities may
+differ from the flood fill's, by one flip per coordinate type. The sweep
 must return the same summary, `parts` order included, or raise the same
 error, on census surfaces, surfaces of two or more components, sums,
 perturbations with negative entries and vectors whose arc counts differ at
@@ -34,32 +37,37 @@ from tetspine.lens import build_Tpq
 from tetspine.moves import random_pachner_walk
 from tetspine.spine import dual_spine, enumerate_simple_subpolyhedra, subpolyhedron
 from tetspine.surfaces import (
+    _ARC_RUNS,
     _JOINS,
     _OUTSIDE,
     _ROW_ID,
-    QSEP,
-    QTYPE_OF_PAIR,
     NormalSurface,
+    _arc_joins,
     _disc_complex,
     _Topology,
     census,
     type_I_surface,
     type_II_surface,
 )
-from tetspine.triangulation import ALL_PERMS, EDGE_PAIRS, FACE_VERTS, parse_triangulation
+from tetspine.triangulation import (
+    ALL_PERMS,
+    EDGE_PAIRS,
+    FACE_VERTS,
+    TriangleClass,
+    parse_triangulation,
+)
+
+# The flood fill's own quad tables, written out by hand: the quad type of
+# each edge pair, and the two edge pairs each quad type separates, the first
+# holding vertex 0.
+QTYPE_OF_PAIR = {(0, 1): 0, (2, 3): 0, (0, 2): 1, (1, 3): 1, (0, 3): 2, (1, 2): 2}
+QSEP = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
 
-def flood_fill_tables(tr):
-    """(weight terms, arc runs) of tr.
-
-    Weight terms: per edge slot, (edge class, four coordinate indices summing
-    to its weight). Arc runs: per triangle class and corner of its
-    representative side, (a, b, c, d) with arc count coords[a] + coords[b]
-    on the representative side and coords[c] + coords[d] on the other, a and
-    c triangles and b and d quads; then (triangle direction, quad direction,
-    quad reversed) on the representative side and the same on the other,
-    read in the representative labels.
-    """
+def flood_fill_directions():
+    """The flood fill's disc directions, per (face, corner): the direction
+    of the triangle at the corner, and the direction and order of the quad
+    cutting it off."""
     tri_dir = {}
     for v in range(4):
         oa, ob, oc = (u for u in range(4) if u != v)
@@ -71,10 +79,45 @@ def flood_fill_tables(tr):
         quad_side[(e0, e1)] = (0, 0)
         quad_side[(e2, e3)] = (1, 1)
         quad_side[(e1, e0)] = (1, 0)
+    return tri_dir, quad_side
+
+
+TRI_DIR, QUAD_SIDE = flood_fill_directions()
+
+
+def flood_fill_runs(tc):
+    """The arc runs of the triangle class tc, one per corner of its
+    representative side: (a, b, c, d) with arc count coords[a] + coords[b]
+    on the representative side and coords[c] + coords[d] on the other, a and
+    c triangles and b and d quads; then (triangle direction, quad direction,
+    quad reversed) on the representative side and the same on the other,
+    read in the representative labels."""
 
     def corner(f, v):
-        return (v, 4 + QTYPE_OF_PAIR[tuple(sorted((v, f)))], tri_dir[(f, v)], *quad_side[(f, v)])
+        return (v, 4 + QTYPE_OF_PAIR[tuple(sorted((v, f)))], TRI_DIR[(f, v)], *QUAD_SIDE[(f, v)])
 
+    (t0, f0), (t1, f1) = tc.rep, tc.other
+    phi = tc.perm
+    runs = []
+    for v in FACE_VERTS[f0]:
+        ta, qa, tri_a, quad_a, rev_a = corner(f0, v)
+        tb, qb, tri_b, quad_b, rev_b = corner(f1, phi[v])
+        x0, y0 = (u for u in FACE_VERTS[f0] if u != v)
+        flip = int(phi[x0] > phi[y0])
+        runs.append((
+            7 * t0 + ta, 7 * t0 + qa, 7 * t1 + tb, 7 * t1 + qb,
+            tri_a, quad_a, rev_a, tri_b ^ flip, quad_b ^ flip, rev_b,
+        ))
+    return runs
+
+
+def flood_fill_tables(tr):
+    """(weight terms, arc runs) of tr.
+
+    Weight terms: per edge slot, (edge class, four coordinate indices summing
+    to its weight). Arc runs: those of each triangle class in turn (see
+    flood_fill_runs).
+    """
     weight_terms = []
     for slot, cls in enumerate(tr._edge_data[1]):
         u, v = EDGE_PAIRS[slot % 6]
@@ -83,20 +126,30 @@ def flood_fill_tables(tr):
         weight_terms.append(
             (cls, base + u, base + v, base + 4 + (qt + 1) % 3, base + 4 + (qt + 2) % 3)
         )
-    arc_runs = []
-    for tc in tr.triangle_classes:
-        (t0, f0), (t1, f1) = tc.rep, tc.other
-        phi = tc.perm
-        for v in FACE_VERTS[f0]:
-            ta, qa, tri_a, quad_a, rev_a = corner(f0, v)
-            tb, qb, tri_b, quad_b, rev_b = corner(f1, phi[v])
-            x0, y0 = (u for u in FACE_VERTS[f0] if u != v)
-            flip = int(phi[x0] > phi[y0])
-            arc_runs.append((
-                7 * t0 + ta, 7 * t0 + qa, 7 * t1 + tb, 7 * t1 + qb,
-                tri_a, quad_a, rev_a, tri_b ^ flip, quad_b ^ flip, rev_b,
-            ))
+    arc_runs = [run for tc in tr.triangle_classes for run in flood_fill_runs(tc)]
     return weight_terms, arc_runs
+
+
+def flood_fill_arcs(arc_runs, c):
+    """Per arc, in run order: the discs bounding it on each side, numbered
+    in coordinate order over all of c, and 1 when their directions agree,
+    so their orientations disagree."""
+    first = [0, *accumulate(c)]
+    for ta, qa, tb, qb, da, ea, ra, db, eb, rb in arc_runs:
+        ka, la, kb, lb = c[ta], c[qa], c[tb], c[qb]
+        depth = ka + la
+        # one weight per edge class makes the two sides' arc counts agree
+        assert depth == kb + lb
+        for j in range(depth):
+            if j < ka:
+                x = 2 * (first[ta] + j) + da
+            else:
+                x = 2 * (first[qa] + (la - 1 - (j - ka) if ra else j - ka)) + ea
+            if j < kb:
+                y = 2 * (first[tb] + j) + db
+            else:
+                y = 2 * (first[qb] + (lb - 1 - (j - kb) if rb else j - kb)) + eb
+            yield x >> 1, y >> 1, (x ^ y ^ 1) & 1
 
 
 def flood_fill_complex(ns):
@@ -124,26 +177,10 @@ def flood_fill_complex(ns):
     discs = first[-1]
     nbrs = [[] for _ in range(discs)]  # per disc: 2 * neighbour + parity
     arcs = 0
-    for ta, qa, tb, qb, da, ea, ra, db, eb, rb in arc_runs:
-        ka, la, kb, lb = c[ta], c[qa], c[tb], c[qb]
-        depth = ka + la
-        # one weight per edge class makes the two sides' arc counts agree
-        assert depth == kb + lb
-        if not depth:
-            continue
-        arcs += depth
-        for j in range(depth):
-            if j < ka:
-                x = 2 * (first[ta] + j) + da
-            else:
-                x = 2 * (first[qa] + (la - 1 - (j - ka) if ra else j - ka)) + ea
-            if j < kb:
-                y = 2 * (first[tb] + j) + db
-            else:
-                y = 2 * (first[qb] + (lb - 1 - (j - kb) if rb else j - kb)) + eb
-            parity = (x ^ y ^ 1) & 1
-            nbrs[x >> 1].append(y & ~1 | parity)
-            nbrs[y >> 1].append(x & ~1 | parity)
+    for x, y, parity in flood_fill_arcs(arc_runs, c):
+        nbrs[x].append(2 * y | parity)
+        nbrs[y].append(2 * x | parity)
+        arcs += 1
 
     # label[x] = 2 * component + side of disc x, or -1 before the fill reaches it
     label = [-1] * discs
@@ -350,6 +387,48 @@ def test_census_summaries_equal_the_flood_fill():
             assert ns._topology == want == _disc_complex(surface(tr, ns.coords)), ns.coords
             count += 1
     assert count >= 150, count
+
+
+def test_arc_joins_equal_the_flood_fill_on_every_template_and_row_pair():
+    # every gluing template against every pair of registry rows, most of
+    # which no triangulation here reaches: _arc_joins must fail exactly where
+    # some corner's two sides differ in arc count, and otherwise pair the
+    # same discs in the same order as the flood fill's own runs. The two
+    # orient the discs by different rules, so their parities may differ, but
+    # only by one orientation flip per coordinate type; a flip that is the
+    # same in every tetrahedron leaves every cycle's parity as it is.
+    start = time.perf_counter()
+    rows = list(_ROW_ID)
+    differ = set()  # (coordinate type of x, of y, parity difference)
+    counts = {"None": 0, "arcs": 0}
+    for template, runs in enumerate(_ARC_RUNS):
+        f, p = divmod(template, 24)
+        phi = ALL_PERMS[p]
+        ff_runs = flood_fill_runs(TriangleClass(0, (0, f), (1, phi[f]), phi))
+        for row_a in rows:
+            types_a = [i for i, k in enumerate(row_a) for _ in range(k)]
+            for row_b in rows:
+                c = row_a + row_b
+                got = _arc_joins(runs, row_a, row_b)
+                if any(c[ta] + c[qa] != c[tb] + c[qb] for ta, qa, tb, qb, *_ in ff_runs):
+                    assert got is None, (template, row_a, row_b)
+                    counts["None"] += 1
+                    continue
+                types_b = [i for i, k in enumerate(row_b) for _ in range(k)]
+                want = [(x, y - len(types_a), s) for x, y, s in flood_fill_arcs(ff_runs, c)]
+                assert [(x, y) for x, y, _ in got] == [(x, y) for x, y, _ in want]
+                for (x, y, s), (_, _, t) in zip(got, want):
+                    differ.add((types_a[x], types_b[y], s ^ t))
+                counts["arcs"] += len(got)
+    # one flip bit per coordinate type that explains every difference
+    flips = [
+        flip for flip in range(128)
+        if all((flip >> a ^ flip >> b ^ d) & 1 == 0 for a, b, d in differ)
+    ]
+    # the flips are fixed up to turning every disc over at once
+    assert len(flips) == 2 and flips[0] ^ flips[1] == 127, (flips, sorted(differ))
+    assert counts["None"] > 1000 and counts["arcs"] > 10000, counts
+    assert time.perf_counter() - start < 2.0
 
 
 def first_failing_key(tr, coords):

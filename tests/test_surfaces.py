@@ -8,6 +8,7 @@ import pytest
 
 from fixtures_data import DOUBLE, RP2LINK, S3_ONE_TET, T41, T52, TWO_KLEIN
 from spine_oracles import quad_free_tetrahedra, universal_subpolyhedron
+from test_disc_complex import QSEP
 from test_weight_oracle import arc_count
 from tetspine.errors import InternalLinkError, MatchingViolationError, NotASurfaceError
 from tetspine.lens import build_Tpq
@@ -26,7 +27,6 @@ from tetspine.surfaces import (
     _TYPE_I_ROWS,
     _TYPE_II_IDS,
     _TYPE_II_ROWS,
-    QSEP,
     QTYPE_OF_PAIR,
     NormalSurface,
     _row_registry,
@@ -54,6 +54,7 @@ def corpus():
 
 
 def test_quad_tables_are_consistent():
+    # the flood fill's own QSEP against the package's QTYPE_OF_PAIR
     for pair, qt in QTYPE_OF_PAIR.items():
         a, b = QSEP[qt]
         assert set(pair) in (set(a), set(b))

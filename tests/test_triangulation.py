@@ -77,6 +77,15 @@ def test_serialize_comment_and_blank_lines():
         ("tets: \u0661", 1, "col 7: bad tetrahedron count"),
         ("tets: \uff11", 1, "col 7: bad tetrahedron count"),
         ("tets: 1\ng \u0660 0 0 1 1230", 2, "col 1: gluing fields must be integers"),
+        # and signs and underscores, which the serializer never writes; a
+        # negative field fails here, before any GluingError
+        ("tets: +1", 1, "col 7: bad tetrahedron count"),
+        ("tets: -1", 1, "col 7: bad tetrahedron count"),
+        ("tets: 1_0", 1, "col 7: bad tetrahedron count"),
+        ("tets: 1\ng 0_0 0 0 1 1230", 2, "col 1: gluing fields must be integers"),
+        ("tets: 1\ng +0 0 0 1 1230", 2, "col 1: gluing fields must be integers"),
+        ("tets: 1\ng 0 -0 0 1 1230", 2, "col 1: gluing fields must be integers"),
+        ("tets: 1\n  g 0 0 -1 1 1230", 2, "col 3: gluing fields must be integers"),
         ("tets: 1\ntets: 1", 2, "duplicate tets"),
         ("tets: 1 2", 1, "one count"),
         ("g 0 0 0 1 1230", 1, "before tets"),
