@@ -276,6 +276,15 @@ FROZEN_OUTPUTS = {
         "9b02d59950dfe2f9d8f2ab34d0461bf43888574fe3d4f2bee93a6caa1c642d67",
     "subpolyhedra RP2LINK --format json":
         "19923977bc28087b349b193d1e7cc43e3ea7fe542b22ab9a2805dc6a8f4e7ea5",
+    "pachner DOUBLE --move 23:0":
+        "c9d4bc96df5a345a6345f9bad1911cbd1823cb26adb4657c272d980eafe09ba6",
+    "pachner CUSPED --move 23:1":
+        "d0f249ba198858fff6be2de60b6d4c9b22e97193b7437225f6e298d2ef083f54",
+    "pachner RP2LINK --move 23:2":
+        "722eefcd143747b2c887a42168897c9fbbd61c3a0b474c1c9c95e6994e99bca0",
+    # exit code 2: the degree-3 edge of T_5_2 runs three times through its one tetrahedron
+    "pachner T52 --move 32:0":
+        "4eefae84f69aba494fa0de4b107f77fa8e8f82f0c04d5c56aeddb8015a085361",
 }
 
 

@@ -1,7 +1,12 @@
+import hashlib
+from collections import Counter
+from math import gcd
+
 import pytest
 
-from fixtures_data import DOUBLE, T41, T52
-from tetspine.errors import MoveNotApplicableError
+import fixtures_data
+from fixtures_data import CUSPED, DOUBLE, T41, T52
+from tetspine.errors import MoveNotApplicableError, TetspineError
 from tetspine.homology import h1
 from tetspine.lens import build_Tpq
 from tetspine.moves import (
@@ -13,7 +18,12 @@ from tetspine.moves import (
     random_pachner_walk,
 )
 from tetspine.spine import t_manifold
-from tetspine.triangulation import parse_triangulation, serialize_triangulation
+from tetspine.triangulation import (
+    EDGE_PAIRS,
+    FACE_VERTS,
+    parse_triangulation,
+    serialize_triangulation,
+)
 
 
 def test_splitmix_reference_stream():
@@ -132,3 +142,99 @@ def test_walk_yields_each_step():
     assert len(states) == 4
     for prev, cur in zip([tri] + states, states):
         assert abs(cur.n - prev.n) <= 1
+
+
+def move_subjects():
+    """The fixtures in file order, the coprime T_(p,q) with 4 <= p <= 9, and
+    eight walk descendants each of DOUBLE, CUSPED and T_7_2 at seeds 1-3."""
+    subjects = [
+        parse_triangulation(text)
+        for name, text in vars(fixtures_data).items()
+        if name.isupper() and isinstance(text, str)
+    ]
+    subjects += [build_Tpq(p, q) for p in range(4, 10) for q in range(1, p) if gcd(p, q) == 1]
+    for base in (parse_triangulation(DOUBLE), parse_triangulation(CUSPED), build_Tpq(7, 2)):
+        for seed in (1, 2, 3):
+            subjects.extend(iter_pachner_walk(base, 8, seed))
+    return subjects
+
+
+def test_move_outputs_are_frozen():
+    # every 2-3 move at every triangle class, then every 3-2 move at every
+    # edge class, of each subject: the serialized table, or the refusal's
+    # type and message. A change to any move's output must be deliberate,
+    # and must update the digest with it
+    subjects = move_subjects()
+    results = []
+    for tri in subjects:
+        attempts = [(pachner_23, i) for i in range(len(tri.triangle_classes))]
+        attempts += [(pachner_32, i) for i in range(len(tri.edge_classes))]
+        for move, idx in attempts:
+            try:
+                results.append(serialize_triangulation(move(tri, idx)))
+            except TetspineError as exc:
+                results.append(f"{type(exc).__name__}: {exc}")
+    refused = sum(not r.startswith("tets:") for r in results)
+    assert (len(subjects), len(results), refused) == (103, 1524, 630)
+    digest = hashlib.sha256("\0".join(results).encode()).hexdigest()
+    assert digest == "c2b9397970b473fe9283a259af0c43212dcee899a41685bb9f32f30e52dd9138"
+
+
+def expected_degrees(tri, kind, idx):
+    """(removed tetrahedra, {edge class: twice its degree after the move},
+    degree of the class the move adds or 0), read off the input's edge
+    classes alone: a 2-3 move takes one tetrahedron from each edge of its
+    triangle, adds one to each of the six edges from the triangle to an apex
+    and makes the apex-apex edge of degree 3; a 3-2 move removes its degree-3
+    edge, adds one to each of the three edges opposite it and takes one from
+    each of the six edges from an end of it to the equator, each of which
+    the three tetrahedra hold twice."""
+    deg2 = {ec.index: 2 * ec.degree for ec in tri.edge_classes}
+    cls = tri.edge_class_of
+    if kind == "23":
+        tc = tri.triangle_classes[idx]
+        (t0, f0), (t1, f1) = tc.rep, tc.other
+        a, b, c = FACE_VERTS[f0]
+        for u, v in ((a, b), (a, c), (b, c)):
+            deg2[cls(t0, u, v)] -= 2
+        for t, f in ((t0, f0), (t1, f1)):
+            for v in FACE_VERTS[f]:
+                deg2[cls(t, f, v)] += 2
+        return {t0, t1}, deg2, 3
+    central = tri.edge_classes[idx]
+    for slot in central.slots:
+        t = slot // 6
+        u, w = EDGE_PAIRS[slot % 6]
+        x, y = (v for v in range(4) if v not in (u, w))
+        deg2[cls(t, x, y)] += 2
+        for end in (u, w):
+            for v in (x, y):
+                deg2[cls(t, end, v)] -= 1
+    del deg2[idx]
+    return {slot // 6 for slot in central.slots}, deg2, 0
+
+
+def test_moves_change_edge_degrees_and_keep_vertex_links():
+    # an oracle that knows only the input's edge classes and vertex links:
+    # the output's edge degrees, as a multiset and slot by slot on every
+    # surviving tetrahedron (survivors keep their order), and its multiset of
+    # vertex links
+    done = Counter()
+    for tri in move_subjects():
+        links = Counter((lk.chi, lk.orientable) for lk in tri.vertex_links)
+        for kind, idx in applicable_moves(tri):
+            move = pachner_23 if kind == "23" else pachner_32
+            out = move(tri, idx)
+            removed, deg2, added = expected_degrees(tri, kind, idx)
+            assert all(d % 2 == 0 and d > 0 for d in deg2.values())
+            want = sorted([d // 2 for d in deg2.values()] + [added] * (added > 0))
+            assert sorted(ec.degree for ec in out.edge_classes) == want
+            survivors = [t for t in range(tri.n) if t not in removed]
+            assert out.n == len(survivors) + (3 if kind == "23" else 2)
+            for s, t in enumerate(survivors):
+                for u, v in EDGE_PAIRS:
+                    got = out.edge_classes[out.edge_class_of(s, u, v)].degree
+                    assert 2 * got == deg2[tri.edge_class_of(t, u, v)]
+            assert Counter((lk.chi, lk.orientable) for lk in out.vertex_links) == links
+            done[kind] += 1
+    assert done == {"23": 782, "32": 112}
