@@ -1,7 +1,10 @@
 """Bistellar 2-3 and 3-2 moves, and seeded random move walks.
 
-Both moves rebuild the gluing table from scratch: the touched tetrahedra are
-removed, survivors are shifted down, and the replacement tetrahedra are
+Both moves retriangulate a ball. Each vertex of the ball gets a name, its
+place in the ball, and every gluing follows from one rule: faces with the
+same three names are glued, vertex to vertex by name. A new face whose names
+are those of a removed boundary face takes over that face's gluing. The
+removed tetrahedra go, survivors are shifted down and the new tetrahedra are
 appended at the end, so results are deterministic functions of the input.
 """
 
@@ -10,14 +13,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import MoveNotApplicableError
-from .triangulation import (
-    EDGE_PAIRS,
-    FACE_VERTS,
-    Perm,
-    Triangulation,
-    perm_compose,
-    perm_inverse,
-)
+from .triangulation import EDGE_PAIRS, FACE_VERTS, Perm, Triangulation, perm_inverse
 
 _MASK64 = (1 << 64) - 1
 
@@ -39,108 +35,94 @@ class SplitMix64:
         return self.next() % n
 
 
-def _rebuild(
-    n_old: int,
-    tri: Triangulation,
-    doomed: tuple[int, ...],
-    boundary_map: dict[tuple[int, int], tuple[int, int, Perm]],
-    extra_gluings: list[tuple[tuple[int, int], tuple[int, int, Perm]]],
-    n_new: int,
+def _key(names: tuple[int, ...], f: int) -> int:
+    """Face f of a tetrahedron whose vertices have these names, as the
+    bitmask of the face's three names."""
+    return (1 << names[0] | 1 << names[1] | 1 << names[2] | 1 << names[3]) ^ 1 << names[f]
+
+
+def _carry(src: tuple[int, ...], f: int, dst: tuple[int, ...], f2: int) -> Perm:
+    """The gluing of face f of src onto face f2 of dst, vertex to vertex by name."""
+    return tuple([f2 if v == f else dst.index(src[v]) for v in range(4)])
+
+
+def _retriangulate(
+    tri: Triangulation, old: dict[int, tuple[int, ...]], new: list[tuple[int, ...]]
 ) -> Triangulation:
-    """Reglue survivors and replacement tets after removing `doomed`.
+    """Replace the tetrahedra in `old` by those in `new`.
 
-    boundary_map sends each old boundary slot of the removed region to its
-    replacement slot, with a label correspondence old-tet -> new-tet.
+    old[t] names removed tetrahedron t's vertices 0..3, and new[j] the j-th
+    new tetrahedron's. New faces with the same names are glued to each
+    other; a new face with a removed face's names takes over its gluing,
+    carried through the partner's names when that tetrahedron goes too.
     """
-    doomed_set = set(doomed)
-    shift = []
-    k = 0
-    for t in range(n_old):
-        shift.append(k)
-        if t not in doomed_set:
-            k += 1
-
-    def newtet(t: int) -> int:
-        return shift[t]
-
+    number = {t: i for i, t in enumerate(t for t in range(tri.n) if t not in old)}
+    k = len(number)
     gluings: dict[tuple[int, int], tuple[int, int, Perm]] = {}
-
-    def add(slot_a: tuple[int, int], slot_b: tuple[int, int], perm: Perm) -> None:
-        gluings[slot_a] = (slot_b[0], slot_b[1], perm)
-        gluings[slot_b] = (slot_a[0], slot_a[1], perm_inverse(perm))
-
-    for t in range(n_old):
-        if t in doomed_set:
-            continue
+    for t, i in number.items():
         for f in range(4):
             t2, f2, psi = tri.gluing(t, f)
-            if t2 in doomed_set:
-                continue
-            if (newtet(t), f) in gluings:
-                continue
-            add((newtet(t), f), (newtet(t2), f2), psi)
-    for (t, f), (nt, nf, sigma) in boundary_map.items():
-        t2, f2, psi = tri.gluing(t, f)
-        if (nt, nf) in gluings:
+            if t2 in number:
+                gluings[(i, f)] = (number[t2], f2, psi)
+    faces: dict[int, list[tuple[int, int]]] = {}
+    for j, names in enumerate(new):
+        for f in range(4):
+            faces.setdefault(_key(names, f), []).append((j, f))
+    old_faces = {_key(names, f): (t, f) for t, names in old.items() for f in range(4)}
+    for key, slots in faces.items():
+        if len(slots) == 2:
+            (j, f), (j2, f2) = slots
+            gluings[(k + j, f)] = (k + j2, f2, _carry(new[j], f, new[j2], f2))
+            gluings[(k + j2, f2)] = (k + j, f, _carry(new[j2], f2, new[j], f))
             continue
-        if t2 in doomed_set:
-            nt2, nf2, sigma2 = boundary_map[(t2, f2)]
-            add((nt, nf), (nt2, nf2), perm_compose(sigma2, perm_compose(psi, perm_inverse(sigma))))
+        ((j, f),) = slots
+        t, g = old_faces[key]
+        t2, g2, psi = tri.gluing(t, g)
+        sigma = _carry(new[j], f, old[t], g)
+        perm = tuple([psi[v] for v in sigma])
+        if t2 in number:
+            gluings[(k + j, f)] = (number[t2], g2, perm)
+            gluings[(number[t2], g2)] = (k + j, f, perm_inverse(perm))
         else:
-            add((nt, nf), (newtet(t2), f2), perm_compose(psi, perm_inverse(sigma)))
-    for slot_a, (t2, f2, perm) in extra_gluings:
-        add(slot_a, (t2, f2), perm)
-    return Triangulation(n_new, gluings)
+            ((j2, f2),) = faces[_key(old[t2], g2)]
+            tau = _carry(old[t2], g2, new[j2], f2)
+            gluings[(k + j, f)] = (k + j2, f2, tuple([tau[v] for v in perm]))
+    return Triangulation(k + len(new), gluings)
 
 
 def pachner_23(tri: Triangulation, triangle_index: int) -> Triangulation:
     """Replace the two tetrahedra around a triangle class by three.
 
-    The shared triangle's vertices (a, b, c) span a bipyramid with the two
-    opposite apexes; the replacement tetrahedra each join one triangle edge
-    to the new central apex-apex edge.
+    The names are the representative side's labels, its apex being the
+    face's label f0, and 4 for the other side's apex. The new tetrahedra
+    join each edge (x, y) of the triangle to the central edge (f0, 4).
     """
     tcs = tri.triangle_classes
     if not 0 <= triangle_index < len(tcs):
         raise MoveNotApplicableError(f"no triangle class {triangle_index}")
     tc = tcs[triangle_index]
     (t0, f0), (t1, f1) = tc.rep, tc.other
-    phi = tc.perm
     if t0 == t1:
         raise MoveNotApplicableError(
             f"triangle class {triangle_index} has both sides in tetrahedron {t0}"
         )
     abc = FACE_VERTS[f0]
-    k = tri.n - 2
-
-    boundary_map: dict[tuple[int, int], tuple[int, int, Perm]] = {}
-    lam: list[dict[int, int]] = []
-    for zi, z in enumerate(abc):
-        x, y = (w for w in abc if w != z)
-        lam.append({x: 0, y: 1})
-        sigma0 = [0, 0, 0, 0]
-        sigma0[x], sigma0[y], sigma0[f0], sigma0[z] = 0, 1, 2, 3
-        boundary_map[(t0, z)] = (k + zi, 3, tuple(sigma0))
-        sigma1 = [0, 0, 0, 0]
-        sigma1[phi[x]], sigma1[phi[y]], sigma1[f1], sigma1[phi[z]] = 0, 1, 3, 2
-        boundary_map[(t1, phi[z])] = (k + zi, 2, tuple(sigma1))
-
-    extra: list[tuple[tuple[int, int], tuple[int, int, Perm]]] = []
-    for zi in range(3):
-        for zj in range(zi + 1, 3):
-            z, z2 = abc[zi], abc[zj]
-            w = next(v for v in abc if v not in (z, z2))
-            pi = [0, 0, 0, 0]
-            pi[lam[zi][w]] = lam[zj][w]
-            pi[lam[zi][z2]] = lam[zj][z]
-            pi[2], pi[3] = 2, 3
-            extra.append(((k + zi, lam[zi][z2]), (k + zj, lam[zj][z], tuple(pi))))
-
-    return _rebuild(tri.n, tri, (t0, t1), boundary_map, extra, tri.n + 1)
+    names1 = list(perm_inverse(tc.perm))
+    names1[f1] = 4
+    new = [tuple(w for w in abc if w != z) + (f0, 4) for z in abc]
+    return _retriangulate(tri, {t0: (0, 1, 2, 3), t1: tuple(names1)}, new)
 
 
 def pachner_32(tri: Triangulation, edge_index: int) -> Triangulation:
-    """Replace the three tetrahedra around a degree-3 edge class by two."""
+    """Replace the three tetrahedra around a degree-3 edge class by two.
+
+    The walk around the edge starts at the representative slot, naming its
+    tail 3, its head 4 and the other two vertices 0 and 1, and carries the
+    names through each gluing. It leaves by the faces opposite names 1, 0
+    and 2, naming the vertex it meets 2, then 1, and must come back to the
+    start with the start's names. The new tetrahedra are (0, 1, 2, 3) and
+    (0, 1, 2, 4).
+    """
     ecs = tri.edge_classes
     if not 0 <= edge_index < len(ecs):
         raise MoveNotApplicableError(f"no edge class {edge_index}")
@@ -149,63 +131,32 @@ def pachner_32(tri: Triangulation, edge_index: int) -> Triangulation:
         raise MoveNotApplicableError(
             f"edge class {edge_index} has degree {ec.degree}, need 3"
         )
-    tets = tuple(s // 6 for s in ec.slots)
-    if len(set(tets)) != 3:
+    tets = {s // 6 for s in ec.slots}
+    if len(tets) != 3:
         raise MoveNotApplicableError(
             f"edge class {edge_index} revisits a tetrahedron"
         )
-
-    # walk around the edge starting from the representative slot, labelling
-    # the three equatorial vertices 0, 1, 2 as they appear
-    rep = ec.rep
-    t_start = rep // 6
-    tail0, head0 = EDGE_PAIRS[rep % 6]
-    g, kv = (v for v in range(4) if v not in (tail0, head0))
-    visits = [(t_start, tail0, head0, {g: 0, kv: 1})]
-    exit_role = 1
-    for step in range(3):
-        t_cur, tail, head, roles = visits[-1]
-        exit_label = next(l for l, r in roles.items() if r == exit_role)
-        t2, f2, psi = tri.gluing(t_cur, exit_label)
-        n_tail, n_head = psi[tail], psi[head]
-        carried = {psi[l]: r for l, r in roles.items() if l != exit_label}
-        if step < 2:
-            new_role = 3 - sum(roles.values())  # the role the current tet omits
-            carried[f2] = new_role
-            visits.append((t2, n_tail, n_head, carried))
-            exit_role = next(r for r in carried.values() if r != new_role)
-        else:
-            first_t, first_tail, first_head, first_roles = visits[0]
-            ok = (t2, n_tail, n_head) == (first_t, first_tail, first_head)
-            if ok:
-                ok = all(first_roles.get(l) == r for l, r in carried.items())
-            if not ok:
-                raise MoveNotApplicableError(
-                    f"edge class {edge_index} does not close up around three tetrahedra"
-                )
-    m_tets = [v[0] for v in visits]
-    if sorted(m_tets) != sorted(tets):
+    tail, head = EDGE_PAIRS[ec.rep % 6]
+    g, kv = (v for v in range(4) if v not in (tail, head))
+    names = [0, 0, 0, 0]
+    names[tail], names[head], names[g], names[kv] = 3, 4, 0, 1
+    start = t = ec.rep // 6
+    old: dict[int, tuple[int, ...]] = {}
+    for exit_name, new_name in ((1, 2), (0, 1), (2, 0)):
+        old[t] = tuple(names)
+        f = names.index(exit_name)
+        t, _, psi = tri.gluing(t, f)
+        names[f] = new_name
+        names = [names[v] for v in perm_inverse(psi)]
+    if t != start or tuple(names) != old[start]:
+        raise MoveNotApplicableError(
+            f"edge class {edge_index} does not close up around three tetrahedra"
+        )
+    if set(old) != tets:
         raise MoveNotApplicableError(
             f"edge class {edge_index} walk did not visit its three tetrahedra"
         )
-
-    k = tri.n - 3
-    boundary_map: dict[tuple[int, int], tuple[int, int, Perm]] = {}
-    for t_m, tail_m, head_m, roles in visits:
-        covered = set(roles.values())
-        z = next(r for r in (0, 1, 2) if r not in covered)
-        sigma_low = [0, 0, 0, 0]  # -> new tet 0 (tail apex), via face omitting head
-        sigma_high = [0, 0, 0, 0]  # -> new tet 1 (head apex), via face omitting tail
-        for l, r in roles.items():
-            sigma_low[l] = r
-            sigma_high[l] = r
-        sigma_low[tail_m], sigma_low[head_m] = 3, z
-        sigma_high[head_m], sigma_high[tail_m] = 3, z
-        boundary_map[(t_m, head_m)] = (k, z, tuple(sigma_low))
-        boundary_map[(t_m, tail_m)] = (k + 1, z, tuple(sigma_high))
-
-    extra = [(((k, 3)), (k + 1, 3, (0, 1, 2, 3)))]
-    return _rebuild(tri.n, tri, tuple(tets), boundary_map, extra, tri.n - 1)
+    return _retriangulate(tri, old, [(0, 1, 2, 3), (0, 1, 2, 4)])
 
 
 def applicable_moves(tri: Triangulation) -> list[tuple[str, int]]:

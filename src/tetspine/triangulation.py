@@ -18,6 +18,7 @@ class, and the disc-complex sweep that summarises any normal surface
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -475,11 +476,14 @@ class Triangulation:
 # ---- text format --------------------------------------------------------------------
 
 
-def _ascii_int(text: str) -> int:
+def _ascii_int(text: str, message: str, lineno: int, col: int) -> int:
     """int(text), refusing all but ASCII decimal digits: no sign, no underscore."""
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"not ASCII decimal digits: {text!r}")
-    return int(text)
+    try:
+        if text.isascii() and text.isdigit():
+            return int(text)
+    except ValueError:  # more digits than int() reads
+        pass
+    raise ParseError(message, lineno, col)
 
 
 def parse_triangulation(text: str) -> Triangulation:
@@ -489,48 +493,44 @@ def parse_triangulation(text: str) -> Triangulation:
     `g <tet> <face> <tet'> <face'> <p0p1p2p3>` line per glued slot direction.
     Both directions of every gluing must be present and mutually inverse, so
     a file with other than 4N gluing lines is refused before any table of
-    size N is built.
+    size N is built. An error names the line and the column of the token at
+    fault, or of the line's first token when the line as a whole is.
     """
     n: int | None = None
     header = 0
     gluings: dict[tuple[int, int], tuple[int, int, Perm]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        spans = [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", raw.split("#", 1)[0])]
+        if not spans:
             continue
-        tokens = line.split()
+        cols, tokens = zip(*spans)
         if tokens[0] == "tets:":
             if n is not None:
-                raise ParseError("duplicate tets: header", lineno, 1)
+                raise ParseError("duplicate tets: header", lineno, cols[0])
             if len(tokens) != 2:
-                raise ParseError("tets: header takes one count", lineno, 1)
-            try:
-                n = _ascii_int(tokens[1])
-            except ValueError:
-                raise ParseError(f"bad tetrahedron count {tokens[1]!r}", lineno, len(tokens[0]) + 2)
+                raise ParseError("tets: header takes one count", lineno, cols[0])
+            n = _ascii_int(tokens[1], f"bad tetrahedron count {tokens[1]!r}", lineno, cols[1])
             if n < 1:
-                raise ParseError("tetrahedron count must be positive", lineno, len(tokens[0]) + 2)
+                raise ParseError("tetrahedron count must be positive", lineno, cols[1])
             header = lineno
             continue
         if tokens[0] == "g":
             if n is None:
-                raise ParseError("gluing line before tets: header", lineno, 1)
+                raise ParseError("gluing line before tets: header", lineno, cols[0])
             if len(tokens) != 6:
-                raise ParseError("gluing line needs 5 fields after g", lineno, 1)
-            col = raw.index(tokens[0]) + 1
-            try:
-                t, f, t2, f2 = (_ascii_int(x) for x in tokens[1:5])
-            except ValueError:
-                raise ParseError("gluing fields must be integers", lineno, col)
+                raise ParseError("gluing line needs 5 fields after g", lineno, cols[0])
+            t, f, t2, f2 = (
+                _ascii_int(x, "gluing fields must be integers", lineno, col)
+                for col, x in zip(cols[1:5], tokens[1:5])
+            )
             word = tokens[5]
             if len(word) != 4 or sorted(word) != list("0123"):
-                raise ParseError(f"bad permutation {word!r}", lineno, col)
-            perm = tuple(int(c) for c in word)
+                raise ParseError(f"bad permutation {word!r}", lineno, cols[5])
             if (t, f) in gluings:
-                raise ParseError(f"duplicate gluing for slot ({t},{f})", lineno, col)
-            gluings[(t, f)] = (t2, f2, perm)
+                raise ParseError(f"duplicate gluing for slot ({t},{f})", lineno, cols[1])
+            gluings[(t, f)] = (t2, f2, tuple(int(c) for c in word))
             continue
-        raise ParseError(f"unrecognized line {tokens[0]!r}", lineno, 1)
+        raise ParseError(f"unrecognized line {tokens[0]!r}", lineno, cols[0])
     if n is None:
         raise ParseError("missing tets: header", 0, 0)
     if len(gluings) != 4 * n:

@@ -144,6 +144,7 @@ def test_walk_yields_each_step():
         assert abs(cur.n - prev.n) <= 1
 
 
+@pytest.fixture(scope="module")
 def move_subjects():
     """The fixtures in file order, the coprime T_(p,q) with 4 <= p <= 9, and
     eight walk descendants each of DOUBLE, CUSPED and T_7_2 at seeds 1-3."""
@@ -159,14 +160,13 @@ def move_subjects():
     return subjects
 
 
-def test_move_outputs_are_frozen():
+def test_move_outputs_are_frozen(move_subjects):
     # every 2-3 move at every triangle class, then every 3-2 move at every
     # edge class, of each subject: the serialized table, or the refusal's
     # type and message. A change to any move's output must be deliberate,
     # and must update the digest with it
-    subjects = move_subjects()
     results = []
-    for tri in subjects:
+    for tri in move_subjects:
         attempts = [(pachner_23, i) for i in range(len(tri.triangle_classes))]
         attempts += [(pachner_32, i) for i in range(len(tri.edge_classes))]
         for move, idx in attempts:
@@ -175,7 +175,7 @@ def test_move_outputs_are_frozen():
             except TetspineError as exc:
                 results.append(f"{type(exc).__name__}: {exc}")
     refused = sum(not r.startswith("tets:") for r in results)
-    assert (len(subjects), len(results), refused) == (103, 1524, 630)
+    assert (len(move_subjects), len(results), refused) == (103, 1524, 630)
     digest = hashlib.sha256("\0".join(results).encode()).hexdigest()
     assert digest == "c2b9397970b473fe9283a259af0c43212dcee899a41685bb9f32f30e52dd9138"
 
@@ -214,13 +214,13 @@ def expected_degrees(tri, kind, idx):
     return {slot // 6 for slot in central.slots}, deg2, 0
 
 
-def test_moves_change_edge_degrees_and_keep_vertex_links():
+def test_moves_change_edge_degrees_and_keep_vertex_links(move_subjects):
     # an oracle that knows only the input's edge classes and vertex links:
     # the output's edge degrees, as a multiset and slot by slot on every
     # surviving tetrahedron (survivors keep their order), and its multiset of
     # vertex links
     done = Counter()
-    for tri in move_subjects():
+    for tri in move_subjects:
         links = Counter((lk.chi, lk.orientable) for lk in tri.vertex_links)
         for kind, idx in applicable_moves(tri):
             move = pachner_23 if kind == "23" else pachner_32

@@ -76,16 +76,24 @@ def test_serialize_comment_and_blank_lines():
         # int() reads Arabic-Indic, full-width and other Unicode decimal digits
         ("tets: \u0661", 1, "col 7: bad tetrahedron count"),
         ("tets: \uff11", 1, "col 7: bad tetrahedron count"),
-        ("tets: 1\ng \u0660 0 0 1 1230", 2, "col 1: gluing fields must be integers"),
+        ("tets: 1\ng \u0660 0 0 1 1230", 2, "col 3: gluing fields must be integers"),
         # and signs and underscores, which the serializer never writes; a
         # negative field fails here, before any GluingError
         ("tets: +1", 1, "col 7: bad tetrahedron count"),
         ("tets: -1", 1, "col 7: bad tetrahedron count"),
         ("tets: 1_0", 1, "col 7: bad tetrahedron count"),
-        ("tets: 1\ng 0_0 0 0 1 1230", 2, "col 1: gluing fields must be integers"),
-        ("tets: 1\ng +0 0 0 1 1230", 2, "col 1: gluing fields must be integers"),
-        ("tets: 1\ng 0 -0 0 1 1230", 2, "col 1: gluing fields must be integers"),
-        ("tets: 1\n  g 0 0 -1 1 1230", 2, "col 3: gluing fields must be integers"),
+        ("tets: 1\ng 0_0 0 0 1 1230", 2, "col 3: gluing fields must be integers"),
+        ("tets: 1\ng +0 0 0 1 1230", 2, "col 3: gluing fields must be integers"),
+        ("tets: 1\ng 0 -0 0 1 1230", 2, "col 5: gluing fields must be integers"),
+        # each error names the column of the token at fault
+        ("tets: 1\n  g 0 0 -1 1 1230", 2, "col 9: gluing fields must be integers"),
+        ("tets: 1\ng 0 0 0 x 1230", 2, "col 9: gluing fields must be integers"),
+        ("tets:    x", 1, "col 10: bad tetrahedron count"),
+        ("  tets: x", 1, "col 9: bad tetrahedron count"),
+        ("\ttets:\t0", 1, "col 8: tetrahedron count must be positive"),
+        ("tets: 1\ng 0 0 0 1  12a3", 2, "col 12: bad permutation"),
+        ("tets: 1\ng 0 0 0 1 1230\n g  0 0 0 1 1230", 3, "col 5: duplicate gluing"),
+        ("tets: 1\n   bogus line", 2, "col 4: unrecognized"),
         ("tets: 1\ntets: 1", 2, "duplicate tets"),
         ("tets: 1 2", 1, "one count"),
         ("g 0 0 0 1 1230", 1, "before tets"),
