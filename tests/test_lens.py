@@ -1,4 +1,5 @@
 import hashlib
+import random
 import time
 from math import gcd
 
@@ -148,6 +149,34 @@ def test_frozen_gluings_past_25():
         digest.update(serialize_triangulation(build_Tpq(p, q)).encode())
     assert digest.hexdigest() == (
         "3a76ded51166ee109804ec08c14fe70aa83f700631c8b0ca3833c338130a53d1"
+    )
+
+
+def large_build_sample():
+    """200 coprime (p, q) with 61 <= p <= 1000, drawn by a seeded random():
+    q is within 9 of 1 or p in every fourth draw, for long words, and uniform
+    in the rest; then the two subjects with S = S_MAX."""
+    rng = random.Random(21)
+    pairs = []
+    while len(pairs) < 200:
+        p = 61 + int(rng.random() * 940)
+        if len(pairs) % 4 == 3:
+            q = 1 + int(rng.random() * 9)
+            q = q if rng.random() < 0.5 else p - q
+        else:
+            q = 1 + int(rng.random() * (p - 1))
+        if gcd(p, q) == 1 and (p, q) not in pairs and lens_params(p, q).S <= S_MAX:
+            pairs.append((p, q))
+    return pairs + [(S_MAX, 1), (S_MAX, S_MAX - 1)]
+
+
+def test_frozen_gluings_of_large_builds():
+    # the same pin on the sample, in its order
+    digest = hashlib.sha256()
+    for p, q in large_build_sample():
+        digest.update(serialize_triangulation(build_Tpq(p, q)).encode())
+    assert digest.hexdigest() == (
+        "eda2be7234c9c3510a4697f1e78b567200a094d73743d917c970b5145eebf5b5"
     )
 
 
