@@ -22,14 +22,7 @@ from .errors import (
 )
 from .golden import GoldenInt
 from .homology import h1
-from .triangulation import (
-    FACE_EDGES,
-    FACE_VERTS,
-    SignedEdgeUnion,
-    Triangulation,
-    edge_slot,
-    perm_inverse,
-)
+from .triangulation import Triangulation, perm_inverse
 
 Pair = tuple[int, int]
 
@@ -144,110 +137,90 @@ def t_expected(p: int, q: int) -> GoldenInt:
 
 # The labeling choices for the folds and layers are not free: they were
 # fixed once by searching the whole choice space (which faces the first fold
-# joins and by which permutation, which free face starts as boundary slot A,
-# the x/y roles, the endpoint labeling of each layer, which fresh face becomes
-# the new slot A, and the closing corner map) for the assignment under which
-# the finished triangulations pass the self-check battery (tetrahedron count,
-# single vertex, first homology, census counts) on a spread of (p, q) inputs.
+# joins and by which permutation, which free face starts as boundary triangle
+# A, the x/y roles, the endpoint labeling of each layer, which fresh face
+# becomes the new triangle A, and the closing corner map) for the assignment
+# under which the finished triangulations pass the self-check battery
+# (tetrahedron count, single vertex, first homology, census counts) on a
+# spread of (p, q) inputs. The first two are the constants below, the rest
+# are written out in _build_layered.
 _INIT_PERM = (1, 2, 3, 0)  # folds face 0 of tetrahedron 0 onto face 1
-_ROLES_R = (1, 2)  # (x, y) edge indices on slot A when the first letter is r
-# corner images of the closing fold, keyed by the last-applied letter word[0]
-_CLOSE_RULE = {
-    "r": {"xy": "yd", "xd": "xd", "yd": "xy"},
-    "l": {"xy": "xd", "xd": "xy", "yd": "yd"},
-}
-
-
-def _resolve_roles(
-    union: SignedEdgeUnion,
-    slot: tuple[int, int],
-    role_x: tuple[int, int, int],
-    role_y: tuple[int, int, int],
-) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
-    """The x-role, y-role, and diagonal edge of one boundary triangle."""
-    t, f = slot
-    rx = union.find(edge_slot(*role_x))[0]
-    ry = union.find(edge_slot(*role_y))[0]
-    ex = ey = ed = None
-    for (u, v) in FACE_EDGES[f]:
-        r = union.find(edge_slot(t, u, v))[0]
-        if r == rx:
-            ex = (u, v)
-        elif r == ry:
-            ey = (u, v)
-        else:
-            ed = (u, v)
-    if ex is None or ey is None or ed is None:
-        raise ConstructionInvariantError(
-            "boundary triangle does not meet all three torus edge classes"
-        )
-    return ex, ey, ed
+# the x, y and d edges of boundary triangles A = face 2 and B = face 3 of the
+# folded tetrahedron when the first letter is r, as vertex pairs on A and on
+# B: the fold carries edge (1, 2) onto (2, 3), that onto (3, 0), and (1, 3)
+# onto (2, 0)
+_INIT_ROLES = (((0, 3), (2, 1)), ((1, 3), (2, 0)), ((0, 1), (0, 1)))
+# the role a letter buries: y for r, x for l
+_BURY = {"r": 1, "l": 0}
 
 
 def _build_layered(params: LensParams) -> Triangulation:
+    """Glue the layers of T_(p,q), tracking only the two boundary triangles.
+
+    Each boundary triangle holds its x, y and d edges (roles 0, 1, 2) as
+    vertex pairs, each running the same way as its copy on the other
+    triangle. A layer buries the letter's role k: the new tetrahedron's edge
+    (0, 1) is glued along it, its face 3 onto A and its face 2 onto B. The
+    other two roles carry over through the inverse gluings, onto the new
+    tetrahedron's edges to vertex 2 (from A) or to vertex 3 (from B). Its
+    face 0 becomes the new A and takes the carried edges that hold vertex 1,
+    and its face 1 the new B and those that hold vertex 0. The other of x
+    and y keeps its role, the old d takes role k, and (2, 3) is the new d on
+    both.
+
+    The two carried edges of a new face have different roles, so no check
+    is needed. The boundary torus has one vertex, and around it an edge end
+    lies in one corner of A and one of B, next to ends of the other two
+    edges, one in each corner. Vertex 0 of the new tetrahedron is the tail
+    of the buried edge on both triangles, and vertex 1 its head, so the
+    edges carried to either come from the two corners there: one from each
+    of the other two roles.
+    """
     word = params.word
     gluings: dict = {}
-    # the edge classes of the layers glued so far, kept across all layers
-    union = SignedEdgeUnion(1)
 
     def glue(ta: int, fa: int, tb: int, fb: int, perm: tuple) -> None:
         gluings[(ta, fa)] = (tb, fb, perm)
         gluings[(tb, fb)] = (ta, fa, perm_inverse(perm))
-        union.glue(ta, fa, tb, perm)
 
     # initial block: one tetrahedron with two faces folded together
     glue(0, 0, 0, 1, _INIT_PERM)
-    sa, sb = (0, 2), (0, 3)
+    (ta, fa), (tb, fb) = (0, 2), (0, 3)
+    x, y, d = _INIT_ROLES
+    roles = [x, y, d] if word[-1] == "r" else [y, x, d]
     n = 1
 
-    first = word[-1]
-    edges_sa = FACE_EDGES[sa[1]]
-    ix, iy = _ROLES_R if first == "r" else (_ROLES_R[1], _ROLES_R[0])
-    role_x = (sa[0], *edges_sa[ix])
-    role_y = (sa[0], *edges_sa[iy])
-
-    # middle letters, one layered tetrahedron each, right to left
+    # middle letters, one layered tetrahedron each, right to left; the
+    # vertices of face f sum to 6 - f, so its vertex off edge (u, v) is
+    # 6 - f - u - v
     for ch in reversed(word[1:-1]):
-        exa, eya, eda = _resolve_roles(union, sa, role_x, role_y)
-        exb, eyb, _ = _resolve_roles(union, sb, role_x, role_y)
-        bury_a, bury_b = (eya, eyb) if ch == "r" else (exa, exb)
-        ta, fa = sa
-        tb, fb = sb
-        third_a = next(v for v in FACE_VERTS[fa] if v not in bury_a)
-        third_b = next(v for v in FACE_VERTS[fb] if v not in bury_b)
-        # both buried edges lie in one class; b's endpoints are swapped when
-        # its ascending order runs against a's
-        if union.find(edge_slot(ta, *bury_a))[1] == union.find(edge_slot(tb, *bury_b))[1]:
-            b_pair = bury_b
-        else:
-            b_pair = (bury_b[1], bury_b[0])
-        union.add_tetrahedron()
-        glue(n, 3, ta, fa, (bury_a[0], bury_a[1], third_a, fa))
-        glue(n, 2, tb, fb, (b_pair[0], b_pair[1], fb, third_b))
-        if ch == "r":
-            role_y = (ta, *eda)
-        else:
-            role_x = (ta, *eda)
-        sa, sb = (n, 0), (n, 1)
+        k = _BURY[ch]
+        (ua, va), (ub, vb) = roles[k]
+        bury_a, b_pair = ((ua, va), (ub, vb)) if ua < va else ((va, ua), (vb, ub))
+        perm_a = (*bury_a, 6 - fa - ua - va, fa)
+        perm_b = (*b_pair, fb, 6 - fb - ub - vb)
+        glue(n, 3, ta, fa, perm_a)
+        glue(n, 2, tb, fb, perm_b)
+        inv_a, inv_b = perm_inverse(perm_a), perm_inverse(perm_b)
+        carried = [[None, None], [None, None], [(2, 3), (2, 3)]]
+        for j, role in ((1 - k, 1 - k), (2, k)):
+            (pa, qa), (pb, qb) = roles[j]
+            for u, v in ((inv_a[pa], inv_a[qa]), (inv_b[pb], inv_b[qb])):
+                carried[role][0 if 1 in (u, v) else 1] = (u, v)
+        roles = carried
+        (ta, fa), (tb, fb) = (n, 0), (n, 1)
         n += 1
 
-    # final letter: fold the two boundary triangles onto each other
-    exa, eya, eda = _resolve_roles(union, sa, role_x, role_y)
-    exb, eyb, edb = _resolve_roles(union, sb, role_x, role_y)
-    corners_a = {
-        "xy": (set(exa) & set(eya)).pop(),
-        "xd": (set(exa) & set(eda)).pop(),
-        "yd": (set(eya) & set(eda)).pop(),
-    }
-    corners_b = {
-        "xy": (set(exb) & set(eyb)).pop(),
-        "xd": (set(exb) & set(edb)).pop(),
-        "yd": (set(eyb) & set(edb)).pop(),
-    }
-    rule = _CLOSE_RULE[word[0]]
-    vmap = {corners_a[name]: corners_b[rule[name]] for name in ("xy", "xd", "yd")}
-    vmap[sa[1]] = sb[1]
-    glue(sa[0], sa[1], sb[0], sb[1], tuple(vmap[k] for k in range(4)))
+    # final letter: fold A onto B. The corner opposite each role on A goes to
+    # the corner opposite its image on B; the letter's role k is its own
+    # image, and the other two roles swap.
+    k = _BURY[word[0]]
+    vmap = [0, 0, 0, 0]
+    vmap[fa] = fb
+    for i, (pair_a, _) in enumerate(roles):
+        pair_b = roles[k if i == k else 3 - k - i][1]
+        vmap[6 - fa - sum(pair_a)] = 6 - fb - sum(pair_b)
+    glue(ta, fa, tb, fb, tuple(vmap))
     return Triangulation(n, gluings)
 
 

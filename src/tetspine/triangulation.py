@@ -8,12 +8,12 @@ Partially glued and disconnected complexes are rejected, so the underlying
 space is a connected closed or ideal pseudo-manifold.
 
 Edge classes come from a signed union-find over the gluings
-(`SignedEdgeUnion`), fed each glued face pair once; it can be read between
-gluings, so the layered lens build keeps one across all its layers. Vertex
-classes and vertex links come from one normal surface, the one with a
-triangle at every corner: its components are the links, one per vertex
-class, and the disc-complex sweep that summarises any normal surface
-(`surfaces`) gives their Euler characteristics and orientability.
+(`SignedEdgeUnion`), fed each glued face pair once by the constructor, the
+one place edge classes are built. Vertex classes and vertex links come from
+one normal surface, the one with a triangle at every corner: its components
+are the links, one per vertex class, and the disc-complex sweep that
+summarises any normal surface (`surfaces`) gives their Euler characteristics
+and orientability.
 """
 
 from __future__ import annotations
@@ -91,27 +91,20 @@ def edge_slot(t: int, u: int, v: int) -> int:
 
 
 class SignedEdgeUnion:
-    """Signed classes of edge slots under face gluings, built incrementally.
+    """Signed classes of edge slots under face gluings.
 
-    A union-find over the 6n edge slots of the tetrahedra added so far: add a
-    tetrahedron, glue a face, and read the classes at any point. A root's
-    flip is 0; flip[s] is 1 when slot s's ascending vertex order runs
-    against its parent's. Feeding each glued face pair once is enough, since
-    its reverse direction joins the same slots with the same parities.
+    A union-find over the 6n edge slots of n tetrahedra: glue faces one at a
+    time, and read the classes at any point between gluings. A root's flip
+    is 0; flip[s] is 1 when slot s's ascending vertex order runs against its
+    parent's. Feeding each glued face pair once is enough, since its reverse
+    direction joins the same slots with the same parities.
     """
 
     __slots__ = ("parent", "flip")
 
-    def __init__(self, n: int = 0) -> None:
+    def __init__(self, n: int) -> None:
         self.parent = list(range(6 * n))
         self.flip = [0] * (6 * n)
-
-    def add_tetrahedron(self) -> int:
-        """Add six open edge slots; returns the new tetrahedron's index."""
-        t = len(self.parent) // 6
-        self.parent.extend(range(6 * t, 6 * t + 6))
-        self.flip.extend((0, 0, 0, 0, 0, 0))
-        return t
 
     def find(self, s: int) -> tuple[int, int]:
         """(root, flip of slot s against it), compressing the path on the way."""
@@ -173,7 +166,8 @@ class EdgeClass:
 
     slots are global edge-slot indices sorted ascending. The class is
     oriented by the ascending vertex order of its representative slot
-    slots[0]; `Triangulation.edge_sign_of` gives each slot's sign against it.
+    slots[0]; the third table of `Triangulation._edge_data`, indexed by edge
+    slot, gives each slot's sign against it.
     """
 
     index: int
@@ -314,10 +308,6 @@ class Triangulation:
 
     def edge_class_of(self, t: int, u: int, v: int) -> int:
         return self._edge_data[1][edge_slot(t, u, v)]
-
-    def edge_sign_of(self, t: int, u: int, v: int) -> int:
-        """+1 when slot ascending order matches the class orientation."""
-        return self._edge_data[2][edge_slot(t, u, v)]
 
     @cached_property
     def _vertex_data(self) -> tuple[tuple[VertexClass, ...], tuple[VertexLinkSurface, ...]]:

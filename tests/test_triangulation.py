@@ -339,7 +339,7 @@ def test_edge_classes_match_naive_closure(name):
         for slot in ec.slots:
             t, (u, v) = slot // 6, EDGE_PAIRS[slot % 6]
             sign = 1 if orbit[(t, u, v)] == forward else -1
-            assert tri.edge_sign_of(t, u, v) == sign, (name, slot)
+            assert tri._edge_data[2][slot] == sign, (name, slot)
 
 
 def reference_signed_edge_classes(n, gluings):
@@ -431,31 +431,26 @@ def test_edge_union_fed_each_pair_once_matches_the_whole_table_routine():
 
 
 def test_edge_union_resumes_between_gluings():
-    # tetrahedra added as they are first needed and faces glued in a random
-    # order: after every gluing the classes equal the whole-table routine on
-    # the gluings so far, both directions of each
+    # faces glued in a random order: after every gluing the classes equal the
+    # whole-table routine on the gluings so far, both directions of each
     rng = random.Random(12)
     for _ in range(300):
         n = rng.randint(1, 4)
         gluings = random_face_pairing(rng, n)
         pairs = [(a, b) for a, b in gluings.items() if a < b[:2]]
         rng.shuffle(pairs)
-        union = SignedEdgeUnion()
-        size = 0
+        union = SignedEdgeUnion(n)
         fed = []
         for (t, f), (t2, f2, perm) in pairs:
-            while size <= max(t, t2):
-                assert union.add_tetrahedron() == size
-                size += 1
             fed += [((t, f), (t2, f2, perm)), ((t2, f2), (t, f, perm_inverse(perm)))]
             try:
                 union.glue(t, f, t2, perm)
             except GluingError as exc:
                 with pytest.raises(GluingError) as want:
-                    reference_signed_edge_classes(size, fed)
+                    reference_signed_edge_classes(n, fed)
                 assert str(exc) == str(want.value)
                 break
-            assert union.classes() == reference_signed_edge_classes(size, fed)
+            assert union.classes() == reference_signed_edge_classes(n, fed)
 
 
 def oracle_vertex_partition(tri):
@@ -496,7 +491,7 @@ def test_class_accessors_are_consistent():
         for u, v in EDGE_PAIRS:
             idx = tri.edge_class_of(t, u, v)
             assert edge_slot(t, u, v) in tri.edge_classes[idx].slots
-            assert tri.edge_sign_of(t, u, v) in (-1, 1)
+            assert tri._edge_data[2][edge_slot(t, u, v)] in (-1, 1)
         for f in range(4):
             tc = tri.triangle_classes[tri.triangle_class_of(t, f)]
             assert (t, f) in (tc.rep, tc.other)
@@ -507,9 +502,7 @@ def test_edge_sign_of_rep_is_positive():
     for text in ALL_FIXTURES.values():
         tri = load(text)
         for ec in tri.edge_classes:
-            rep = ec.rep
-            t, pair = rep // 6, EDGE_PAIRS[rep % 6]
-            assert tri.edge_sign_of(t, *pair) == 1
+            assert tri._edge_data[2][ec.rep] == 1
 
 
 # ---- vertex links -------------------------------------------------------------------
