@@ -1,7 +1,9 @@
 import gc
+import hashlib
 import itertools
 import random
 import weakref
+from math import gcd
 
 import pytest
 
@@ -9,8 +11,9 @@ from fixtures_data import CUSPED, DOUBLE, RP2LINK, S3_ONE_TET, T41, T52, TWO_KLE
 from spine_oracles import surface_space_nullity, universal_subpolyhedron
 from tetspine.errors import EnumerationBudgetError, NotSimpleError
 from tetspine.golden import EPS, GoldenInt, ONE
+from tetspine.homology import h1
 from tetspine.lens import build_Tpq
-from tetspine.moves import random_pachner_walk
+from tetspine.moves import SplitMix64, iter_pachner_walk, random_pachner_walk
 from tetspine.spine import (
     DEFAULT_FACE_BUDGET,
     SubPolyhedron,
@@ -287,6 +290,38 @@ def test_t_manifold_frozen_values():
     assert t_manifold(parse_triangulation(CUSPED)) == ONE  # ideal: no division
     assert str(t_manifold(build_Tpq(7, 2))) == "1+e"
     assert str(t_manifold(build_Tpq(5, 1))) == "2+e"
+
+
+def invariant_subjects():
+    """331 triangulations: the 124 coprime T_(p,q) with 4 <= p <= 20, the 7
+    fixtures, and the 200 walk descendants that `verify existence --seeds 5
+    --steps 10` visits (its bases, in order, each walked with the next seed
+    of SplitMix64(0))."""
+    subjects = [build_Tpq(p, q) for p in range(4, 21) for q in range(1, p) if gcd(p, q) == 1]
+    subjects += [
+        parse_triangulation(text)
+        for text in (T41, T52, S3_ONE_TET, DOUBLE, CUSPED, RP2LINK, TWO_KLEIN)
+    ]
+    master = SplitMix64(0)
+    for p, q in ((4, 1), (5, 1), (5, 2), (7, 2)):
+        base = build_Tpq(p, q)
+        for _ in range(5):
+            subjects += iter_pachner_walk(base, 10, master.next())
+    return subjects
+
+
+def test_frozen_invariants_of_331_subjects():
+    # t of the spine, t of the manifold and, when closed, H1, in subject order
+    digest = hashlib.sha256()
+    subjects = invariant_subjects()
+    assert len(subjects) == 331
+    for tri in subjects:
+        digest.update(f"{t_spine(dual_spine(tri))}\0{t_manifold(tri)}\0".encode())
+        if tri.is_closed:
+            digest.update(f"{h1(tri)}\0".encode())
+    assert digest.hexdigest() == (
+        "79a541e592b554d8943f411249f5e05115b0f0eaffd928526cb3ee7952d2ede2"
+    )
 
 
 def test_t_spine_stable_under_relabeling():
