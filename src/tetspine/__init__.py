@@ -15,7 +15,6 @@ from .errors import (
     InvariantDivisionError,
     MatchingViolationError,
     MoveNotApplicableError,
-    NonUnitPowerError,
     NotASurfaceError,
     NotClosedError,
     NotSimpleError,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from .errors import (
@@ -36,11 +37,10 @@ def _load(path: str) -> Triangulation:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        # lines end as parse_triangulation ends them; the column counts bytes
+        lines = re.split(rb"\r\n|\r|\n", data[: exc.start])
         raise ParseError(
-            f"byte {data[exc.start]:#04x} is not UTF-8 text",
-            data.count(b"\n", 0, exc.start) + 1,
-            exc.start - line_start + 1,
+            f"byte {data[exc.start]:#04x} is not UTF-8 text", len(lines), len(lines[-1]) + 1
         ) from None
     return parse_triangulation(text)
 

@@ -69,10 +69,6 @@ class MatchingViolationError(TetspineError):
     """Normal coordinates fail the arc matching equations."""
 
 
-class NonUnitPowerError(TetspineError, ArithmeticError):
-    """Negative power of a non-unit ring element."""
-
-
 class InvariantDivisionError(TetspineError):
     """Exact division required by the invariant computation failed."""
 

@@ -1,8 +1,7 @@
-"""Exact arithmetic in Z[e] where e is a root of x^2 = x + 1."""
+"""Exact arithmetic in Z[e] where e is a root of x^2 = x + 1: sums,
+products, nonnegative powers, norms and exact division."""
 
 from __future__ import annotations
-
-from .errors import NonUnitPowerError
 
 
 class GoldenInt:
@@ -71,10 +70,10 @@ class GoldenInt:
     def __pow__(self, k: int) -> GoldenInt:
         if not isinstance(k, int):
             return NotImplemented
-        base = self
         if k < 0:
-            base = self.inverse()
-            k = -k
+            # refused up front: -1 >> 1 == -1, so the loop below would not end
+            raise ValueError(f"negative power {k}; divide with divexact")
+        base = self
         result = GoldenInt(1)
         while k:
             if k & 1:
@@ -90,19 +89,6 @@ class GoldenInt:
     def conj(self) -> GoldenInt:
         """Image under e -> 1 - e, the nontrivial ring automorphism."""
         return GoldenInt(self._a + self._b, -self._b)
-
-    def is_unit(self) -> bool:
-        return abs(self.norm()) == 1
-
-    def inverse(self) -> GoldenInt:
-        if not self:
-            raise ZeroDivisionError("inverse of zero")
-        n = self.norm()
-        if n == 1:
-            return self.conj()
-        if n == -1:
-            return -self.conj()
-        raise NonUnitPowerError(f"{self} has norm {n}, not a unit")
 
     def __str__(self) -> str:
         a, b = self._a, self._b

@@ -162,23 +162,17 @@ def h1(tri: Triangulation) -> tuple[int, list[int]]:
     ne = len(edges)
 
     # boundary of triangle classes: the representative face's oriented edge
-    # cycle, each edge compared against its class orientation; a triangle
-    # class's representative is its first slot in (tetrahedron, face) order
+    # cycle, each edge compared against its class orientation
     d2: list[dict[int, int]] = [{} for _ in range(ne)]
-    column = 0
-    for t in range(tri.n):
-        for f in range(4):
-            t2, f2, _ = tri.gluing(t, f)
-            if (t2, f2) < (t, f):
-                continue
-            a, b, c = FACE_VERTS[f]
-            for u, v in ((a, b), (b, c), (c, a)):
-                slot = 6 * t + _PAIR_OFFSET[u][v]
-                row = d2[edge_class_of[slot]]
-                row[column] = row.get(column, 0) + (
-                    edge_sign_of[slot] if u < v else -edge_sign_of[slot]
-                )
-            column += 1
+    for column, tc in enumerate(tri.triangle_classes):
+        t, f = tc.rep
+        a, b, c = FACE_VERTS[f]
+        for u, v in ((a, b), (b, c), (c, a)):
+            slot = 6 * t + _PAIR_OFFSET[u][v]
+            row = d2[edge_class_of[slot]]
+            row[column] = row.get(column, 0) + (
+                edge_sign_of[slot] if u < v else -edge_sign_of[slot]
+            )
 
     rank1 = len(tri.vertex_classes) - 1
     div2 = sparse_smith_diagonal(d2)

@@ -31,6 +31,8 @@ from .triangulation import FACE_VERTS, Triangulation
 
 DEFAULT_FACE_BUDGET = 40
 BUDGET_ENV_VAR = "SPINE_FACE_BUDGET"
+# e * (e - 1) = e^2 - e = 1, so e^-1 = e - 1 and e^k = (e - 1)^-k for k < 0
+_EPS_INVERSE = GoldenInt(-1, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,8 +191,12 @@ def enumerate_simple_subpolyhedra(spine: SpecialSpine) -> list[SubPolyhedron]:
 def t_spine(spine: SpecialSpine) -> GoldenInt:
     """Signed sum of eps^(chi(Q) - v_Q) over all simple subpolyhedra Q.
 
-    The terms are first gathered into a histogram, exponent -> signed count,
-    so the ring arithmetic runs once per distinct exponent, not per Q.
+    The exponent is negative when Q holds more spine vertices than its Euler
+    characteristic, as the whole spine of a one-vertex closed triangulation
+    of n >= 2 tetrahedra does (chi = 1, v_Q = n); eps^k is then taken as
+    (eps - 1)^-k. The terms are first gathered into a histogram, exponent ->
+    signed count, so the ring arithmetic runs once per distinct exponent,
+    not per Q.
     """
     counts: dict[int, int] = {}
     for q in enumerate_simple_subpolyhedra(spine):
@@ -198,7 +204,7 @@ def t_spine(spine: SpecialSpine) -> GoldenInt:
         counts[k] = counts.get(k, 0) + (-1 if q.v_q % 2 else 1)
     total = ZERO
     for k, c in counts.items():
-        total = total + c * EPS ** k
+        total = total + c * (EPS ** k if k >= 0 else _EPS_INVERSE ** -k)
     return total
 
 

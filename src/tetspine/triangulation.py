@@ -8,7 +8,7 @@ Partially glued and disconnected complexes are rejected, so the underlying
 space is a connected closed or ideal pseudo-manifold.
 
 Edge classes come from a signed union-find over the gluings
-(`SignedEdgeUnion`), fed each glued face pair once by the constructor, the
+(`SignedEdgeUnion`), fed each triangle class once by the constructor, the
 one place edge classes are built. Vertex classes and vertex links come from
 one normal surface, the one with a triangle at every corner: its components
 are the links, one per vertex class, and the disc-complex sweep that
@@ -18,6 +18,7 @@ and orientability.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -58,21 +59,7 @@ def perm_compose(p: Perm, q: Perm) -> Perm:
     return (p[q[0]], p[q[1]], p[q[2]], p[q[3]])
 
 
-def _all_perms() -> tuple[Perm, ...]:
-    perms = []
-    for a in range(4):
-        for b in range(4):
-            if b == a:
-                continue
-            for c in range(4):
-                if c in (a, b):
-                    continue
-                d = 6 - a - b - c
-                perms.append((a, b, c, d))
-    return tuple(perms)
-
-
-ALL_PERMS: tuple[Perm, ...] = _all_perms()
+ALL_PERMS: tuple[Perm, ...] = tuple(itertools.permutations(range(4)))
 # Permutations as indices into ALL_PERMS, which is in lexicographic order, so
 # index order is tuple order. _COMPOSE[24 * i + j] is the index of
 # perm_compose(ALL_PERMS[i], ALL_PERMS[j]) and _INVERSE[i] that of the inverse.
@@ -291,10 +278,8 @@ class Triangulation:
     @cached_property
     def _edge_data(self) -> tuple[tuple[EdgeClass, ...], list[int], list[int]]:
         union = SignedEdgeUnion(self.n)
-        for t, row in enumerate(self._table):
-            for f, (t2, f2, perm) in enumerate(row):
-                if t < t2 or (t == t2 and f < f2):
-                    union.glue(t, f, t2, perm)
+        for tc in self.triangle_classes:
+            union.glue(tc.rep[0], tc.rep[1], tc.other[0], tc.perm)
         class_of, sign_of = union.classes()
         members: list[list[int]] = [[] for _ in range(max(class_of) + 1)]
         for slot, idx in enumerate(class_of):
@@ -345,16 +330,13 @@ class Triangulation:
 
     @cached_property
     def triangle_classes(self) -> tuple[TriangleClass, ...]:
+        """One class per glued pair of face slots, in order of its
+        representative, the pair's smaller slot in (tetrahedron, face) order."""
         classes = []
-        seen = set()
-        for t in range(self.n):
-            for f in range(4):
-                if (t, f) in seen:
-                    continue
-                t2, f2, perm = self._table[t][f]
-                seen.add((t, f))
-                seen.add((t2, f2))
-                classes.append(TriangleClass(len(classes), (t, f), (t2, f2), perm))
+        for t, row in enumerate(self._table):
+            for f, (t2, f2, perm) in enumerate(row):
+                if (t, f) < (t2, f2):
+                    classes.append(TriangleClass(len(classes), (t, f), (t2, f2), perm))
         return tuple(classes)
 
     @cached_property
@@ -479,8 +461,10 @@ def _ascii_int(text: str, message: str, lineno: int, col: int) -> int:
 def parse_triangulation(text: str) -> Triangulation:
     """Parse the gluing-table text format.
 
-    Lines: optional `# comment`, one `tets: N` header, then one
-    `g <tet> <face> <tet'> <face'> <p0p1p2p3>` line per glued slot direction.
+    Lines, ended by LF, CR LF or a lone CR: optional `# comment`, one
+    `tets: N` header, then one `g <tet> <face> <tet'> <face'> <p0p1p2p3>` line
+    per glued slot direction. Other characters that str.splitlines() breaks
+    at, such as U+0085 or U+2028, stay within their line.
     Both directions of every gluing must be present and mutually inverse, so
     a file with other than 4N gluing lines is refused before any table of
     size N is built. An error names the line and the column of the token at
@@ -489,7 +473,7 @@ def parse_triangulation(text: str) -> Triangulation:
     n: int | None = None
     header = 0
     gluings: dict[tuple[int, int], tuple[int, int, Perm]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
         spans = [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", raw.split("#", 1)[0])]
         if not spans:
             continue

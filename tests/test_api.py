@@ -7,7 +7,7 @@ EXPORTS = {
     "CensusEntry", "ConstructionInvariantError", "EPS", "EnumerationBudgetError", "GluingError",
     "GoldenInt", "InternalLinkError", "InvalidBudgetError", "InvalidParamsError",
     "InvariantDivisionError", "LensParams", "MatchingViolationError", "MoveNotApplicableError",
-    "NonUnitPowerError", "NormalSurface", "NotASurfaceError", "NotClosedError", "NotSimpleError",
+    "NormalSurface", "NotASurfaceError", "NotClosedError", "NotSimpleError",
     "ONE", "ParseError", "SpecialSpine", "SplitMix64", "SubPolyhedron", "SurfaceReport",
     "TetspineError", "Triangulation", "UngluedFaceError", "ZERO", "applicable_moves", "apply_word",
     "build_Tpq", "census", "divexact", "dual_spine", "enumerate_simple_subpolyhedra", "h1",

@@ -427,6 +427,22 @@ def test_file_that_is_not_utf8_is_a_parse_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "data,position",
+    [
+        (b"tets: 1\r\xff", "line 2, col 1"),
+        (b"tets: 1\r\n\r\nab\xff", "line 3, col 3"),
+        # U+0085 in a comment ends no line
+        (b"# x\xc2\x85y\n\xff", "line 2, col 1"),
+    ],
+)
+def test_decode_error_counts_lines_as_the_parser_does(tmp_path, capsys, data, position):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    assert main(["invariant", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {position}: byte 0xff is not UTF-8 text\n"
+
+
 def test_negative_budget_is_a_usage_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SPINE_FACE_BUDGET", "-3")
     path = write(tmp_path, "t41.txt", T41)

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from tetspine.errors import NonUnitPowerError
 from tetspine.golden import EPS, ONE, ZERO, GoldenInt, divexact
 
 
@@ -65,26 +64,15 @@ def test_norm_and_conjugate():
 
 
 def test_units():
-    assert ONE.is_unit()
-    assert EPS.is_unit()
-    assert (-EPS).is_unit()
-    assert (EPS**7).is_unit()
-    assert EPS.inverse() == GoldenInt(-1, 1)
-    assert EPS * EPS.inverse() == ONE
-    assert EPS**-3 * EPS**3 == ONE
-    assert not GoldenInt(2, 1).is_unit()
-    assert not GoldenInt(2, 0).is_unit()
+    # e^-1 = e - 1, the identity t_spine takes negative powers through
+    assert EPS * (EPS - 1) == ONE
+    with pytest.raises(ValueError):
+        EPS**-1
 
 
 def test_non_unit_has_no_inverse():
     two_plus_eps = GoldenInt(2, 1)
     assert two_plus_eps.norm() == 5
-    with pytest.raises(NonUnitPowerError):
-        two_plus_eps.inverse()
-    with pytest.raises(NonUnitPowerError):
-        two_plus_eps**-1
-    with pytest.raises(ZeroDivisionError):
-        ZERO.inverse()
     # no x with x*(2+e) == 1 exists, as divexact confirms
     assert divexact(ONE, two_plus_eps) is None
 

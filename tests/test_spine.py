@@ -10,7 +10,7 @@ import pytest
 from fixtures_data import CUSPED, DOUBLE, RP2LINK, S3_ONE_TET, T41, T52, TWO_KLEIN
 from spine_oracles import surface_space_nullity, universal_subpolyhedron
 from tetspine.errors import EnumerationBudgetError, NotSimpleError
-from tetspine.golden import EPS, GoldenInt, ONE
+from tetspine.golden import EPS, GoldenInt, ONE, divexact
 from tetspine.homology import h1
 from tetspine.lens import build_Tpq
 from tetspine.moves import SplitMix64, iter_pachner_walk, random_pachner_walk
@@ -251,8 +251,13 @@ def test_frozen_nullities():
 # ---- t invariant --------------------------------------------------------------------
 
 
+def eps_power(k):
+    # e^k for k < 0 by exact division, not by the e^-1 = e - 1 of t_spine
+    return EPS**k if k >= 0 else divexact(ONE, EPS**-k)
+
+
 def term(q):
-    value = EPS ** (q.chi - q.v_q)
+    value = eps_power(q.chi - q.v_q)
     return -value if q.v_q % 2 else value
 
 
@@ -279,7 +284,7 @@ def test_t_spine_closed_form_for_lonely_spines():
     tri = parse_triangulation(T52)
     sp = dual_spine(tri)
     n = tri.n
-    assert t_spine(sp) == ONE + (-1) ** n * EPS ** (1 - n)
+    assert t_spine(sp) == ONE + (-1) ** n * eps_power(1 - n)
 
 
 def test_t_manifold_frozen_values():
@@ -399,7 +404,7 @@ def test_omega_subsum_is_product_over_components():
         total = sum((term(q) for q in inside), GoldenInt(0))
         prod = ONE
         for comp_mask in omega_components(sp, om):
-            prod = prod * (ONE + EPS ** subpolyhedron(sp, comp_mask).chi)
+            prod = prod * (ONE + eps_power(subpolyhedron(sp, comp_mask).chi))
         assert total == prod, text
 
 
@@ -425,8 +430,8 @@ def test_omega_only_identity_when_hypothesis_holds():
         full = subpolyhedron(sp, full_mask)
         prod = ONE
         for comp_mask in omega_components(sp, om):
-            prod = prod * (ONE + EPS ** subpolyhedron(sp, comp_mask).chi)
-        assert t_spine(sp) == (-1) ** (full.v_q % 2) * EPS ** (full.chi - full.v_q) + prod, name
+            prod = prod * (ONE + eps_power(subpolyhedron(sp, comp_mask).chi))
+        assert t_spine(sp) == (-1) ** (full.v_q % 2) * eps_power(full.chi - full.v_q) + prod, name
         checked.append(name)
     assert "TWO_KLEIN" in checked
 

@@ -47,6 +47,8 @@ def test_perm_helpers():
     # compose applies the right factor first
     assert perm_compose(p, q)[0] == p[q[0]]
     assert edge_slot(2, 3, 1) == 2 * 6 + EDGE_PAIRS.index((1, 3))
+    # canonical_form's keys compare as tuples only while this order is sorted
+    assert len(set(ALL_PERMS)) == 24 and list(ALL_PERMS) == sorted(ALL_PERMS)
 
 
 # ---- text format --------------------------------------------------------------------
@@ -66,6 +68,25 @@ def test_serialize_comment_and_blank_lines():
     text = serialize_triangulation(tri, comment="hello\nworld")
     assert text.startswith("# hello\n# world\n")
     assert load("\n\n" + text + "\n") == tri
+
+
+# characters str.splitlines() breaks at that end no line of the format
+NOT_LINE_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("char", NOT_LINE_BREAKS)
+def test_comment_keeps_characters_that_are_not_line_breaks(char):
+    assert load(f"# x{char}y\n" + T52) == load(T52)
+    with pytest.raises(ParseError, match="^line 2, col 1: unrecognized line 'bogus'$"):
+        load(f"# x{char}y\nbogus\n" + T52)
+
+
+def test_crlf_and_cr_line_ends_read_as_lf():
+    text = "# T52\n\n" + T52
+    for end in ("\r\n", "\r"):
+        assert load(text.replace("\n", end)) == load(text)
+        with pytest.raises(ParseError, match="^line 3, col 1: unrecognized"):
+            load(("# a\n\nbogus\n" + T52).replace("\n", end))
 
 
 @pytest.mark.parametrize(
