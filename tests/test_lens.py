@@ -120,6 +120,7 @@ def test_isomorphism_follows_the_lens_space_classification():
                 pairs += 1
                 same = q2 in homeomorphic
                 assert tris[q].is_isomorphic_to(tris[q2]) == same, (p, q, q2)
+                assert tris[q2].is_isomorphic_to(tris[q]) == same, (p, q2, q)
                 if same and p <= 14:
                     assert t_manifold(tris[q]) == t_manifold(tris[q2]), (p, q, q2)
                     assert h1(tris[q]) == h1(tris[q2]), (p, q, q2)

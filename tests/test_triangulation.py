@@ -1,9 +1,10 @@
+import itertools
 import random
 from math import gcd
 
 import pytest
 
-from fixtures_data import CUSPED, DOUBLE, RP2LINK, S3_ONE_TET, T41, T52
+from fixtures_data import CUSPED, DOUBLE, RP2LINK, S3_ONE_TET, T41, T52, TWO_KLEIN
 from tetspine.errors import GluingError, NotClosedError, ParseError, UngluedFaceError
 from tetspine.homology import h1, smith_diagonal, sparse_smith_diagonal
 from tetspine.lens import build_Tpq
@@ -680,6 +681,88 @@ def test_canonical_form_agrees_with_the_full_minimum():
         moved = random_relabel(tri, rng)
         assert moved.canonical_form == form, serialize_triangulation(tri)
     assert len(corpus) == 6 + 42 + 9
+
+
+def brute_isomorphic(a, b):
+    """Whether some map of a's tetrahedra onto b's, with a vertex map for
+    each, carries every gluing of a onto the gluing of b at the image face:
+    all n! * 24^n maps are tried, and no relabeled table is built."""
+    if a.n != b.n:
+        return False
+    n = a.n
+    faces = [(t, f) + a.gluing(t, f) for t in range(a.n) for f in range(4)]
+    for tets in itertools.permutations(range(n)):
+        for verts in itertools.product(itertools.permutations(range(4)), repeat=n):
+            for t, f, t2, f2, p in faces:
+                s, s2 = verts[t], verts[t2]
+                image = [0] * 4
+                for v in range(4):
+                    image[s[v]] = s2[p[v]]
+                if b.gluing(tets[t], s[f]) != (tets[t2], s2[f2], tuple(image)):
+                    break
+            else:
+                return True
+    return False
+
+
+def test_brute_isomorphic_sees_a_relabeling():
+    dbl = load(DOUBLE)
+    assert brute_isomorphic(dbl, relabel(dbl, (1, 0), ((2, 3, 1, 0), (0, 2, 3, 1))))
+    assert not brute_isomorphic(load(T41), load(T52))
+
+
+def relabeled_corpus(tris, seed):
+    """tris, each followed by one random relabeling of it."""
+    rng = random.Random(seed)
+    return [x for tri in tris for x in (tri, random_relabel(tri, rng))]
+
+
+FIXTURES = [load(text) for text in (*ALL_FIXTURES.values(), TWO_KLEIN)]
+
+
+def test_isomorphism_agrees_with_brute_force_up_to_two_tetrahedra():
+    lens = [build_Tpq(p, q) for p in range(4, 9) for q in range(1, p) if gcd(p, q) == 1]
+    bases = [tri for tri in FIXTURES + lens if tri.n <= 2]
+    walked = []
+    for base in bases:
+        for seed in range(3):
+            for cur in iter_pachner_walk(base, 4, seed):
+                if cur.n <= 2 and cur not in bases + walked:
+                    walked.append(cur)
+    assert len(bases) == 7 + 12 and len(walked) == 6
+    corpus = relabeled_corpus(bases + walked, seed=4)
+    same = 0
+    for i, a in enumerate(corpus):
+        for b in corpus[i:]:
+            if a.n != b.n:
+                continue
+            want = brute_isomorphic(a, b)
+            assert a.is_isomorphic_to(b) == want, (serialize_triangulation(a), serialize_triangulation(b))
+            assert b.is_isomorphic_to(a) == want, (serialize_triangulation(a), serialize_triangulation(b))
+            same += want
+    # unordered pairs, each subject with itself included: 75 come from the
+    # 25 subjects and their relabelings alone; the count pins the corpus
+    assert same == 199
+
+
+def test_isomorphism_agrees_with_the_canonical_form():
+    corpus = FIXTURES + [build_Tpq(p, q) for p in range(4, 21) for q in range(1, p) if gcd(p, q) == 1]
+    corpus += [
+        random_pachner_walk(build_Tpq(p, q), 8, seed=seed)
+        for p, q in ((5, 2), (7, 2), (8, 3), (12, 5))
+        for seed in range(3)
+    ]
+    corpus = relabeled_corpus(corpus, seed=5)
+    same = 0
+    for i, a in enumerate(corpus):
+        for b in corpus[i:]:
+            if a.n != b.n:
+                continue
+            want = a.canonical_form == b.canonical_form
+            assert a.is_isomorphic_to(b) == want, (serialize_triangulation(a), serialize_triangulation(b))
+            assert b.is_isomorphic_to(a) == want, (serialize_triangulation(a), serialize_triangulation(b))
+            same += want
+    assert same == 1029
 
 
 # ---- homology -----------------------------------------------------------------------
