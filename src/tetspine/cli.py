@@ -37,10 +37,12 @@ def _load(path: str) -> Triangulation:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # lines end as parse_triangulation ends them; the column counts bytes
+        # lines end as parse_triangulation ends them, and the column counts
+        # characters as it does: the bytes before exc.start are valid UTF-8
         lines = re.split(rb"\r\n|\r|\n", data[: exc.start])
+        col = len(lines[-1].decode("utf-8")) + 1
         raise ParseError(
-            f"byte {data[exc.start]:#04x} is not UTF-8 text", len(lines), len(lines[-1]) + 1
+            f"byte {data[exc.start]:#04x} is not UTF-8 text", len(lines), col
         ) from None
     return parse_triangulation(text)
 

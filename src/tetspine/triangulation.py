@@ -373,68 +373,35 @@ class Triangulation:
     # ---- isomorphism ---------------------------------------------------------------
 
     @cached_property
+    def _glue(self) -> tuple[tuple[int, int, int], ...]:
+        """(t2, f2, index of the permutation in ALL_PERMS) at each face slot
+        4t + f, the form `_relabeled_keys` reads."""
+        return tuple((t2, f2, _PERM_INDEX[phi]) for row in self._table for t2, f2, phi in row)
+
+    @cached_property
     def canonical_form(self) -> tuple[int, ...]:
-        """Lexicographically minimal relabelled gluing table.
+        """Lexicographically minimal relabeled gluing table.
 
-        A relabeling picks a start tetrahedron and its vertex map; the other
-        tetrahedra are numbered in breadth-first order of first contact, each
-        taking the vertex map that makes its first gluing the identity. The
-        faces are written tetrahedron by tetrahedron in the new numbering,
-        and within one in the order of their new labels, each as the 6-tuple
-        (k, f2, q0, q1, q2, q3): the number of the tetrahedron it is glued
-        to, the new label of the face there and the relabelled gluing
-        permutation q. A face is encoded as the one integer key
-        (k * 4 + f2) * 24 + the index of q in ALL_PERMS. Since f2 < 4 and
-        ALL_PERMS is in lexicographic order, keys compare as the 6-tuples do.
-        The table is connected, so every relabeling gives 4n keys.
+        The minimum is taken over the keys that `_relabeled_keys` gives for
+        each of the 24n relabelings (start, p0), each compared with the best
+        so far as its keys are produced. A relabeling that ties to the end
+        replaces the best with an equal list. The winning keys are expanded
+        back into the tuple (n, k, f2, q0, q1, q2, q3, ...) of their
+        6-tuples.
 
-        The keys of each relabeling are compared with the best encoding as
-        they are produced: at the first larger key the relabeling is
-        abandoned, and after the first smaller one its remaining keys are
-        taken without comparison and it becomes the best. A relabeling that
-        ties to the end replaces the best with an equal list. The winning
-        keys are expanded back into the tuple (n, k, f2, q0, q1, q2, q3, ...).
+        Two triangulations are isomorphic exactly when their forms are
+        equal, but `is_isomorphic_to` does not compare forms: the minimum
+        must try all 24n relabelings on both sides, while matching one
+        relabeling against other's stops at the first match.
         """
-        n = self.n
-        glue = [(t2, f2, _PERM_INDEX[phi]) for row in self._table for t2, f2, phi in row]
+        glue = self._glue
         best: list[int] | None = None
-
-        def encode(start: int, p0: int) -> list[int] | None:
-            """The keys of one relabeling, or None at its first key above best."""
-            number = [-1] * n  # new number of each tetrahedron
-            vmap = [0] * n  # its vertex map, old label -> new, as an index
-            number[start] = 0
-            vmap[start] = p0
-            order = [start]
-            keys: list[int] = []
-            tied = best is not None
-            for t in order:
-                mt = vmap[t]
-                mt_inv = _INVERSE[mt]
-                for f in ALL_PERMS[mt_inv]:
-                    t2, f2, phi = glue[4 * t + f]
-                    if number[t2] < 0:
-                        number[t2] = len(order)
-                        vmap[t2] = _COMPOSE[24 * mt + _INVERSE[phi]]
-                        order.append(t2)
-                    m2 = vmap[t2]
-                    key = (number[t2] * 4 + ALL_PERMS[m2][f2]) * 24 + _COMPOSE[
-                        24 * m2 + _COMPOSE[24 * phi + mt_inv]
-                    ]
-                    if tied:
-                        b = best[len(keys)]
-                        if key > b:
-                            return None
-                        tied = key == b
-                    keys.append(key)
-            return keys
-
-        for start in range(n):
+        for start in range(self.n):
             for p0 in range(24):
-                keys = encode(start, p0)
+                keys = _relabeled_keys(glue, start, p0, best)
                 if keys is not None:
                     best = keys
-        out = [n]
+        out = [self.n]
         for key in best:
             rest, q = divmod(key, 24)
             out.extend(divmod(rest, 4))
@@ -442,7 +409,85 @@ class Triangulation:
         return tuple(out)
 
     def is_isomorphic_to(self, other: Triangulation) -> bool:
-        return self.n == other.n and self.canonical_form == other.canonical_form
+        """Whether a renumbering of other's tetrahedra, with a vertex map for
+        each, carries other's gluing table onto this one.
+
+        This table is encoded once, from tetrahedron 0 with the identity
+        vertex map. A relabeling of a connected table is fixed by its start
+        and the start's vertex map, and its 4n keys fix the relabeled table,
+        so the two are isomorphic exactly when one of other's 24n
+        relabelings gives the same keys. Each is dropped at its first key
+        that differs, and the first full match ends the search.
+        """
+        if self.n != other.n:
+            return False
+        target = _relabeled_keys(self._glue, 0, 0)
+        glue = other._glue
+        for start in range(other.n):
+            for p0 in range(24):
+                if _relabeled_keys(glue, start, p0, target, True) is not None:
+                    return True
+        return False
+
+
+def _relabeled_keys(
+    glue: tuple[tuple[int, int, int], ...],
+    start: int,
+    p0: int,
+    ref: list[int] | None = None,
+    exact: bool = False,
+) -> list[int] | None:
+    """The keys of one relabeling of a gluing table.
+
+    glue is `Triangulation._glue`. The relabeling gives tetrahedron start the
+    number 0 and the vertex map ALL_PERMS[p0] (old label -> new); the other
+    tetrahedra are numbered in breadth-first order of first contact, each
+    taking the vertex map that makes its first gluing the identity. The
+    faces are written tetrahedron by tetrahedron in the new numbering, and
+    within one in the order of their new labels, each as the 6-tuple
+    (k, f2, q0, q1, q2, q3): the number of the tetrahedron it is glued to,
+    the new label of the face there and the relabeled gluing permutation q.
+    A face is encoded as the one integer key (k * 4 + f2) * 24 + the index
+    of q in ALL_PERMS. Since f2 < 4 and ALL_PERMS is in lexicographic
+    order, keys compare as the 6-tuples do. The table is connected, so
+    every relabeling gives 4n keys.
+
+    With ref, each key is compared with ref's key at the same place as it
+    is produced, and None is returned in place of the keys where the
+    relabeling is abandoned. With exact, that is at the first key that
+    differs, so only keys equal to ref are returned. Without, it is at the
+    first key above ref's, and after the first key below ref's the rest are
+    taken without comparison, so only keys at most ref are returned.
+    """
+    n = len(glue) // 4
+    number = [-1] * n  # new number of each tetrahedron
+    vmap = [0] * n  # its vertex map, old label -> new, as an index
+    number[start] = 0
+    vmap[start] = p0
+    order = [start]
+    keys: list[int] = []
+    tied = ref is not None
+    for t in order:
+        mt = vmap[t]
+        mt_inv = _INVERSE[mt]
+        for f in ALL_PERMS[mt_inv]:
+            t2, f2, phi = glue[4 * t + f]
+            if number[t2] < 0:
+                number[t2] = len(order)
+                vmap[t2] = _COMPOSE[24 * mt + _INVERSE[phi]]
+                order.append(t2)
+            m2 = vmap[t2]
+            key = (number[t2] * 4 + ALL_PERMS[m2][f2]) * 24 + _COMPOSE[
+                24 * m2 + _COMPOSE[24 * phi + mt_inv]
+            ]
+            if tied:
+                b = ref[len(keys)]
+                if key != b:
+                    if exact or key > b:
+                        return None
+                    tied = False
+            keys.append(key)
+    return keys
 
 
 # ---- text format --------------------------------------------------------------------

@@ -434,6 +434,10 @@ def test_file_that_is_not_utf8_is_a_parse_error(tmp_path):
         (b"tets: 1\r\n\r\nab\xff", "line 3, col 3"),
         # U+0085 in a comment ends no line
         (b"# x\xc2\x85y\n\xff", "line 2, col 1"),
+        # the column counts characters, not bytes: "\u00e9" takes two bytes,
+        # "\u20ac" three and "\U0001f642" four
+        (b"# \xc3\xa9\xff", "line 1, col 4"),
+        (b"tets: 1\n# \xe2\x82\xac\xf0\x9f\x99\x82 \xff", "line 2, col 6"),
     ],
 )
 def test_decode_error_counts_lines_as_the_parser_does(tmp_path, capsys, data, position):

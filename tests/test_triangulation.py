@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from math import gcd
 
 import pytest
@@ -690,7 +691,7 @@ def brute_isomorphic(a, b):
     if a.n != b.n:
         return False
     n = a.n
-    faces = [(t, f) + a.gluing(t, f) for t in range(a.n) for f in range(4)]
+    faces = [(t, f) + a.gluing(t, f) for t in range(n) for f in range(4)]
     for tets in itertools.permutations(range(n)):
         for verts in itertools.product(itertools.permutations(range(4)), repeat=n):
             for t, f, t2, f2, p in faces:
@@ -763,6 +764,23 @@ def test_isomorphism_agrees_with_the_canonical_form():
             assert b.is_isomorphic_to(a) == want, (serialize_triangulation(a), serialize_triangulation(b))
             same += want
     assert same == 1029
+
+
+def test_isomorphism_of_large_builds_takes_bounded_time():
+    # the search stops at its first match, and a non-isomorphic pair drops
+    # each of the 24n relabelings at its first differing key
+    big = build_Tpq(1000, 1)
+    cases = [
+        (big, random_relabel(big, random.Random(6)), True),
+        (big, build_Tpq(1000, 999), True),
+        # n = 50 on both sides
+        (build_Tpq(53, 1), build_Tpq(103, 2), False),
+    ]
+    for a, b, want in cases:
+        assert a.n == b.n
+        start = time.perf_counter()
+        assert a.is_isomorphic_to(b) == want
+        assert time.perf_counter() - start < 2.0, (a.n, want)
 
 
 # ---- homology -----------------------------------------------------------------------
