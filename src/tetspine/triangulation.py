@@ -373,10 +373,10 @@ class Triangulation:
     # ---- isomorphism ---------------------------------------------------------------
 
     @cached_property
-    def _glue(self) -> tuple[tuple[int, int, int], ...]:
+    def _glue(self) -> list[tuple[int, int, int]]:
         """(t2, f2, index of the permutation in ALL_PERMS) at each face slot
         4t + f, the form `_relabeled_keys` reads."""
-        return tuple((t2, f2, _PERM_INDEX[phi]) for row in self._table for t2, f2, phi in row)
+        return [(t2, f2, _PERM_INDEX[phi]) for row in self._table for t2, f2, phi in row]
 
     @cached_property
     def canonical_form(self) -> tuple[int, ...]:
@@ -391,8 +391,9 @@ class Triangulation:
 
         Two triangulations are isomorphic exactly when their forms are
         equal, but `is_isomorphic_to` does not compare forms: the minimum
-        must try all 24n relabelings on both sides, while matching one
-        relabeling against other's stops at the first match.
+        tries all 24n relabelings, on each side, while `is_isomorphic_to`
+        encodes one side once and stops at the first relabeling of the
+        other side that matches it.
         """
         glue = self._glue
         best: list[int] | None = None
@@ -431,7 +432,7 @@ class Triangulation:
 
 
 def _relabeled_keys(
-    glue: tuple[tuple[int, int, int], ...],
+    glue: list[tuple[int, int, int]],
     start: int,
     p0: int,
     ref: list[int] | None = None,
@@ -460,9 +461,8 @@ def _relabeled_keys(
     taken without comparison, so only keys at most ref are returned.
     """
     n = len(glue) // 4
-    number = [-1] * n  # new number of each tetrahedron
-    vmap = [0] * n  # its vertex map, old label -> new, as an index
-    number[start] = 0
+    vmap = [-1] * n  # vertex map of each tetrahedron, old label -> new, as an index
+    number = [0] * n  # its new number, once vmap is set
     vmap[start] = p0
     order = [start]
     keys: list[int] = []
@@ -472,11 +472,11 @@ def _relabeled_keys(
         mt_inv = _INVERSE[mt]
         for f in ALL_PERMS[mt_inv]:
             t2, f2, phi = glue[4 * t + f]
-            if number[t2] < 0:
-                number[t2] = len(order)
-                vmap[t2] = _COMPOSE[24 * mt + _INVERSE[phi]]
-                order.append(t2)
             m2 = vmap[t2]
+            if m2 < 0:
+                number[t2] = len(order)
+                m2 = vmap[t2] = _COMPOSE[24 * mt + _INVERSE[phi]]
+                order.append(t2)
             key = (number[t2] * 4 + ALL_PERMS[m2][f2]) * 24 + _COMPOSE[
                 24 * m2 + _COMPOSE[24 * phi + mt_inv]
             ]
