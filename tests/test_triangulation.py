@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import random
 import time
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -9,7 +11,7 @@ from fixtures_data import CUSPED, DOUBLE, RP2LINK, S3_ONE_TET, T41, T52, TWO_KLE
 from tetspine.errors import GluingError, NotClosedError, ParseError, UngluedFaceError
 from tetspine.homology import h1, smith_diagonal, sparse_smith_diagonal
 from tetspine.lens import build_Tpq
-from tetspine.moves import iter_pachner_walk, random_pachner_walk
+from tetspine.moves import SplitMix64, iter_pachner_walk, random_pachner_walk
 from tetspine.triangulation import (
     ALL_PERMS,
     EDGE_PAIRS,
@@ -474,6 +476,82 @@ def test_edge_union_resumes_between_gluings():
                 assert str(exc) == str(want.value)
                 break
             assert union.classes() == reference_signed_edge_classes(n, fed)
+
+
+def mutate_once(rng, n, gluings):
+    """A copy of gluings with one fault: a direction that carries its face
+    but is not the inverse of its partner, a dropped gluing, a permutation
+    that does not carry its face, a slot or target out of range, or a value
+    that is not a permutation."""
+    g = dict(gluings)
+    key = rng.choice(sorted(g))
+    t, f = key
+    t2, f2, perm = g[key]
+    kind = rng.randrange(5)
+    if kind == 0:
+        g[key] = (t2, f2, rng.choice([p for p in ALL_PERMS if p[f] == f2 and p != perm]))
+    elif kind == 1:
+        del g[key]
+    elif kind == 2:
+        g[key] = (t2, f2, rng.choice([p for p in ALL_PERMS if p[f] != f2]))
+    elif kind == 3:
+        del g[key]
+        bad = rng.choice([(n, f, t2, f2), (t, 4, t2, f2), (t, f, n, f2), (t, f, t2, -1)])
+        g[bad[:2]] = (*bad[2:], perm)
+    else:
+        g[key] = (t2, f2, rng.choice([(0, 0, 1, 2), (0, 1, 2), (0, 1, 2, 4), (3, 2, 1, 0, 4)]))
+    return g
+
+
+def constructor_outcome(n, gluings):
+    """What the constructor gives for one table, as text: its refusal, or
+    its triangle classes, signed edge classes, face-slot table, vertex
+    classes and vertex links."""
+    try:
+        tri = Triangulation(n, gluings)
+    except GluingError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return repr(
+        (
+            [(tc.index, tc.rep, tc.other, tuple(tc.perm)) for tc in tri.triangle_classes],
+            list(tri._edge_data[1]),
+            list(tri._edge_data[2]),
+            list(tri._glue),
+            [(vc.index, tuple(vc.slots)) for vc in tri.vertex_classes],
+            [(lk.chi, lk.orientable) for lk in tri.vertex_links],
+        )
+    )
+
+
+def test_constructor_outcomes_are_frozen():
+    # seeded random tables of 1-4 tetrahedra (some disconnected, some with
+    # an edge reversed onto itself), each also with one fault; the fixtures;
+    # and the 200 walk descendants of `verify existence --seeds 5 --steps 10`
+    rng = random.Random(25)
+    tables = []
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        gluings = random_face_pairing(rng, n)
+        tables += [(n, gluings), (n, mutate_once(rng, n, gluings))]
+    tris = [load(text) for text in (*ALL_FIXTURES.values(), TWO_KLEIN)]
+    master = SplitMix64(0)
+    for p, q in ((4, 1), (5, 1), (5, 2), (7, 2)):
+        base = build_Tpq(p, q)
+        for _ in range(5):
+            tris += iter_pachner_walk(base, 10, master.next())
+    assert len(tris) == 207
+    for tri in tris:
+        tables.append((tri.n, {(t, f): tri.gluing(t, f) for t in range(tri.n) for f in range(4)}))
+    digest = hashlib.sha256()
+    kinds = Counter()
+    for n, gluings in tables:
+        outcome = constructor_outcome(n, gluings)
+        kinds["built" if outcome.startswith("(") else outcome.split(":")[0]] += 1
+        digest.update(f"{outcome}\0".encode())
+    assert kinds == {"built": 301, "GluingError": 436, "UngluedFaceError": 70}
+    assert digest.hexdigest() == (
+        "35b7ac5d5fe9af55d81bdb26d03768d8b2c6a033aba7a9c0aab8cf5c00707bdc"
+    )
 
 
 def oracle_vertex_partition(tri):
