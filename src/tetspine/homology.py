@@ -9,7 +9,7 @@ only the nonzero entries of each pivot's row and column, and runs the dense
 from __future__ import annotations
 
 from .errors import NotClosedError
-from .triangulation import _PAIR_OFFSET, FACE_VERTS, Triangulation
+from .triangulation import FACE_EDGE_OFFSETS, Triangulation
 
 
 def _move_pivot(a: list[list[int]], t: int) -> bool:
@@ -166,13 +166,11 @@ def h1(tri: Triangulation) -> tuple[int, list[int]]:
     d2: list[dict[int, int]] = [{} for _ in range(ne)]
     for column, tc in enumerate(tri.triangle_classes):
         t, f = tc.rep
-        a, b, c = FACE_VERTS[f]
-        for u, v in ((a, b), (b, c), (c, a)):
-            slot = 6 * t + _PAIR_OFFSET[u][v]
+        # the cycle a -> b -> c -> a of face f = (a, b, c) runs (a, c) backwards
+        for offset, sign in zip(FACE_EDGE_OFFSETS[f], (1, -1, 1)):
+            slot = 6 * t + offset
             row = d2[edge_class_of[slot]]
-            row[column] = row.get(column, 0) + (
-                edge_sign_of[slot] if u < v else -edge_sign_of[slot]
-            )
+            row[column] = row.get(column, 0) + sign * edge_sign_of[slot]
 
     rank1 = len(tri.vertex_classes) - 1
     div2 = sparse_smith_diagonal(d2)

@@ -27,7 +27,7 @@ from .errors import (
     NotSimpleError,
 )
 from .golden import EPS, ZERO, GoldenInt, divexact
-from .triangulation import FACE_VERTS, Triangulation
+from .triangulation import FACE_EDGE_OFFSETS, Triangulation
 
 DEFAULT_FACE_BUDGET = 40
 BUDGET_ENV_VAR = "SPINE_FACE_BUDGET"
@@ -90,24 +90,18 @@ def dual_spine(tri: Triangulation) -> SpecialSpine:
     """
     if tri._spine is not None:
         return tri._spine
+    classes, class_of, _ = tri._edge_data
     edge_germs = []
     for tc in tri.triangle_classes:
         t, f = tc.rep
-        a, b, c = FACE_VERTS[f]
-        edge_germs.append(
-            (
-                tri.edge_class_of(t, a, b),
-                tri.edge_class_of(t, a, c),
-                tri.edge_class_of(t, b, c),
-            )
-        )
-    class_of = tri._edge_data[1]
+        a, b, c = FACE_EDGE_OFFSETS[f]
+        edge_germs.append((class_of[6 * t + a], class_of[6 * t + b], class_of[6 * t + c]))
     tri._spine = SpecialSpine(
         num_vertices=tri.n,
-        num_faces=len(tri.edge_classes),
+        num_faces=len(classes),
         edge_germs=tuple(edge_germs),
         corner_germs=tuple(tuple(class_of[6 * t : 6 * t + 6]) for t in range(tri.n)),
-        face_degrees=tuple(ec.degree for ec in tri.edge_classes),
+        face_degrees=tuple(len(ec.slots) for ec in classes),
     )
     return tri._spine
 

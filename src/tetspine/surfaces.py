@@ -47,7 +47,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import InternalLinkError, MatchingViolationError, NotASurfaceError
 from .spine import SubPolyhedron, dual_spine, enumerate_simple_subpolyhedra
-from .triangulation import ALL_PERMS, EDGE_PAIRS, FACE_EDGES, FACE_VERTS, _PERM_INDEX, Triangulation
+from .triangulation import ALL_PERMS, EDGE_PAIRS, FACE_EDGES, FACE_VERTS, Triangulation
 
 # Normal coordinates are flat, 7 per tetrahedron t: the triangle cutting off
 # corner v at 7t + v, then the quad of type k at 7t + 4 + k. Quad type k
@@ -138,8 +138,7 @@ def build_normal_tables(tr: Triangulation) -> NormalTables:
         a, b, x, y = _WEIGHT_OFFSETS[p]
         class_terms.append((7 * t + a, 7 * t + b, 7 * t + x, 7 * t + y))
     triangle_templates = tuple(
-        (tc.rep[0], tc.other[0], 24 * tc.rep[1] + _PERM_INDEX[tc.perm])
-        for tc in tr.triangle_classes
+        (s >> 2, t2, 24 * (s & 3) + k) for s, (t2, f2, k) in enumerate(tr._glue) if s < 4 * t2 + f2
     )
     return NormalTables(tuple(class_terms), triangle_templates, tuple(face_bytes))
 

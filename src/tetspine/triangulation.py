@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .errors import GluingError, ParseError, UngluedFaceError
 
@@ -77,6 +76,20 @@ def edge_slot(t: int, u: int, v: int) -> int:
     return t * 6 + PAIR_INDEX[(u, v)]
 
 
+# the offsets within its tetrahedron of the three edges of face f, in FACE_EDGES order
+FACE_EDGE_OFFSETS: tuple[tuple[int, int, int], ...] = tuple(
+    tuple(PAIR_INDEX[e] for e in edges) for edges in FACE_EDGES
+)
+# _FACE_GLUE[24 * f + k]: for each edge (a, b) of face f, its offset, the
+# offset of its image under ALL_PERMS[k], and 1 when the image runs against
+# ascending vertex order
+_FACE_GLUE: tuple[tuple[tuple[int, int, int], ...], ...] = tuple(
+    tuple((PAIR_INDEX[(a, b)], _PAIR_OFFSET[p[a]][p[b]], int(p[a] > p[b])) for a, b in FACE_EDGES[f])
+    for f in range(4)
+    for p in ALL_PERMS
+)
+
+
 class SignedEdgeUnion:
     """Signed classes of edge slots under face gluings.
 
@@ -84,7 +97,8 @@ class SignedEdgeUnion:
     time, and read the classes at any point between gluings. A root's flip
     is 0; flip[s] is 1 when slot s's ascending vertex order runs against its
     parent's. Feeding each glued face pair once is enough, since its reverse
-    direction joins the same slots with the same parities.
+    direction joins the same slots with the same parities. Finds halve the
+    paths they follow, as `surfaces._sweep` does for discs.
     """
 
     __slots__ = ("parent", "flip")
@@ -93,62 +107,71 @@ class SignedEdgeUnion:
         self.parent = list(range(6 * n))
         self.flip = [0] * (6 * n)
 
-    def find(self, s: int) -> tuple[int, int]:
-        """(root, flip of slot s against it), compressing the path on the way."""
-        parent, flip = self.parent, self.flip
-        up = parent[s]
-        if up == s:
-            return s, 0
-        if parent[up] == up:
-            return up, flip[s]
-        path = []
-        while parent[s] != s:
-            path.append(s)
-            s = parent[s]
-        total = 0
-        for y in reversed(path):
-            total ^= flip[y]
-            parent[y] = s
-            flip[y] = total
-        return s, total
-
-    def glue(self, t: int, f: int, t2: int, perm: Perm) -> None:
+    def glue(self, t: int, f: int, t2: int, k: int) -> None:
         """Join the three edges of face f of tetrahedron t to their images
-        under perm on tetrahedron t2. Raises GluingError when a slot is
-        identified with itself reversed."""
-        parent, flip, find = self.parent, self.flip, self.find
-        for a, b in FACE_EDGES[f]:
-            a2, b2 = perm[a], perm[b]
-            rx, sx = find(6 * t + _PAIR_OFFSET[a][b])
-            ry, sy = find(6 * t2 + _PAIR_OFFSET[a2][b2])
-            odd = sx ^ sy ^ (a2 > b2)
-            if rx != ry:
-                parent[ry] = rx
-                flip[ry] = odd
+        under ALL_PERMS[k] on tetrahedron t2. Raises GluingError when a slot
+        is identified with itself reversed."""
+        parent, flip = self.parent, self.flip
+        for a, b, odd in _FACE_GLUE[24 * f + k]:
+            x = 6 * t + a
+            while (p := parent[x]) != x:
+                g = parent[p]
+                odd ^= flip[x]
+                if g != p:
+                    flip[x] ^= flip[p]
+                    odd ^= flip[p]
+                    parent[x] = g
+                x = g
+            y = 6 * t2 + b
+            while (p := parent[y]) != y:
+                g = parent[p]
+                odd ^= flip[y]
+                if g != p:
+                    flip[y] ^= flip[p]
+                    odd ^= flip[p]
+                    parent[y] = g
+                y = g
+            if x != y:
+                parent[y] = x
+                flip[y] = odd
             elif odd:
                 raise GluingError(
-                    f"edge {(a, b)} of tetrahedron {t} is identified with itself reversed"
+                    f"edge {EDGE_PAIRS[a]} of tetrahedron {t} is identified with itself reversed"
                 )
 
     def classes(self) -> tuple[list[int], list[int]]:
         """(class_of, sign_of) indexed by edge slot: classes are numbered in
         order of their smallest slot, and sign_of[s] is +1 when slot s's
         ascending vertex order agrees with that smallest slot's."""
-        find = self.find
-        size = len(self.parent)
+        parent, flip = self.parent, self.flip
+        size = len(parent)
         class_of = [0] * size
         sign_of = [0] * size
-        first: dict[int, tuple[int, int]] = {}  # root -> (class index, flip of smallest slot)
+        number = [-1] * size  # class index of each root, once one of its slots is seen
+        rep_flip = [0] * size  # flip of that class's smallest slot against the root
+        count = 0
         for slot in range(size):
-            root, sign = find(slot)
-            idx, rep_sign = first.setdefault(root, (len(first), sign))
+            x = slot
+            odd = 0
+            while (p := parent[x]) != x:
+                g = parent[p]
+                odd ^= flip[x]
+                if g != p:
+                    flip[x] ^= flip[p]
+                    odd ^= flip[p]
+                    parent[x] = g
+                x = g
+            idx = number[x]
+            if idx < 0:
+                idx = number[x] = count
+                count += 1
+                rep_flip[x] = odd
             class_of[slot] = idx
-            sign_of[slot] = 1 if sign == rep_sign else -1
+            sign_of[slot] = 1 if odd == rep_flip[x] else -1
         return class_of, sign_of
 
 
-@dataclass(frozen=True)
-class EdgeClass:
+class EdgeClass(NamedTuple):
     """Orbit of edge slots under the gluing maps.
 
     slots are global edge-slot indices sorted ascending. The class is
@@ -169,8 +192,7 @@ class EdgeClass:
         return self.slots[0]
 
 
-@dataclass(frozen=True)
-class VertexClass:
+class VertexClass(NamedTuple):
     """Orbit of vertex slots under the gluing maps; classes are numbered in
     order of their smallest slot."""
 
@@ -178,8 +200,7 @@ class VertexClass:
     slots: tuple[int, ...]  # global vertex slots t*4+v, sorted
 
 
-@dataclass(frozen=True)
-class TriangleClass:
+class TriangleClass(NamedTuple):
     """Glued pair of face slots; perm maps rep-side labels to the other side."""
 
     index: int
@@ -188,8 +209,7 @@ class TriangleClass:
     perm: Perm
 
 
-@dataclass(frozen=True)
-class VertexLinkSurface:
+class VertexLinkSurface(NamedTuple):
     """Link of a vertex class: the normal surface of one triangle at each of
     its corners."""
 
@@ -202,45 +222,55 @@ class VertexLinkSurface:
 
 
 class Triangulation:
-    """Immutable closed-face-pairing of n tetrahedra."""
+    """Immutable closed-face-pairing of n tetrahedra.
+
+    `_glue` holds (t2, f2, index of the permutation in ALL_PERMS) at each face
+    slot 4t + f. One pass over it builds the triangle classes, one per glued
+    pair in order of its smaller slot, and `_edge_data`: the edge classes, and
+    the class and sign of each edge slot.
+    """
 
     def __init__(self, n: int, gluings: Mapping[tuple[int, int], tuple[int, int, Iterable[int]]]) -> None:
         if n < 1:
             raise GluingError("need at least one tetrahedron")
-        table: list[list[tuple[int, int, Perm] | None]] = [[None] * 4 for _ in range(n)]
+        size = 4 * n
+        table: list[tuple[int, int, int] | None] = [None] * size
         for (t, f), (t2, f2, perm) in gluings.items():
             perm = tuple(perm)
             if not (0 <= t < n and 0 <= f < 4):
                 raise GluingError(f"face slot ({t},{f}) out of range")
             if not (0 <= t2 < n and 0 <= f2 < 4):
                 raise GluingError(f"target slot ({t2},{f2}) out of range for ({t},{f})")
-            if sorted(perm) != [0, 1, 2, 3]:
+            try:
+                k = _PERM_INDEX.get(perm)
+            except TypeError:  # an entry that cannot be hashed
+                k = None
+            if k is None:
                 raise GluingError(f"invalid permutation {perm} at ({t},{f})")
-            if perm[f] != f2:
+            if ALL_PERMS[k][f] != f2:
                 raise GluingError(
                     f"permutation {perm} at ({t},{f}) does not carry the face onto ({t2},{f2})"
                 )
-            if (t2, f2) == (t, f):
+            if t2 == t and f2 == f:
                 raise GluingError(f"face slot ({t},{f}) glued to itself")
-            if table[t][f] is not None:
+            s = 4 * t + f
+            if table[s] is not None:
                 raise GluingError(f"face slot ({t},{f}) glued twice")
-            table[t][f] = (t2, f2, perm)
-        missing = [(t, f) for t in range(n) for f in range(4) if table[t][f] is None]
+            table[s] = (t2, f2, k)
+        missing = [(s >> 2, s & 3) for s in range(size) if table[s] is None]
         if missing:
             raise UngluedFaceError(missing)
-        for t in range(n):
-            for f in range(4):
-                t2, f2, perm = table[t][f]
-                back = table[t2][f2]
-                if back[0] != t or back[1] != f or back[2] != perm_inverse(perm):
-                    raise GluingError(
-                        f"gluings at ({t},{f}) and ({t2},{f2}) are not mutually inverse"
-                    )
+        for s, (t2, f2, k) in enumerate(table):
+            if table[4 * t2 + f2] != (s >> 2, s & 3, _INVERSE[k]):
+                raise GluingError(
+                    f"gluings at ({s >> 2},{s & 3}) and ({t2},{f2}) are not mutually inverse"
+                )
         reached = [False] * n
         reached[0] = True
         stack = [0]
         while stack:
-            for t2, _, _ in table[stack.pop()]:
+            s = 4 * stack.pop()
+            for t2, _, _ in table[s : s + 4]:
                 if not reached[t2]:
                     reached[t2] = True
                     stack.append(t2)
@@ -249,43 +279,43 @@ class Triangulation:
                 f"tetrahedron {reached.index(False)} cannot be reached from tetrahedron 0:"
                 " the gluing table is disconnected"
             )
+        # each triangle class goes to the edge union as it is found; the union
+        # refuses an edge slot glued to itself reversed, as it has no quotient
+        union = SignedEdgeUnion(n)
+        triangles: list[TriangleClass] = []
+        for s, (t2, f2, k) in enumerate(table):
+            if s < 4 * t2 + f2:
+                t, f = s >> 2, s & 3
+                triangles.append(TriangleClass(len(triangles), (t, f), (t2, f2), ALL_PERMS[k]))
+                union.glue(t, f, t2, k)
+        class_of, sign_of = union.classes()
+        members: list[list[int]] = [[] for _ in range(max(class_of) + 1)]
+        for slot, idx in enumerate(class_of):
+            members[idx].append(slot)
         self.n = n
-        self._table: tuple[tuple[tuple[int, int, Perm], ...], ...] = tuple(
-            tuple(row) for row in table
-        )
+        self._glue: tuple[tuple[int, int, int], ...] = tuple(table)
+        self.triangle_classes: tuple[TriangleClass, ...] = tuple(triangles)
+        edges = tuple([EdgeClass(idx, tuple(m)) for idx, m in enumerate(members)])
+        self._edge_data: tuple[tuple[EdgeClass, ...], list[int], list[int]] = (edges, class_of, sign_of)
         # the dual spine, once spine.dual_spine has built it
         self._spine: SpecialSpine | None = None
-        # force edge-orientation consistency early; a slot identified with its
-        # own reversal has no usable quotient cell structure
-        self._edge_data
 
     def gluing(self, t: int, f: int) -> tuple[int, int, Perm]:
-        return self._table[t][f]
+        t2, f2, k = self._glue[4 * t + f]
+        return t2, f2, ALL_PERMS[k]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Triangulation):
             return NotImplemented
-        return self._table == other._table
+        return self._glue == other._glue
 
     def __hash__(self) -> int:
-        return hash(self._table)
+        return hash(self._glue)
 
     def __repr__(self) -> str:
         return f"<Triangulation n={self.n}>"
 
     # ---- identification classes -------------------------------------------------
-
-    @cached_property
-    def _edge_data(self) -> tuple[tuple[EdgeClass, ...], list[int], list[int]]:
-        union = SignedEdgeUnion(self.n)
-        for tc in self.triangle_classes:
-            union.glue(tc.rep[0], tc.rep[1], tc.other[0], tc.perm)
-        class_of, sign_of = union.classes()
-        members: list[list[int]] = [[] for _ in range(max(class_of) + 1)]
-        for slot, idx in enumerate(class_of):
-            members[idx].append(slot)
-        classes = tuple(EdgeClass(idx, tuple(m)) for idx, m in enumerate(members))
-        return classes, class_of, sign_of
 
     @property
     def edge_classes(self) -> tuple[EdgeClass, ...]:
@@ -328,27 +358,8 @@ class Triangulation:
         """Link surface of each vertex class, in the order of vertex_classes."""
         return self._vertex_data[1]
 
-    @cached_property
-    def triangle_classes(self) -> tuple[TriangleClass, ...]:
-        """One class per glued pair of face slots, in order of its
-        representative, the pair's smaller slot in (tetrahedron, face) order."""
-        classes = []
-        for t, row in enumerate(self._table):
-            for f, (t2, f2, perm) in enumerate(row):
-                if (t, f) < (t2, f2):
-                    classes.append(TriangleClass(len(classes), (t, f), (t2, f2), perm))
-        return tuple(classes)
-
-    @cached_property
-    def _triangle_class_of(self) -> dict[tuple[int, int], int]:
-        out = {}
-        for tc in self.triangle_classes:
-            out[tc.rep] = tc.index
-            out[tc.other] = tc.index
-        return out
-
     def triangle_class_of(self, t: int, f: int) -> int:
-        return self._triangle_class_of[(t, f)]
+        return next(tc.index for tc in self.triangle_classes if (t, f) in (tc.rep, tc.other))
 
     @cached_property
     def _normal_tables(self) -> NormalTables:
@@ -371,12 +382,6 @@ class Triangulation:
         return len(self.vertex_classes) - len(self.edge_classes) + self.n
 
     # ---- isomorphism ---------------------------------------------------------------
-
-    @cached_property
-    def _glue(self) -> list[tuple[int, int, int]]:
-        """(t2, f2, index of the permutation in ALL_PERMS) at each face slot
-        4t + f, the form `_relabeled_keys` reads."""
-        return [(t2, f2, _PERM_INDEX[phi]) for row in self._table for t2, f2, phi in row]
 
     @cached_property
     def canonical_form(self) -> tuple[int, ...]:
@@ -418,9 +423,12 @@ class Triangulation:
         and the start's vertex map, and its 4n keys fix the relabeled table,
         so the two are isomorphic exactly when one of other's 24n
         relabelings gives the same keys. Each is dropped at its first key
-        that differs, and the first full match ends the search.
+        that differs, and the first full match ends the search. A relabeling
+        keeps the degrees of the edge classes, so tables whose sorted
+        degrees differ are refused before the search.
         """
-        if self.n != other.n:
+        degrees = [sorted(ec.degree for ec in x.edge_classes) for x in (self, other)]
+        if self.n != other.n or degrees[0] != degrees[1]:
             return False
         target = _relabeled_keys(self._glue, 0, 0)
         glue = other._glue
@@ -432,7 +440,7 @@ class Triangulation:
 
 
 def _relabeled_keys(
-    glue: list[tuple[int, int, int]],
+    glue: tuple[tuple[int, int, int], ...],
     start: int,
     p0: int,
     ref: list[int] | None = None,

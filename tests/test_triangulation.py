@@ -67,6 +67,21 @@ def test_parse_serialize_round_trip(name):
     assert serialize_triangulation(again) == serialize_triangulation(tri)
 
 
+def test_permutations_of_other_number_types_serialize_as_digits():
+    # the constructor keeps its own permutation tuples, not the caller's,
+    # so bools pass validation and come back out as the digits they equal
+    g = base_gluings()
+    g[(0, 0)] = (0, 1, (True, 2, 3, False))
+    g[(0, 1)] = (0, 0, [3, False, True, 2])
+    tri = Triangulation(1, g)
+    assert tri == load(T52)
+    assert all(type(x) is int for f in range(4) for x in tri.gluing(0, f)[2])
+    assert all(type(x) is int for tc in tri.triangle_classes for x in tc.perm)
+    text = serialize_triangulation(tri)
+    assert text == serialize_triangulation(load(T52))
+    assert load(text) == tri
+
+
 def test_serialize_comment_and_blank_lines():
     tri = load(T52)
     text = serialize_triangulation(tri, comment="hello\nworld")
@@ -440,7 +455,7 @@ def test_edge_union_fed_each_pair_once_matches_the_whole_table_routine():
         try:
             for (t, f), (t2, f2, perm) in sorted(gluings.items()):
                 if (t, f) < (t2, f2):
-                    union.glue(t, f, t2, perm)
+                    union.glue(t, f, t2, ALL_PERMS.index(perm))
             got = union.classes()
         except GluingError as exc:
             got = str(exc)
@@ -469,7 +484,7 @@ def test_edge_union_resumes_between_gluings():
         for (t, f), (t2, f2, perm) in pairs:
             fed += [((t, f), (t2, f2, perm)), ((t2, f2), (t, f, perm_inverse(perm)))]
             try:
-                union.glue(t, f, t2, perm)
+                union.glue(t, f, t2, ALL_PERMS.index(perm))
             except GluingError as exc:
                 with pytest.raises(GluingError) as want:
                     reference_signed_edge_classes(n, fed)
@@ -826,13 +841,19 @@ def test_isomorphism_agrees_with_brute_force_up_to_two_tetrahedra():
 
 def test_isomorphism_agrees_with_the_canonical_form():
     corpus = FIXTURES + [build_Tpq(p, q) for p in range(4, 21) for q in range(1, p) if gcd(p, q) == 1]
+    # after 2 steps, some walks reach tables with the same edge degrees that
+    # are not isomorphic, which only the relabeling search tells apart
     corpus += [
-        random_pachner_walk(build_Tpq(p, q), 8, seed=seed)
+        random_pachner_walk(build_Tpq(p, q), steps, seed=seed)
+        for steps in (8, 2)
         for p, q in ((5, 2), (7, 2), (8, 3), (12, 5))
         for seed in range(3)
     ]
     corpus = relabeled_corpus(corpus, seed=5)
     same = 0
+    # the non-isomorphic pairs whose sorted edge degrees differ, which the
+    # degree check refuses, and those it leaves to the relabeling search
+    by_degrees = by_search = 0
     for i, a in enumerate(corpus):
         for b in corpus[i:]:
             if a.n != b.n:
@@ -841,7 +862,14 @@ def test_isomorphism_agrees_with_the_canonical_form():
             assert a.is_isomorphic_to(b) == want, (serialize_triangulation(a), serialize_triangulation(b))
             assert b.is_isomorphic_to(a) == want, (serialize_triangulation(a), serialize_triangulation(b))
             same += want
-    assert same == 1029
+            if not want:
+                degrees = [sorted(ec.degree for ec in x.edge_classes) for x in (a, b)]
+                if degrees[0] != degrees[1]:
+                    by_degrees += 1
+                else:
+                    by_search += 1
+    assert same == 1185
+    assert by_degrees > 0 and by_search > 0, (by_degrees, by_search)
 
 
 def test_isomorphism_of_large_builds_takes_bounded_time():
