@@ -257,9 +257,8 @@ class Triangulation:
             if table[s] is not None:
                 raise GluingError(f"face slot ({t},{f}) glued twice")
             table[s] = (t2, f2, k)
-        missing = [(s >> 2, s & 3) for s in range(size) if table[s] is None]
-        if missing:
-            raise UngluedFaceError(missing)
+        if None in table:
+            raise UngluedFaceError([(s >> 2, s & 3) for s in range(size) if table[s] is None])
         for s, (t2, f2, k) in enumerate(table):
             if table[4 * t2 + f2] != (s >> 2, s & 3, _INVERSE[k]):
                 raise GluingError(
