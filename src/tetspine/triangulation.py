@@ -237,26 +237,33 @@ class Triangulation:
         table: list[tuple[int, int, int] | None] = [None] * size
         for (t, f), (t2, f2, perm) in gluings.items():
             perm = tuple(perm)
-            if not (0 <= t < n and 0 <= f < 4):
-                raise GluingError(f"face slot ({t},{f}) out of range")
-            if not (0 <= t2 < n and 0 <= f2 < 4):
-                raise GluingError(f"target slot ({t2},{f2}) out of range for ({t},{f})")
+            # a slot number that is not an int (a bool is) raises TypeError
+            # below, at the latest in `| 0`, which stores a bool as its int
             try:
-                k = _PERM_INDEX.get(perm)
-            except TypeError:  # an entry that cannot be hashed
-                k = None
-            if k is None:
-                raise GluingError(f"invalid permutation {perm} at ({t},{f})")
-            if ALL_PERMS[k][f] != f2:
+                if not (0 <= t < n and 0 <= f < 4):
+                    raise GluingError(f"face slot ({t},{f}) out of range")
+                if not (0 <= t2 < n and 0 <= f2 < 4):
+                    raise GluingError(f"target slot ({t2},{f2}) out of range for ({t},{f})")
+                try:
+                    k = _PERM_INDEX.get(perm)
+                except TypeError:  # an entry that cannot be hashed
+                    k = None
+                if k is None:
+                    raise GluingError(f"invalid permutation {perm} at ({t},{f})")
+                if ALL_PERMS[k][f] != f2:
+                    raise GluingError(
+                        f"permutation {perm} at ({t},{f}) does not carry the face onto ({t2},{f2})"
+                    )
+                if t2 == t and f2 == f:
+                    raise GluingError(f"face slot ({t},{f}) glued to itself")
+                s = 4 * t + f
+                if table[s] is not None:
+                    raise GluingError(f"face slot ({t},{f}) glued twice")
+                table[s] = (t2 | 0, f2 | 0, k)
+            except TypeError:
                 raise GluingError(
-                    f"permutation {perm} at ({t},{f}) does not carry the face onto ({t2},{f2})"
-                )
-            if t2 == t and f2 == f:
-                raise GluingError(f"face slot ({t},{f}) glued to itself")
-            s = 4 * t + f
-            if table[s] is not None:
-                raise GluingError(f"face slot ({t},{f}) glued twice")
-            table[s] = (t2, f2, k)
+                    f"gluing ({t!r},{f!r}) -> ({t2!r},{f2!r}): slot numbers must be integers"
+                ) from None
         if None in table:
             raise UngluedFaceError([(s >> 2, s & 3) for s in range(size) if table[s] is None])
         for s, (t2, f2, k) in enumerate(table):

@@ -12,9 +12,11 @@ import pytest
 from fixtures_data import CUSPED, DOUBLE, RP2LINK, S3_ONE_TET, T41, T52
 from tetspine.cli import main
 from tetspine.homology import h1
-from tetspine.lens import S_MAX
+from tetspine.errors import GluingError
+from tetspine.lens import S_MAX, build_Tpq
 from tetspine.moves import applicable_moves
-from tetspine.triangulation import ALL_PERMS, parse_triangulation, perm_inverse
+from tetspine.spine import t_manifold
+from tetspine.triangulation import ALL_PERMS, Triangulation, parse_triangulation, perm_inverse
 
 
 def write(tmp_path, name, text):
@@ -211,6 +213,32 @@ def test_verify_existence(capsys):
     assert all(r[3] == "ok" for r in rows)
     assert [r[0] for r in rows] == ["T_4_1/seed0", "T_5_1/seed0", "T_5_2/seed0", "T_7_2/seed0"]
     assert [r[2] for r in rows] == ["1", "2+e", "0", "1+e"]
+
+
+def test_t_zero_on_one_tetrahedron_is_t52():
+    # verify existence skips the census of a one-tetrahedron state with
+    # t = 0, as T_5_2 has no surface to find; that stands for T_5_2 because,
+    # of all 108 one-tetrahedron tables (3 face matchings, 6 x 6 gluings),
+    # the copies of T_5_2 are the only closed ones with t = 0
+    t52 = build_Tpq(5, 2)
+    kinds = Counter()
+    for (a, b), (c, d) in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
+        for p in [p for p in ALL_PERMS if p[a] == b]:
+            for q in [q for q in ALL_PERMS if q[c] == d]:
+                g = {(0, a): (0, b, p), (0, b): (0, a, perm_inverse(p))}
+                g.update({(0, c): (0, d, q), (0, d): (0, c, perm_inverse(q))})
+                try:
+                    tri = Triangulation(1, g)
+                except GluingError:
+                    kinds["refused"] += 1
+                    continue
+                kinds[tri.is_closed, str(t_manifold(tri)), tri.is_isomorphic_to(t52)] += 1
+    assert kinds == {
+        "refused": 69,
+        (True, "0", True): 6,
+        (True, "1", False): 21,
+        (False, "2-e", False): 12,
+    }
 
 
 @pytest.mark.parametrize(

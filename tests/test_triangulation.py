@@ -219,6 +219,29 @@ def test_constructor_rejects_range_errors():
         Triangulation(0, {})
 
 
+def test_bool_target_is_stored_as_the_int_it_equals():
+    g = base_gluings()
+    g[(0, 0)] = (False, True, (1, 2, 3, 0))
+    tri = Triangulation(1, g)
+    assert tri == load(T52)
+    assert all(type(x) is int for f in range(4) for x in tri.gluing(0, f)[:2])
+    text = serialize_triangulation(tri)
+    assert text == serialize_triangulation(load(T52))
+    assert load(text) == tri
+
+
+@pytest.mark.parametrize("kind", [float, str, lambda x: None], ids=["float", "str", "None"])
+@pytest.mark.parametrize("place", ["t", "f", "t2", "f2"])
+def test_slot_numbers_that_are_not_integers_are_gluing_errors(place, kind):
+    # each number is otherwise right, so only its type can be refused
+    g = base_gluings()
+    numbers = dict(zip(("t", "f", "t2", "f2"), (0, 0, *g.pop((0, 0))[:2])))
+    numbers[place] = kind(numbers[place])
+    g[(numbers["t"], numbers["f"])] = (numbers["t2"], numbers["f2"], (1, 2, 3, 0))
+    with pytest.raises(GluingError, match="slot numbers must be integers"):
+        Triangulation(1, g)
+
+
 def test_constructor_rejects_edge_self_reversal():
     # identity-style fold through two faces sharing an edge reverses that
     # edge onto itself; the quotient has no consistent edge orientation
@@ -901,6 +924,12 @@ def test_smith_diagonal_frozen_cases():
     assert smith_diagonal([[6]]) == [6]
     assert smith_diagonal([[1, 2, 3]]) == [1]
     assert smith_diagonal([]) == []
+    # no unit entry: least-|value| pivots, then diag(a, b) ~ diag(gcd, lcm)
+    assert smith_diagonal([[4, 0], [0, 6]]) == [2, 12]
+    assert smith_diagonal([[6, 10, 15]]) == [1]
+    assert smith_diagonal([[-4], [6]]) == [2]
+    assert smith_diagonal([[0, 4], [6, 0], [0, 0]]) == [2, 12]
+    assert smith_diagonal([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == [1, 1, 30]
 
 
 def test_smith_diagonal_against_sympy():
@@ -920,22 +949,29 @@ def test_smith_diagonal_against_sympy():
         assert [abs(x) for x in got] == want
 
 
-def test_unit_pivots_then_dense_remainder_equal_smith_diagonal():
-    # the Smith form is unique, so eliminating the +-1 pivots first must not
-    # change the diagonal; half the matrices are sparse, as boundary maps are
+def test_sparse_smith_diagonal_against_sympy():
+    # sympy's Smith form shares no code with the elimination. Half the
+    # matrices are sparse, as boundary maps are; the unit-free batch forces
+    # the least-pivot step and the gcd/lcm ordering of the diagonal
+    from sympy import Matrix
+    from sympy.matrices.normalforms import smith_normal_form
+
     rng = random.Random(41)
-    values = (-2, -1, 0, 1, 2, 3, 5)
-    for k in range(3000):
-        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
-        zeros = 0.6 if k % 2 else 0.0
-        m = [
-            [0 if rng.random() < zeros else rng.choice(values) for _ in range(cols)]
-            for _ in range(rows)
-        ]
-        sparse = [{j: x for j, x in enumerate(row) if x} for row in m]
-        kept = [dict(row) for row in sparse]
-        assert sparse_smith_diagonal(sparse) == smith_diagonal(m), m
-        assert sparse == kept  # the input is not changed
+    batches = [((-2, -1, 0, 1, 2, 3, 5), 3000), ((0, 2, -2, 3, 4, -6, 9, 10, 12), 1000)]
+    for values, count in batches:
+        for k in range(count):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            zeros = 0.6 if k % 2 else 0.0
+            m = [
+                [0 if rng.random() < zeros else rng.choice(values) for _ in range(cols)]
+                for _ in range(rows)
+            ]
+            ref = smith_normal_form(Matrix(m))
+            want = [abs(ref[i, i]) for i in range(min(rows, cols)) if ref[i, i]]
+            sparse = [{j: x for j, x in enumerate(row) if x} for row in m]
+            kept = [dict(row) for row in sparse]
+            assert sparse_smith_diagonal(sparse) == want, m
+            assert sparse == kept  # the input is not changed
     assert sparse_smith_diagonal([]) == []
     assert sparse_smith_diagonal([{}, {}]) == []
     assert sparse_smith_diagonal([{3: 2}, {3: 4, 7: 6}]) == [2, 6]
