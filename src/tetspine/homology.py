@@ -40,7 +40,8 @@ def sparse_smith_diagonal(rows: list[dict[int, int]]) -> list[int]:
             cols.setdefault(j, set()).add(i)
 
     def split(r: int, j: int) -> bool:
-        """Pivot on (r, j); True when u split off, its row and column gone."""
+        """Pivot on the entry at (r, j); True when it split off, its row and
+        column gone."""
         pivot = rows[r]
         rows[r] = {}
         for c in pivot:
