@@ -329,6 +329,33 @@ def test_frozen_invariants_of_331_subjects():
     )
 
 
+def test_frozen_lattice_and_census_of_331_subjects():
+    # (faces, v_Q, chi, is_surface) of every simple subpolyhedron of the 331
+    # subjects, then every census row (coordinates, provenance, report) of
+    # the 207 that are not layered lens triangulations, in subject order
+    subjects = invariant_subjects()
+    digest = hashlib.sha256()
+    masks = 0
+    for tri in subjects:
+        for q in enumerate_simple_subpolyhedra(dual_spine(tri)):
+            digest.update(f"{q.faces} {q.v_q} {q.chi} {q.is_surface}\0".encode())
+            masks += 1
+        digest.update(b"\1")
+    entries = 0
+    for tri in subjects[124:]:
+        for e in census(tri):
+            r = e.report
+            row = (e.surface.coords, e.surface.provenance, r.chi, r.orientable, r.connected,
+                   r.components, r.classification, r.trivial, r.max_edge_weight)
+            digest.update(repr(row).encode())
+            entries += 1
+        digest.update(b"\1")
+    assert (masks, entries) == (25745, 2821)
+    assert digest.hexdigest() == (
+        "35cacd447276aadb8f07e4f94c31c9a3700d6e5b25374232d6a805dd217c77f0"
+    )
+
+
 def test_t_spine_stable_under_relabeling():
     from test_triangulation import relabel
 
