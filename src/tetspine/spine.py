@@ -11,7 +11,10 @@ eps^2 = eps + 1.
 A spine is plain incidence tables with no reference back to its
 triangulation. Each triangulation keeps its one dual spine (`dual_spine`),
 and the spine keeps its one enumeration of simple subpolyhedra, so the
-census and the t-invariant of a triangulation share both.
+census and the t-invariant of a triangulation share both. They share its
+germ table too: `germ_patterns` gives Q's pattern of edge slots in each
+tetrahedron, from which `subpolyhedron` reads its counts and the census
+its normal coordinates.
 """
 
 from __future__ import annotations
@@ -46,23 +49,12 @@ class SpecialSpine:
     # per spine vertex (tetrahedron): face of each of the 6 edge slots
     corner_germs: tuple[tuple[int, int, int, int, int, int], ...]
     face_degrees: tuple[int, ...]
-    # per face, derived from the germ tables: bitmasks of the spine edges
-    # holding the face in germ position 0, 1 and 2, then of the spine
-    # vertices holding it in any slot; subpolyhedron() ORs them per mask
-    face_slices: tuple[tuple[int, int, int, int], ...] = field(init=False, repr=False)
+    # per face: bit 8t + p set for each of its edge slots p of tetrahedron t
+    # (see EDGE_PAIRS); germ_patterns() ORs them over a mask
+    face_bytes: tuple[int, ...] = field(repr=False)
     # every simple subpolyhedron, in mask order, once
     # enumerate_simple_subpolyhedra has enumerated them
     _subpolyhedra: tuple[SubPolyhedron, ...] | None = field(default=None, init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        slices = [[0, 0, 0, 0] for _ in range(self.num_faces)]
-        for e, germs in enumerate(self.edge_germs):
-            for position, f in enumerate(germs):
-                slices[f][position] |= 1 << e
-        for v, germs6 in enumerate(self.corner_germs):
-            for f in germs6:
-                slices[f][3] |= 1 << v
-        object.__setattr__(self, "face_slices", tuple(map(tuple, slices)))
 
     @property
     def has_degree_one_face(self) -> bool:
@@ -96,47 +88,66 @@ def dual_spine(tri: Triangulation) -> SpecialSpine:
         t, f = tc.rep
         a, b, c = FACE_EDGE_OFFSETS[f]
         edge_germs.append((class_of[6 * t + a], class_of[6 * t + b], class_of[6 * t + c]))
+    face_bytes = [0] * len(classes)
+    for s, cls in enumerate(class_of):
+        t, p = divmod(s, 6)
+        face_bytes[cls] |= 1 << 8 * t + p
     tri._spine = SpecialSpine(
         num_vertices=tri.n,
         num_faces=len(classes),
         edge_germs=tuple(edge_germs),
         corner_germs=tuple(tuple(class_of[6 * t : 6 * t + 6]) for t in range(tri.n)),
         face_degrees=tuple(len(ec.slots) for ec in classes),
+        face_bytes=tuple(face_bytes),
     )
     return tri._spine
+
+
+def germ_patterns(spine: SpecialSpine, faces: int) -> bytes:
+    """One byte per tetrahedron: bit p set when its edge slot p lies in a
+    face of the bitmask faces, that is, the 6-bit germ pattern of Q at that
+    spine vertex."""
+    if faces < 0 or faces >> spine.num_faces:
+        raise ValueError(f"mask {faces:#x} is not a subset of {spine.num_faces} faces")
+    face_bytes = spine.face_bytes
+    germs = 0
+    while faces:
+        low = faces & -faces
+        germs |= face_bytes[low.bit_length() - 1]
+        faces ^= low
+    return germs.to_bytes(spine.num_vertices, "little")
+
+
+# per germ pattern, the germ count in each face of the tetrahedron; a face
+# is a side of the spine edge dual to its triangle class, so this is that
+# edge's germ count in Q
+_FACE_COUNTS = [[sum(g >> p & 1 for p in slots) for slots in FACE_EDGE_OFFSETS] for g in range(256)]
+_HAS_ONE_GERM_FACE = bytes(1 in counts for counts in _FACE_COUNTS)
+_HAS_THREE_GERM_FACE = bytes(3 in counts for counts in _FACE_COUNTS)
+_FACES_WITH_TWO_OR_THREE = bytes(sum(c >= 2 for c in counts) for counts in _FACE_COUNTS)
 
 
 def subpolyhedron(spine: SpecialSpine, faces: int) -> SubPolyhedron:
     """Validate a face bitmask and compute its invariants.
 
-    Bit-sliced: the face slices of Q are ORed into one mask of spine edges
-    per germ position, so an edge's germ count in Q is the number of these
-    three masks holding it. Raises NotSimpleError listing, in ascending
-    order, the spine edges whose germ count is 1.
+    Read from Q's germ pattern at each spine vertex (`germ_patterns`): Q is
+    simple when no face of a tetrahedron holds exactly one germ, and a
+    surface when none holds three. The triangle dual to a spine edge has two
+    sides, each a face of a tetrahedron, so the spine edges in Q are half the
+    faces holding two or three germs. Raises NotSimpleError listing, in
+    ascending order, the spine edges whose germ count is 1.
     """
-    if faces < 0 or faces >> spine.num_faces:
-        raise ValueError(f"mask {faces:#x} is not a subset of {spine.num_faces} faces")
-    a0 = a1 = a2 = touched = outside = 0
-    rest = faces
-    for s0, s1, s2, sv in spine.face_slices:
-        if rest & 1:
-            a0 |= s0
-            a1 |= s1
-            a2 |= s2
-            touched |= sv
-        else:
-            outside |= sv
-        rest >>= 1
-    three = a0 & a1 & a2
-    bad = (a0 ^ a1 ^ a2) & ~three  # germ count exactly 1
-    if bad:
-        raise NotSimpleError(tuple(e for e in range(bad.bit_length()) if bad >> e & 1))
-    edges_in = ((a0 & a1) | (a0 & a2) | (a1 & a2)).bit_count()
+    patterns = germ_patterns(spine, faces)
+    if b"\1" in patterns.translate(_HAS_ONE_GERM_FACE):
+        germ_counts = (sum(faces >> f & 1 for f in germs) for germs in spine.edge_germs)
+        raise NotSimpleError(tuple(e for e, count in enumerate(germ_counts) if count == 1))
+    touched = spine.num_vertices - patterns.count(0)
+    edges_in = sum(patterns.translate(_FACES_WITH_TWO_OR_THREE)) // 2
     return SubPolyhedron(
         faces=faces,
-        v_q=spine.num_vertices - outside.bit_count(),
-        chi=touched.bit_count() - edges_in + faces.bit_count(),
-        is_surface=not three,
+        v_q=patterns.count(63),
+        chi=touched - edges_in + faces.bit_count(),
+        is_surface=b"\1" not in patterns.translate(_HAS_THREE_GERM_FACE),
         is_empty=faces == 0,
     )
 

@@ -5,9 +5,9 @@ counts (indexed by the cut-off corner) and 3 quadrilateral counts. Quad type
 q separates the edge {0, q+1} from the opposite edge. Two constructions are
 provided: a surface subpolyhedron is itself normal (type I), and the
 boundary of a small regular neighborhood of any simple subpolyhedron is
-normal (type II). Both OR together the germ bits of Q's faces
-(`NormalTables.face_bytes`; spine face f is edge class f), which gives one
-byte per tetrahedron, the 6-bit germ pattern of its six edge slots, and join
+normal (type II). Both read Q's germ patterns off the dual spine
+(`spine.germ_patterns`; spine face f is edge class f), one byte per
+tetrahedron holding the 6-bit pattern of its edge slots in Q, and join
 the tetrahedra's 7-byte coordinate rows from a 64-entry table built at
 import by one complement rule: inside a tetrahedron the type II surface has
 one disc per region of the complement of Q (see `_type_II_row`), and the
@@ -46,7 +46,7 @@ from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from .errors import InternalLinkError, MatchingViolationError, NotASurfaceError
-from .spine import SubPolyhedron, dual_spine, enumerate_simple_subpolyhedra
+from .spine import SubPolyhedron, dual_spine, enumerate_simple_subpolyhedra, germ_patterns
 from .triangulation import ALL_PERMS, EDGE_PAIRS, FACE_EDGES, FACE_VERTS, Triangulation
 
 # Normal coordinates are flat, 7 per tetrahedron t: the triangle cutting off
@@ -61,8 +61,8 @@ QTYPE_OF_PAIR: dict[tuple[int, int], int] = {
 
 class NormalTables(NamedTuple):
     """Flat lookup tables that read normal coordinates on one triangulation:
-    one weight term per edge class, one gluing template per triangle class
-    and one germ bitmask per spine face; none grows with the surface."""
+    one weight term per edge class and one gluing template per triangle
+    class; none grows with the surface."""
 
     # per edge class: the four coordinate indices that sum to its weight at
     # its smallest slot
@@ -71,10 +71,6 @@ class NormalTables(NamedTuple):
     # template 24 f + i into _ARC_RUNS), where f is the representative face
     # and ALL_PERMS[i] carries its vertex labels to the other side's
     triangle_templates: tuple[tuple[int, int, int], ...]
-    # per spine face, that is edge class: bit 8t + p set for each of its
-    # slots p of tetrahedron t (see EDGE_PAIRS), so the OR over the faces of
-    # a subpolyhedron holds one germ pattern per byte
-    face_bytes: tuple[int, ...]
 
 
 def _arc_run_templates() -> tuple[tuple[tuple[int, int, int, int, int], ...], ...]:
@@ -126,21 +122,15 @@ _ARC_RUNS = _arc_run_templates()
 
 def build_normal_tables(tr: Triangulation) -> NormalTables:
     """The tables of tr; read them through tr._normal_tables, which caches them."""
-    classes, class_of, _ = tr._edge_data
-    face_bytes = [0] * len(classes)
-    for t in range(tr.n):
-        bit = 1 << 8 * t
-        for p, cls in enumerate(class_of[6 * t : 6 * t + 6]):
-            face_bytes[cls] |= bit << p
     class_terms = []
-    for ec in classes:
+    for ec in tr.edge_classes:
         t, p = divmod(ec.rep, 6)
         a, b, x, y = _WEIGHT_OFFSETS[p]
         class_terms.append((7 * t + a, 7 * t + b, 7 * t + x, 7 * t + y))
     triangle_templates = tuple(
         (s >> 2, t2, 24 * (s & 3) + k) for s, (t2, f2, k) in enumerate(tr._glue) if s < 4 * t2 + f2
     )
-    return NormalTables(tuple(class_terms), triangle_templates, tuple(face_bytes))
+    return NormalTables(tuple(class_terms), triangle_templates)
 
 
 class NormalSurface:
@@ -294,16 +284,8 @@ def _census_surface(
     """The checked surface with rows[pattern] in each tetrahedron, where
     pattern is the set of its edge slots whose dual face is in faces, and
     ids[pattern] is that row's id."""
-    face_bytes = tr._normal_tables.face_bytes
-    if faces < 0 or faces >> len(face_bytes):
-        raise ValueError(f"mask {faces:#x} is not a subset of {len(face_bytes)} faces")
-    germs = 0
-    rest = faces
-    while rest:
-        low = rest & -rest
-        germs |= face_bytes[low.bit_length() - 1]
-        rest ^= low
-    patterns = germs.to_bytes(tr.n, "little")
+    # the spine census() enumerated from; dual_spine builds it when absent
+    patterns = germ_patterns(tr._spine or dual_spine(tr), faces)
     coords = b"".join(map(rows.__getitem__, patterns))
     if len(coords) < 7 * tr.n:
         t = next(t for t, pattern in enumerate(patterns) if not rows[pattern])

@@ -235,8 +235,13 @@ class Triangulation:
             raise GluingError("need at least one tetrahedron")
         size = 4 * n
         table: list[tuple[int, int, int] | None] = [None] * size
-        for (t, f), (t2, f2, perm) in gluings.items():
-            perm = tuple(perm)
+        for entry in gluings.items():
+            try:
+                (t, f), (t2, f2, perm) = entry
+                perm = tuple(perm)
+            except (TypeError, ValueError):
+                msg = f"gluing entry {entry[0]!r}: {entry[1]!r} is not (t, f): (t2, f2, permutation)"
+                raise GluingError(msg) from None
             # a slot number that is not an int (a bool is) raises TypeError
             # below, at the latest in `| 0`, which stores a bool as its int
             try:

@@ -113,8 +113,8 @@ def test_subpolyhedron_invariants_revalidate():
 
 
 def reference_subpolyhedron(spine, faces):
-    """subpolyhedron() as it read before bit-slicing: one germ count per
-    spine edge and one slot count per spine vertex."""
+    """subpolyhedron() read directly off the incidence tables: one germ
+    count per spine edge and one slot count per spine vertex."""
     bad = []
     edges_in = 0
     surface = True
@@ -152,11 +152,12 @@ def outcome(sub, spine, faces):
         return exc.edges
 
 
-def test_bit_sliced_subpolyhedron_matches_the_reference():
-    # every mask of the corpus spines; enumerated and random masks of walk
-    # descendants up to the 24-face spine of T_21_4
+def test_subpolyhedron_matches_the_per_edge_reference():
+    # every mask of the corpus spines and of TWO_KLEIN; enumerated and random
+    # masks of walk descendants up to the 24-face spine of T_21_4
     rng = random.Random(3)
-    subjects = [dual_spine(tri) for tri in corpus().values()]
+    tris = [*corpus().values(), parse_triangulation(TWO_KLEIN)]
+    subjects = [dual_spine(tri) for tri in tris]
     walks = [random_pachner_walk(build_Tpq(12, 5), 8, seed=s) for s in range(3)]
     walks.append(random_pachner_walk(build_Tpq(21, 4), 25, seed=5))
     rejected = 0

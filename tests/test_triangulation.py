@@ -242,6 +242,24 @@ def test_slot_numbers_that_are_not_integers_are_gluing_errors(place, kind):
         Triangulation(1, g)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ((0, 0, 0), (0, 1, (1, 2, 3, 0))),
+        ((0, 0), (0, 1)),
+        ((0, 0), (0, 1, 5)),
+        (0, (0, 1, (1, 2, 3, 0))),
+        ((0, 0), 5),
+    ],
+    ids=["key-triple", "value-pair", "int-permutation", "int-key", "int-value"],
+)
+def test_malformed_gluing_entries_are_gluing_errors(key, value):
+    # an entry that does not unpack as (t, f): (t2, f2, permutation)
+    with pytest.raises(GluingError, match="is not") as exc:
+        Triangulation(1, {key: value})
+    assert f"{key!r}: {value!r}" in str(exc.value)
+
+
 def test_constructor_rejects_edge_self_reversal():
     # identity-style fold through two faces sharing an edge reverses that
     # edge onto itself; the quotient has no consistent edge orientation
