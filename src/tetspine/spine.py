@@ -46,8 +46,6 @@ class SpecialSpine:
     num_faces: int
     # per spine edge (triangle class): the 3 incident faces, with multiplicity
     edge_germs: tuple[tuple[int, int, int], ...]
-    # per spine vertex (tetrahedron): face of each of the 6 edge slots
-    corner_germs: tuple[tuple[int, int, int, int, int, int], ...]
     face_degrees: tuple[int, ...]
     # per face: bit 8t + p set for each of its edge slots p of tetrahedron t
     # (see EDGE_PAIRS); germ_patterns() ORs them over a mask
@@ -96,7 +94,6 @@ def dual_spine(tri: Triangulation) -> SpecialSpine:
         num_vertices=tri.n,
         num_faces=len(classes),
         edge_germs=tuple(edge_germs),
-        corner_germs=tuple(tuple(class_of[6 * t : 6 * t + 6]) for t in range(tri.n)),
         face_degrees=tuple(len(ec.slots) for ec in classes),
         face_bytes=tuple(face_bytes),
     )

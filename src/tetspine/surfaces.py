@@ -25,13 +25,13 @@ toward its corner for a triangle and toward vertex 0 for a quad, so the two
 discs bounding an arc disagree in orientation when the gluing permutation is
 even, flipped once per quad that faces away from the arc's corner (see
 `_arc_run_templates`). Each arc joins its two discs, with that parity bit,
-in a union-find with parent pointers and path
-halving, which yields the components and orientability; with the edge
-weights this gives chi = V - E + F. The result is a small summary cached on
-the surface. Computing it is the surface's one validation: no negative
-count and at most one quad type per tetrahedron, which the registry
-guarantees for census rows and `_disc_complex` checks for other
-coordinates, and the same arc count on the two sides of every
+in a union-find that links the smaller set under the larger, so its finds
+only read and stay within log2 of the disc count; it yields the components
+and orientability, and with the edge weights chi = V - E + F. The result is
+a small summary cached on the surface. Computing it is the surface's one
+validation: no negative count and at most one quad type per tetrahedron,
+which the registry guarantees for census rows and `_disc_complex` checks
+for other coordinates, and the same arc count on the two sides of every
 triangle-class corner, checked as a triangle class's arcs are worked out;
 that is the matching equations, and the same as one weight per edge class.
 `split_components` and `reconstruct` read the summary; the parts that
@@ -419,11 +419,12 @@ def _sweep(ns: NormalSurface, row_ids: Sequence[int], disc_counts: Sequence[int]
     a parent, a root is its own, and a bit says whether the disc's boundary
     orientation, carried across the arcs between them, disagrees with its
     parent's. A find follows the parents to the root, gathering the bits,
-    and points every other disc on the way at its grandparent (path
-    halving); a join points one root at the other. A parity clash inside one
-    set means non-orientable. Components are discs minus joins, numbered in
-    order of first disc. Every intersection point lies on one edge class, so
-    V is the sum of the weights and chi = V - E + F.
+    and writes nothing; a join hangs the root of the smaller set under that
+    of the larger and adds the sizes, so no find takes more than log2 of the
+    disc count steps. A parity clash inside one set means non-orientable.
+    Components are discs minus joins, numbered in order of first disc. Every
+    intersection point lies on one edge class, so V is the sum of the
+    weights and chi = V - E + F.
     """
     c = ns.coords
     tables = ns.triangulation._normal_tables
@@ -431,6 +432,7 @@ def _sweep(ns: NormalSurface, row_ids: Sequence[int], disc_counts: Sequence[int]
     discs = offset[-1]
     parent = list(range(discs))
     flip = [0] * discs  # 1 when a disc and its parent disagree in orientation
+    size = [1] * discs  # discs under each root
     arcs = 0
     joins = 0
     orientable = True
@@ -455,27 +457,20 @@ def _sweep(ns: NormalSurface, row_ids: Sequence[int], disc_counts: Sequence[int]
         for x, y, s in pairs:
             x += base_a
             y += base_b
-            # find both roots, halving the paths and gathering the parities
+            # find both roots, gathering the parities
             while (p := parent[x]) != x:
-                g = parent[p]
                 s ^= flip[x]
-                if g != p:
-                    flip[x] ^= flip[p]
-                    s ^= flip[p]
-                    parent[x] = g
-                x = g
+                x = p
             while (p := parent[y]) != y:
-                g = parent[p]
                 s ^= flip[y]
-                if g != p:
-                    flip[y] ^= flip[p]
-                    s ^= flip[p]
-                    parent[y] = g
-                y = g
+                y = p
             if x != y:
                 joins += 1
+                if size[x] < size[y]:
+                    x, y = y, x
                 parent[y] = x
                 flip[y] = s
+                size[x] += size[y]
             elif s:
                 orientable = False
     components = discs - joins

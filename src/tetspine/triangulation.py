@@ -19,6 +19,7 @@ and orientability.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
@@ -97,43 +98,40 @@ class SignedEdgeUnion:
     time, and read the classes at any point between gluings. A root's flip
     is 0; flip[s] is 1 when slot s's ascending vertex order runs against its
     parent's. Feeding each glued face pair once is enough, since its reverse
-    direction joins the same slots with the same parities. Finds halve the
-    paths they follow, as `surfaces._sweep` does for discs.
+    direction joins the same slots with the same parities. A find only
+    reads: it follows the parents to the root, gathering their flips. A join
+    hangs the root of the smaller class under that of the larger, as
+    `surfaces._sweep` does for discs, so no slot is more than log2(6n)
+    parents from its root.
     """
 
-    __slots__ = ("parent", "flip")
+    __slots__ = ("parent", "flip", "size")
 
     def __init__(self, n: int) -> None:
         self.parent = list(range(6 * n))
         self.flip = [0] * (6 * n)
+        self.size = [1] * (6 * n)  # slots under each root
 
     def glue(self, t: int, f: int, t2: int, k: int) -> None:
         """Join the three edges of face f of tetrahedron t to their images
         under ALL_PERMS[k] on tetrahedron t2. Raises GluingError when a slot
         is identified with itself reversed."""
-        parent, flip = self.parent, self.flip
+        parent, flip, size = self.parent, self.flip, self.size
         for a, b, odd in _FACE_GLUE[24 * f + k]:
             x = 6 * t + a
             while (p := parent[x]) != x:
-                g = parent[p]
                 odd ^= flip[x]
-                if g != p:
-                    flip[x] ^= flip[p]
-                    odd ^= flip[p]
-                    parent[x] = g
-                x = g
+                x = p
             y = 6 * t2 + b
             while (p := parent[y]) != y:
-                g = parent[p]
                 odd ^= flip[y]
-                if g != p:
-                    flip[y] ^= flip[p]
-                    odd ^= flip[p]
-                    parent[y] = g
-                y = g
+                y = p
             if x != y:
+                if size[x] < size[y]:
+                    x, y = y, x
                 parent[y] = x
                 flip[y] = odd
+                size[x] += size[y]
             elif odd:
                 raise GluingError(
                     f"edge {EDGE_PAIRS[a]} of tetrahedron {t} is identified with itself reversed"
@@ -144,23 +142,18 @@ class SignedEdgeUnion:
         order of their smallest slot, and sign_of[s] is +1 when slot s's
         ascending vertex order agrees with that smallest slot's."""
         parent, flip = self.parent, self.flip
-        size = len(parent)
-        class_of = [0] * size
-        sign_of = [0] * size
-        number = [-1] * size  # class index of each root, once one of its slots is seen
-        rep_flip = [0] * size  # flip of that class's smallest slot against the root
+        slots = len(parent)
+        class_of = [0] * slots
+        sign_of = [0] * slots
+        number = [-1] * slots  # class index of each root, once one of its slots is seen
+        rep_flip = [0] * slots  # flip of that class's smallest slot against the root
         count = 0
-        for slot in range(size):
+        for slot in range(slots):
             x = slot
             odd = 0
             while (p := parent[x]) != x:
-                g = parent[p]
                 odd ^= flip[x]
-                if g != p:
-                    flip[x] ^= flip[p]
-                    odd ^= flip[p]
-                    parent[x] = g
-                x = g
+                x = p
             idx = number[x]
             if idx < 0:
                 idx = number[x] = count
@@ -231,6 +224,10 @@ class Triangulation:
     """
 
     def __init__(self, n: int, gluings: Mapping[tuple[int, int], tuple[int, int, Iterable[int]]]) -> None:
+        try:
+            n = operator.index(n)  # stores a bool as the int it equals
+        except TypeError:
+            raise GluingError(f"tetrahedron count {n!r} is not an integer") from None
         if n < 1:
             raise GluingError("need at least one tetrahedron")
         size = 4 * n

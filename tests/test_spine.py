@@ -50,7 +50,6 @@ def test_dual_spine_shapes():
     assert sp.num_vertices == 1
     assert len(sp.edge_germs) == 2  # one per triangle class
     assert sp.num_faces == 2  # one per edge class
-    assert len(sp.corner_germs) == 1 and len(sp.corner_germs[0]) == 6
     assert all(len(g) == 3 for g in sp.edge_germs)
     assert sp.face_degrees == tuple(ec.degree for ec in tri.edge_classes)
 
@@ -112,9 +111,12 @@ def test_subpolyhedron_invariants_revalidate():
             assert again == q, name
 
 
-def reference_subpolyhedron(spine, faces):
+def reference_subpolyhedron(tri, faces):
     """subpolyhedron() read directly off the incidence tables: one germ
-    count per spine edge and one slot count per spine vertex."""
+    count per spine edge, and one slot count per spine vertex, from the
+    edge class (spine face) of each of its tetrahedron's six edge slots."""
+    spine = dual_spine(tri)
+    class_of = tri._edge_data[1]
     bad = []
     edges_in = 0
     surface = True
@@ -130,7 +132,8 @@ def reference_subpolyhedron(spine, faces):
         raise NotSimpleError(tuple(bad))
     touched = 0
     v_q = 0
-    for germs6 in spine.corner_germs:
+    for t in range(tri.n):
+        germs6 = class_of[6 * t : 6 * t + 6]
         hits = sum(1 for g in germs6 if faces >> g & 1)
         if hits:
             touched += 1
@@ -145,9 +148,9 @@ def reference_subpolyhedron(spine, faces):
     )
 
 
-def outcome(sub, spine, faces):
+def outcome(sub, subject, faces):
     try:
-        return sub(spine, faces)
+        return sub(subject, faces)
     except NotSimpleError as exc:
         return exc.edges
 
@@ -157,13 +160,13 @@ def test_subpolyhedron_matches_the_per_edge_reference():
     # masks of walk descendants up to the 24-face spine of T_21_4
     rng = random.Random(3)
     tris = [*corpus().values(), parse_triangulation(TWO_KLEIN)]
-    subjects = [dual_spine(tri) for tri in tris]
     walks = [random_pachner_walk(build_Tpq(12, 5), 8, seed=s) for s in range(3)]
     walks.append(random_pachner_walk(build_Tpq(21, 4), 25, seed=5))
     rejected = 0
-    for sp in subjects:
+    for tri in tris:
+        sp = dual_spine(tri)
         for mask in range(1 << sp.num_faces):
-            want = outcome(reference_subpolyhedron, sp, mask)
+            want = outcome(reference_subpolyhedron, tri, mask)
             assert outcome(subpolyhedron, sp, mask) == want, mask
             rejected += isinstance(want, tuple)
     for tri in walks:
@@ -171,7 +174,7 @@ def test_subpolyhedron_matches_the_per_edge_reference():
         masks = [q.faces for q in enumerate_simple_subpolyhedra(sp)][:2000]
         masks += [rng.getrandbits(sp.num_faces) for _ in range(2000)]
         for mask in masks:
-            want = outcome(reference_subpolyhedron, sp, mask)
+            want = outcome(reference_subpolyhedron, tri, mask)
             assert outcome(subpolyhedron, sp, mask) == want, mask
             rejected += isinstance(want, tuple)
     assert rejected > 1000

@@ -137,6 +137,16 @@ def test_type_I_refuses_a_germ_count_of_3_on_a_surface_flag():
         type_I_surface(tri, q)
 
 
+def test_type_II_refuses_a_pattern_with_no_link_shape():
+    # T_{7,2}: a hand-made copy of the empty subpolyhedron holding face 0
+    # alone is not simple; the first tetrahedron with no type II row holds
+    # that face at its edge slot 0 alone
+    tri = build_Tpq(7, 2)
+    q = dataclasses.replace(subpolyhedron(dual_spine(tri), 0), faces=0x1, is_empty=False)
+    with pytest.raises(InternalLinkError, match=r"^germ slots \[0\] form no admissible link shape$"):
+        type_II_surface(tri, q)
+
+
 # ---- coordinates --------------------------------------------------------------------
 
 

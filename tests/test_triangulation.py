@@ -230,6 +230,17 @@ def test_bool_target_is_stored_as_the_int_it_equals():
     assert load(text) == tri
 
 
+def test_tetrahedron_count_must_be_an_integer():
+    # a bool is stored as the int it equals, so it serializes as a number
+    tri = Triangulation(True, base_gluings())
+    assert type(tri.n) is int and tri == load(T52)
+    assert serialize_triangulation(tri) == serialize_triangulation(load(T52))
+    for count in (1.0, "1", None):
+        with pytest.raises(GluingError) as exc:
+            Triangulation(count, base_gluings())
+        assert str(exc.value) == f"tetrahedron count {count!r} is not an integer"
+
+
 @pytest.mark.parametrize("kind", [float, str, lambda x: None], ids=["float", "str", "None"])
 @pytest.mark.parametrize("place", ["t", "f", "t2", "f2"])
 def test_slot_numbers_that_are_not_integers_are_gluing_errors(place, kind):
@@ -532,6 +543,30 @@ def test_edge_union_resumes_between_gluings():
                 assert str(exc) == str(want.value)
                 break
             assert union.classes() == reference_signed_edge_classes(n, fed)
+
+
+@pytest.mark.parametrize("p, q", [(1000, 1), (1000, 999), (200, 1)])
+def test_edge_union_depth_is_logarithmic_in_any_glue_order(p, q):
+    # a layered build glues its triangle classes in a chain, which a union
+    # that links root under root regardless of size turns into a path
+    tri = build_Tpq(p, q)
+    pairs = [(*tc.rep, tc.other[0], ALL_PERMS.index(tc.perm)) for tc in tri.triangle_classes]
+    shuffled = list(pairs)
+    random.Random(30).shuffle(shuffled)
+    bound = (6 * tri.n).bit_length() - 1  # floor(log2 6n)
+    for order in (pairs, pairs[::-1], shuffled):
+        union = SignedEdgeUnion(tri.n)
+        for t, f, t2, k in order:
+            union.glue(t, f, t2, k)
+        depth = 0
+        for slot in range(6 * tri.n):
+            steps = 0
+            while union.parent[slot] != slot:
+                slot = union.parent[slot]
+                steps += 1
+            depth = max(depth, steps)
+        assert depth <= bound, (len(order), depth)
+        assert union.classes() == tri._edge_data[1:]
 
 
 def mutate_once(rng, n, gluings):
