@@ -6,10 +6,12 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from fixtures_data import CUSPED, DOUBLE, RP2LINK, S3_ONE_TET, T41, T52
+from tetspine import cli
 from tetspine.cli import main
 from tetspine.homology import h1
 from tetspine.errors import GluingError
@@ -251,6 +253,93 @@ def test_verify_existence_rejects_counts_that_check_nothing(capsys, counts):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+EXISTENCE_HEADER = "subject\tsteps\tt\tstatus\tdetail"
+WALKING = (
+    "walking T_4_1/seed0 (seed 0xe220a8397b1dcdaf)\n"
+    "walking T_5_1/seed0 (seed 0x6e789e6aa1b965f4)\n"
+    "walking T_5_2/seed0 (seed 0x6c45d188009454f)\n"
+    "walking T_7_2/seed0 (seed 0xf88bb8a8724c81ec)\n"
+)
+
+
+def test_verify_lens_stops_at_the_first_failing_subject(capsys, monkeypatch):
+    # T_5_2 has t = 0; expecting T_4_1's t = 1 there makes it fail
+    t_expected = cli.t_expected
+    monkeypatch.setattr(
+        cli, "t_expected", lambda p, q: t_expected(4, 1) if (p, q) == (5, 2) else t_expected(p, q)
+    )
+    assert main(["verify", "lens", "--pmax", "6"]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert len(lines) == 5
+    assert lines[0].startswith("subject\t")
+    assert [line.split("\t")[0] for line in lines[1:]] == ["T_4_1", "T_4_3", "T_5_1", "T_5_2"]
+    assert lines[-1] == "T_5_2\t1\t1\t5\t5\t0\t0\t0\t0\t0\t0\t0\tfail"
+    assert err == "verifying p = 4\nverifying p = 5\nerror: first failing subject is T_5_2\n"
+
+
+def test_verify_existence_names_a_base_without_surfaces(capsys, monkeypatch):
+    # T_5_2 passes without a census: its copies are the one-tetrahedron
+    # tables with t = 0
+    monkeypatch.setattr(cli, "census", lambda tri: [])
+    assert main(["verify", "existence", "--seeds", "1", "--steps", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        EXISTENCE_HEADER,
+        "T_4_1/seed0\t2\t1\tfail\tno non-trivial normal surface",
+        "T_5_1/seed0\t2\t2+e\tfail\tno non-trivial normal surface",
+        "T_5_2/seed0\t2\t0\tok\t",
+        "T_7_2/seed0\t2\t1+e\tfail\tno non-trivial normal surface",
+    ]
+    assert err == WALKING
+
+
+def test_verify_existence_names_the_step_without_light_surfaces(capsys, monkeypatch):
+    # each walk takes one step to an equal copy of its base, whose census
+    # has one non-trivial surface, of edge weight 3
+    walked = []
+
+    def walk(base, steps, seed):
+        copy = Triangulation(
+            base.n, {(t, f): base.gluing(t, f) for t in range(base.n) for f in range(4)}
+        )
+        walked.append(copy)
+        yield copy
+
+    heavy = [SimpleNamespace(report=SimpleNamespace(trivial=False, max_edge_weight=3))]
+    census = cli.census
+    monkeypatch.setattr(cli, "iter_pachner_walk", walk)
+    monkeypatch.setattr(
+        cli, "census", lambda tri: heavy if any(tri is w for w in walked) else census(tri)
+    )
+    assert main(["verify", "existence", "--seeds", "1", "--steps", "2"]) == 1
+    out, err = capsys.readouterr()
+    detail = "step 1: no non-trivial surface with edge weights <= 2"
+    assert out.splitlines() == [
+        EXISTENCE_HEADER,
+        f"T_4_1/seed0\t2\t1\tfail\t{detail}",
+        f"T_5_1/seed0\t2\t2+e\tfail\t{detail}",
+        "T_5_2/seed0\t2\t0\tok\t",
+        f"T_7_2/seed0\t2\t1+e\tfail\t{detail}",
+    ]
+    assert err == WALKING
+
+
+def test_verify_existence_names_the_step_where_t_changed(capsys, monkeypatch):
+    # every walk steps to T_7_2, of t = 1+e
+    monkeypatch.setattr(cli, "iter_pachner_walk", lambda base, steps, seed: iter([build_Tpq(7, 2)]))
+    assert main(["verify", "existence", "--seeds", "1", "--steps", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        EXISTENCE_HEADER,
+        "T_4_1/seed0\t2\t1\tfail\tt changed at step 1: 1 -> 1+e",
+        "T_5_1/seed0\t2\t2+e\tfail\tt changed at step 1: 2+e -> 1+e",
+        "T_5_2/seed0\t2\t0\tfail\tt changed at step 1: 0 -> 1+e",
+        "T_7_2/seed0\t2\t1+e\tok\t",
+    ]
+    assert err == WALKING
+
+
 FIXTURES = {
     "T41": T41,
     "T52": T52,
@@ -313,6 +402,38 @@ FROZEN_OUTPUTS = {
     # exit code 2: the degree-3 edge of T_5_2 runs three times through its one tetrahedron
     "pachner T52 --move 32:0":
         "4eefae84f69aba494fa0de4b107f77fa8e8f82f0c04d5c56aeddb8015a085361",
+    # TSV, the default format: bool cells read true/false, and a table with
+    # no rows is its header alone
+    "surfaces T41":
+        "fe5b57e106c2577eac921b48c443eda6ca1afa252341ad22add5e9d17f047b3f",
+    "subpolyhedra T41":
+        "803a2c893440e990f16dbf4cbf8f13dbbf8ff77df2d074d80284d1dc2ecb2b52",
+    "surfaces T52":
+        "8e27f6fb9100ad9b7bfdd9f4d9e82b33f712d5e4859fdbf66d44b80f2a47fba0",
+    "subpolyhedra T52":
+        "cbcdf80f2de347c2cd786859ca3fd0b3f281ace50f0439db00a159d02aea8075",
+    "surfaces S3_ONE_TET":
+        "c56bab73f1dbcc18a55fc799cf617a9898c3cd69123ecc5698778b8d6534fecb",
+    "subpolyhedra S3_ONE_TET":
+        "a128a4eb7b75994f5a43ae622d1948d7aad1f003dd421dd94ab890f85e8ecd86",
+    "surfaces DOUBLE":
+        "f2e88926b5611d72fd8902d956dc6006b13c5d1c4714f194b147a289913a794b",
+    "subpolyhedra DOUBLE":
+        "3c1719339112809348ea69639764b99901e1f3d676d35c5d6549b8b5c558dac9",
+    "surfaces CUSPED":
+        "a0c8ef3d2c2b889daee113a425a3c5638f5c5396438a14dd0d3ead7de2bd8dc9",
+    "subpolyhedra CUSPED":
+        "f9b5e9722865c74131ca36d50ec6ea722b7cb47f3e7895daec00f7ec103043c3",
+    "surfaces RP2LINK":
+        "6192c3a16b4cb0b59ab5568eb55b08d1a64bd640ba8ab3f81ff8aeed721a36c6",
+    "subpolyhedra RP2LINK":
+        "a27a4178f7e1aa95ce59eb14ce12eb84d91f6230e7e1a266f7bd1da6c677c121",
+    "surfaces T52 --nontrivial-only":
+        "5f0ac475ae79a10af8290e5f682302bc940634cd3862639b8dffb1288117239c",
+    "verify lens --pmax 7":
+        "1e28d4a536891d3c3a7e72af1f06e18afec540e7b8fa159ca26871c4c59ce521",
+    "verify existence --seeds 1 --steps 3":
+        "4404a3472d44a902725a316215a9968e148951c91e5eb9df8e46a3105adb73d4",
 }
 
 
