@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 verification failure or write error, 2 usage or
 parse error (a bad SPINE_FACE_BUDGET included), 3 enumeration budget
-exceeded. Data goes to stdout (TSV by default, JSON with --format json);
-progress and warnings go to stderr.
+exceeded. A command returns 0, or 1 when a verification fails; when an
+exception ends it, `main` prints the one error line and chooses the exit
+code from one table. Data goes to stdout (TSV by default, JSON with
+--format json); progress and warnings go to stderr.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 import math
 import re
 import sys
+from collections import Counter
 
 from .errors import (
     EnumerationBudgetError,
@@ -30,6 +33,53 @@ from .moves import SplitMix64, iter_pachner_walk, pachner_23, pachner_32
 from .spine import dual_spine, enumerate_simple_subpolyhedra, t_manifold
 from .surfaces import census
 from .triangulation import Triangulation, parse_triangulation, serialize_triangulation
+
+
+class _UsageError(TetspineError):
+    """A command-line value the command refuses."""
+
+
+# the exit code of each refusal, looked up along the exception's classes
+# from the most derived; any other OSError or TetspineError exits 1
+_EXIT_CODES = {
+    EnumerationBudgetError: 3,
+    _UsageError: 2,
+    ParseError: 2,
+    GluingError: 2,
+    NotClosedError: 2,
+    InvalidParamsError: 2,
+    InvalidBudgetError: 2,
+}
+
+# the columns of each table, in the order of its row tuples
+_SURFACE_COLUMNS = (
+    "coords",
+    "chi",
+    "orientable",
+    "connected",
+    "classification",
+    "trivial",
+    "max_edge_weight",
+    "provenance",
+)
+_SUBPOLYHEDRON_COLUMNS = ("faces", "v_q", "chi", "is_surface")
+_LENS_COLUMNS = (
+    "subject",
+    "tets",
+    "tets_expected",
+    "h1_order",
+    "h1_expected",
+    "tau",
+    "tau_expected",
+    "kappa",
+    "kappa_expected",
+    "rp2",
+    "nontrivial_spheres",
+    "t",
+    "status",
+)
+_EXISTENCE_COLUMNS = ("subject", "steps", "t", "status", "detail")
+
 
 def _load(path: str) -> Triangulation:
     with open(path, "rb") as fh:
@@ -53,14 +103,14 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _emit(rows: list[dict], columns: list[str], fmt: str) -> None:
+def _emit(columns: tuple[str, ...], rows: list[tuple], fmt: str) -> None:
     if fmt == "json":
-        json.dump(rows, sys.stdout, indent=1)
+        json.dump([dict(zip(columns, row)) for row in rows], sys.stdout, indent=1)
         sys.stdout.write("\n")
     else:
         print("\t".join(columns))
         for row in rows:
-            print("\t".join(_cell(row[c]) for c in columns))
+            print("\t".join(map(_cell, row)))
 
 
 def _coords_text(surface) -> str:
@@ -109,31 +159,18 @@ def cmd_surfaces(args) -> int:
             continue
         kind, faces = entry.surface.provenance
         rows.append(
-            {
-                "coords": _coords_text(entry.surface),
-                "chi": rep.chi,
-                "orientable": rep.orientable,
-                "connected": rep.connected,
-                "classification": rep.classification,
-                "trivial": rep.trivial,
-                "max_edge_weight": rep.max_edge_weight,
-                "provenance": f"{kind}:{faces:#x}",
-            }
+            (
+                _coords_text(entry.surface),
+                rep.chi,
+                rep.orientable,
+                rep.connected,
+                rep.classification,
+                rep.trivial,
+                rep.max_edge_weight,
+                f"{kind}:{faces:#x}",
+            )
         )
-    _emit(
-        rows,
-        [
-            "coords",
-            "chi",
-            "orientable",
-            "connected",
-            "classification",
-            "trivial",
-            "max_edge_weight",
-            "provenance",
-        ],
-        args.format,
-    )
+    _emit(_SURFACE_COLUMNS, rows, args.format)
     return 0
 
 
@@ -145,17 +182,11 @@ def cmd_subpolyhedra(args) -> int:
             "warning: spine has a degree-1 edge class; faces may be non-cellular",
             file=sys.stderr,
         )
-    rows = []
-    for q in enumerate_simple_subpolyhedra(spine):
-        rows.append(
-            {
-                "faces": f"{q.faces:#x}",
-                "v_q": q.v_q,
-                "chi": q.chi,
-                "is_surface": q.is_surface,
-            }
-        )
-    _emit(rows, ["faces", "v_q", "chi", "is_surface"], args.format)
+    rows = [
+        (f"{q.faces:#x}", q.v_q, q.chi, q.is_surface)
+        for q in enumerate_simple_subpolyhedra(spine)
+    ]
+    _emit(_SUBPOLYHEDRON_COLUMNS, rows, args.format)
     return 0
 
 
@@ -167,42 +198,22 @@ def cmd_pachner(args) -> int:
     except ValueError:  # "²" passes isdigit(), as do more than 4300 digits
         idx = -1
     if kind not in ("23", "32") or idx < 0:
-        print(f"error: --move must be 23:<face> or 32:<edge>, got {args.move!r}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"--move must be 23:<face> or 32:<edge>, got {args.move!r}")
     try:
         out = pachner_23(tri, idx) if kind == "23" else pachner_32(tri, idx)
     except MoveNotApplicableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # only here, where the command line names the move, is it a usage error
+        raise _UsageError(str(exc)) from exc
     sys.stdout.write(serialize_triangulation(out, comment=f"after move {args.move}"))
     return 0
 
 
-_LENS_COLUMNS = [
-    "subject",
-    "tets",
-    "tets_expected",
-    "h1_order",
-    "h1_expected",
-    "tau",
-    "tau_expected",
-    "kappa",
-    "kappa_expected",
-    "rp2",
-    "nontrivial_spheres",
-    "t",
-    "status",
-]
-
-
 def cmd_verify_lens(args) -> int:
     if args.pmax < 4:
-        print("error: --pmax must be at least 4", file=sys.stderr)
-        return 2
+        raise _UsageError("--pmax must be at least 4")
     if args.pmax > S_MAX:
         # T_(pmax,1) has S = pmax
-        print(f"error: --pmax must be at most {S_MAX}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"--pmax must be at most {S_MAX}")
     rows = []
     for p in range(4, args.pmax + 1):
         print(f"verifying p = {p}", file=sys.stderr)
@@ -211,19 +222,16 @@ def cmd_verify_lens(args) -> int:
                 continue
             params = lens_params(p, q)
             tri = build_Tpq(p, q)
-            entries = census(tri)
-            tau = sum(1 for e in entries if e.report.classification == "torus")
-            kappa = sum(1 for e in entries if e.report.classification == "klein")
-            rp2 = sum(1 for e in entries if e.report.classification == "rp2")
-            bad_spheres = sum(
-                1
-                for e in entries
-                if e.report.classification == "sphere" and not e.report.trivial
+            # the trivial spheres are the only entries left out
+            counts = Counter(
+                rep.classification
+                for rep in (e.report for e in census(tri))
+                if not (rep.trivial and rep.classification == "sphere")
             )
+            tau, kappa, rp2, bad_spheres = (counts[c] for c in ("torus", "klein", "rp2", "sphere"))
             betti, torsion = h1(tri)
             h1_order = torsion[0] if (betti, len(torsion)) == (0, 1) else f"({betti},{torsion})"
             t = t_manifold(tri)
-            t_val = str(t)
             tau_want = tau_expected(p, q)
             kappa_want = kappa_expected(p, q)
             ok = (
@@ -236,27 +244,27 @@ def cmd_verify_lens(args) -> int:
                 and t == t_expected(p, q)
             )
             rows.append(
-                {
-                    "subject": f"T_{p}_{q}",
-                    "tets": tri.n,
-                    "tets_expected": params.S - 3,
-                    "h1_order": h1_order,
-                    "h1_expected": p,
-                    "tau": tau,
-                    "tau_expected": tau_want,
-                    "kappa": kappa,
-                    "kappa_expected": kappa_want,
-                    "rp2": rp2,
-                    "nontrivial_spheres": bad_spheres,
-                    "t": t_val,
-                    "status": "ok" if ok else "fail",
-                }
+                (
+                    f"T_{p}_{q}",
+                    tri.n,
+                    params.S - 3,
+                    h1_order,
+                    p,
+                    tau,
+                    tau_want,
+                    kappa,
+                    kappa_want,
+                    rp2,
+                    bad_spheres,
+                    str(t),
+                    "ok" if ok else "fail",
+                )
             )
             if not ok:
-                _emit(rows, _LENS_COLUMNS, args.format)
+                _emit(_LENS_COLUMNS, rows, args.format)
                 print(f"error: first failing subject is T_{p}_{q}", file=sys.stderr)
                 return 1
-    _emit(rows, _LENS_COLUMNS, args.format)
+    _emit(_LENS_COLUMNS, rows, args.format)
     return 0
 
 
@@ -278,11 +286,9 @@ def _existence_check(tri: Triangulation, t: str) -> str | None:
 
 def cmd_verify_existence(args) -> int:
     if args.seeds < 1:
-        print("error: --seeds must be at least 1", file=sys.stderr)
-        return 2
+        raise _UsageError("--seeds must be at least 1")
     if args.steps < 0:
-        print("error: --steps must be at least 0", file=sys.stderr)
-        return 2
+        raise _UsageError("--steps must be at least 0")
     master = SplitMix64(args.seed)
     rows = []
     failed = False
@@ -305,18 +311,10 @@ def cmd_verify_existence(args) -> int:
                     if problem is not None:
                         problem = f"step {step + 1}: {problem}"
                         break
-            status = "ok" if problem is None else "fail"
             failed = failed or problem is not None
-            rows.append(
-                {
-                    "subject": subject,
-                    "steps": args.steps,
-                    "t": base_t,
-                    "status": status,
-                    "detail": problem or "",
-                }
-            )
-    _emit(rows, ["subject", "steps", "t", "status", "detail"], args.format)
+            status = "ok" if problem is None else "fail"
+            rows.append((subject, args.steps, base_t, status, problem or ""))
+    _emit(_EXISTENCE_COLUMNS, rows, args.format)
     return 1 if failed else 0
 
 
@@ -384,24 +382,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except EnumerationBudgetError as exc:
+    except (OSError, TetspineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (
-        ParseError,
-        GluingError,
-        NotClosedError,
-        InvalidParamsError,
-        InvalidBudgetError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except TetspineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next((_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES), 1)
 
 
 if __name__ == "__main__":

@@ -309,6 +309,8 @@ class Triangulation:
         self._spine: SpecialSpine | None = None
 
     def gluing(self, t: int, f: int) -> tuple[int, int, Perm]:
+        if not (0 <= t < self.n and 0 <= f < 4):
+            raise IndexError(f"no face slot ({t},{f}) in {self.n} tetrahedra")
         t2, f2, k = self._glue[4 * t + f]
         return t2, f2, ALL_PERMS[k]
 
@@ -330,6 +332,8 @@ class Triangulation:
         return self._edge_data[0]
 
     def edge_class_of(self, t: int, u: int, v: int) -> int:
+        if not 0 <= t < self.n:
+            raise IndexError(f"no edge slot ({t},{u},{v}) in {self.n} tetrahedra")
         return self._edge_data[1][edge_slot(t, u, v)]
 
     @cached_property
@@ -367,6 +371,8 @@ class Triangulation:
         return self._vertex_data[1]
 
     def triangle_class_of(self, t: int, f: int) -> int:
+        if not (0 <= t < self.n and 0 <= f < 4):
+            raise IndexError(f"no face slot ({t},{f}) in {self.n} tetrahedra")
         return next(tc.index for tc in self.triangle_classes if (t, f) in (tc.rep, tc.other))
 
     @cached_property

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from fixtures_data import CUSPED, DOUBLE, RP2LINK, S3_ONE_TET, T41, T52
-from tetspine import cli
+from tetspine import cli, errors
 from tetspine.cli import main
 from tetspine.homology import h1
 from tetspine.errors import GluingError
@@ -457,6 +457,33 @@ def test_budget_exit_code(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "t83.txt", serialize_triangulation(build_Tpq(8, 3)))
     assert main(["subpolyhedra", path]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (errors.EnumerationBudgetError("over budget"), 3),
+        (errors.ParseError("bad", 2, 7), 2),
+        (errors.GluingError("bad"), 2),
+        (errors.UngluedFaceError([(0, 1)]), 2),
+        (errors.NotClosedError("bad"), 2),
+        (errors.InvalidParamsError("bad"), 2),
+        (errors.InvalidBudgetError("bad"), 2),
+        # only the pachner command, which names the move, makes this a usage error
+        (errors.MoveNotApplicableError("bad"), 1),
+        (errors.NotASurfaceError("bad"), 1),
+        (OSError("disk full"), 1),
+    ],
+)
+def test_exit_code_follows_the_error_class(capsys, monkeypatch, exc, code):
+    def build(p, q):
+        raise exc
+
+    monkeypatch.setattr(cli, "build_Tpq", build)
+    assert main(["verify", "existence", "--seeds", "1", "--steps", "0"]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {exc}\n"
 
 
 def test_budget_that_is_not_an_integer_is_a_usage_error(tmp_path):

@@ -690,6 +690,27 @@ def test_class_accessors_are_consistent():
     assert len(tri.triangle_classes) == 2 * tri.n
 
 
+@pytest.mark.parametrize(
+    "accessor, args",
+    [
+        ("gluing", (0, 4)),
+        ("gluing", (0, -1)),
+        ("gluing", (-1, 0)),
+        ("gluing", (2, 0)),
+        ("triangle_class_of", (0, 7)),
+        ("triangle_class_of", (-1, 0)),
+        ("edge_class_of", (-1, 0, 1)),
+        ("edge_class_of", (2, 0, 1)),
+    ],
+)
+def test_slot_accessors_refuse_slots_out_of_range(accessor, args):
+    # T_7_2 has two tetrahedra; (0, 4) and (-1, 0) would read slot 4, which
+    # is (1, 0), and (-1, 0, 1) would read the edge slots of tetrahedron 1
+    tri = build_Tpq(7, 2)
+    with pytest.raises(IndexError, match=r"no (face|edge) slot \(" + ",".join(map(str, args))):
+        getattr(tri, accessor)(*args)
+
+
 def test_edge_sign_of_rep_is_positive():
     for text in ALL_FIXTURES.values():
         tri = load(text)
