@@ -13,8 +13,9 @@ triangulation. Each triangulation keeps its one dual spine (`dual_spine`),
 and the spine keeps its one enumeration of simple subpolyhedra, so the
 census and the t-invariant of a triangulation share both. They share its
 germ table too: `germ_patterns` gives Q's pattern of edge slots in each
-tetrahedron, from which `subpolyhedron` reads its counts and the census
-its normal coordinates.
+tetrahedron, from which `subpolyhedron` reads its counts; it keeps the
+patterns on the subpolyhedron, and the census reads its normal
+coordinates from them.
 """
 
 from __future__ import annotations
@@ -70,6 +71,9 @@ class SubPolyhedron:
     chi: int
     is_surface: bool
     is_empty: bool
+    # germ_patterns(spine, faces) as subpolyhedron() computed them, for the
+    # census; no part of the value, and empty on a hand-made instance
+    patterns: bytes = field(default=b"", compare=False, repr=False)
 
 
 def dual_spine(tri: Triangulation) -> SpecialSpine:
@@ -146,6 +150,7 @@ def subpolyhedron(spine: SpecialSpine, faces: int) -> SubPolyhedron:
         chi=touched - edges_in + faces.bit_count(),
         is_surface=b"\1" not in patterns.translate(_HAS_THREE_GERM_FACE),
         is_empty=faces == 0,
+        patterns=patterns,
     )
 
 

@@ -11,7 +11,10 @@ tetrahedron holding the 6-bit pattern of its edge slots in Q, and join
 the tetrahedra's 7-byte coordinate rows from a 64-entry table built at
 import by one complement rule: inside a tetrahedron the type II surface has
 one disc per region of the complement of Q (see `_type_II_row`), and the
-type I surface is half of it.
+type I surface is half of it. The census reads the patterns that
+`spine.subpolyhedron` kept on each Q; `type_I_surface` and
+`type_II_surface` compute them from Q's mask. A census surface keeps the
+joined bytes as its coordinates, and the census dedups and sorts on them.
 
 Topology comes from one sweep over the disc complex, one triangle class at
 a time, read through flat integer tables cached per triangulation
@@ -27,7 +30,8 @@ even, flipped once per quad that faces away from the arc's corner (see
 `_arc_run_templates`). Each arc joins its two discs, with that parity bit,
 in a union-find that links the smaller set under the larger, so its finds
 only read and stay within log2 of the disc count; it yields the components
-and orientability, and with the edge weights chi = V - E + F. The result is
+and orientability, and with the edge weights and the disc counts
+chi = V - E + F. The result is
 a small summary cached on the surface. Computing it is the surface's one
 validation: no negative count and at most one quad type per tetrahedron,
 which the registry guarantees for census rows and `_disc_complex` checks
@@ -36,7 +40,8 @@ triangle-class corner, checked as a triangle class's arcs are worked out;
 that is the matching equations, and the same as one weight per edge class.
 `split_components` and `reconstruct` read the summary; the parts that
 `split_components` returns are swept only when their own summary is first
-read, so the census sweeps only the parts it keeps.
+read, so the census sweeps only the parts it keeps. Census entries with
+equal summaries share one report.
 """
 
 from __future__ import annotations
@@ -136,13 +141,16 @@ def build_normal_tables(tr: Triangulation) -> NormalTables:
 class NormalSurface:
     """Normal coordinates of one normal isotopy class.
 
-    Stored flat, 7 per tetrahedron (see QTYPE_OF_PAIR); `tri` and `quad` are
-    per-tetrahedron views of the same numbers. The constructor takes the
-    flat coordinates as given; the topology summary, computed on first use
-    and kept, is what validates them. Instances are immutable.
+    Stored flat, 7 per tetrahedron (see QTYPE_OF_PAIR); `coords` is the flat
+    tuple of ints, and `tri` and `quad` are per-tetrahedron views of the same
+    numbers. The constructor takes the flat coordinates as given, and keeps
+    them as given when they are bytes, as a census surface's are, and as a
+    tuple otherwise; the three views build their tuples on each read. The
+    topology summary, computed on first use and kept, is what validates the
+    coordinates. Instances are immutable.
     """
 
-    __slots__ = ("triangulation", "coords", "provenance", "_summary")
+    __slots__ = ("triangulation", "_coords", "provenance", "_summary")
 
     def __init__(
         self,
@@ -151,11 +159,15 @@ class NormalSurface:
         provenance: tuple[str, int],  # ("I" | "II" | "external", face bitmask)
     ) -> None:
         object.__setattr__(self, "triangulation", triangulation)
-        object.__setattr__(self, "coords", tuple(coords))
+        object.__setattr__(self, "_coords", coords if type(coords) is bytes else tuple(coords))
         object.__setattr__(self, "provenance", provenance)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    @property
+    def coords(self) -> tuple[int, ...]:
+        return tuple(self._coords)
 
     @property
     def tri(self) -> tuple[tuple[int, int, int, int], ...]:
@@ -179,7 +191,7 @@ class NormalSurface:
 
     @property
     def is_trivial(self) -> bool:
-        c = self.coords
+        c = self._coords
         return not (any(c[4::7]) or any(c[5::7]) or any(c[6::7]))
 
 
@@ -279,13 +291,16 @@ _INTERNED: dict[tuple, tuple] = {}
 
 
 def _census_surface(
-    tr: Triangulation, faces: int, kind: str, rows: tuple[bytes, ...], ids: bytes
+    tr: Triangulation,
+    faces: int,
+    patterns: bytes,
+    kind: str,
+    rows: tuple[bytes, ...],
+    ids: bytes,
 ) -> NormalSurface:
     """The checked surface with rows[pattern] in each tetrahedron, where
-    pattern is the set of its edge slots whose dual face is in faces, and
-    ids[pattern] is that row's id."""
-    # the spine census() enumerated from; dual_spine builds it when absent
-    patterns = germ_patterns(tr._spine or dual_spine(tr), faces)
+    pattern, read from patterns, is the set of its edge slots whose dual face
+    is in faces (see germ_patterns), and ids[pattern] is that row's id."""
     coords = b"".join(map(rows.__getitem__, patterns))
     if len(coords) < 7 * tr.n:
         t = next(t for t, pattern in enumerate(patterns) if not rows[pattern])
@@ -305,7 +320,8 @@ def type_I_surface(tr: Triangulation, q: SubPolyhedron) -> NormalSurface:
         raise NotASurfaceError("subpolyhedron has a germ count of 3 at some edge")
     if q.is_empty:
         raise NotASurfaceError("the empty subpolyhedron has no type I surface")
-    return _census_surface(tr, q.faces, "I", _TYPE_I_ROWS, _TYPE_I_IDS)
+    patterns = germ_patterns(dual_spine(tr), q.faces)
+    return _census_surface(tr, q.faces, patterns, "I", _TYPE_I_ROWS, _TYPE_I_IDS)
 
 
 def type_II_surface(tr: Triangulation, q: SubPolyhedron) -> NormalSurface:
@@ -313,7 +329,8 @@ def type_II_surface(tr: Triangulation, q: SubPolyhedron) -> NormalSurface:
     tr's dual spine."""
     if q.is_empty:
         raise ValueError("type II surface needs a nonempty subpolyhedron")
-    return _census_surface(tr, q.faces, "II", _TYPE_II_ROWS, _TYPE_II_IDS)
+    patterns = germ_patterns(dual_spine(tr), q.faces)
+    return _census_surface(tr, q.faces, patterns, "II", _TYPE_II_ROWS, _TYPE_II_IDS)
 
 
 class _Topology(NamedTuple):
@@ -424,16 +441,17 @@ def _sweep(ns: NormalSurface, row_ids: Sequence[int], disc_counts: Sequence[int]
     disc count steps. A parity clash inside one set means non-orientable.
     Components are discs minus joins, numbered in order of first disc. Every
     intersection point lies on one edge class, so V is the sum of the
-    weights and chi = V - E + F.
+    weights; a triangle has 3 arcs and a quad 4, each arc bounding two
+    discs, so E = (3T + 4Q) / 2 for T triangles and Q quads; and chi =
+    V - E + F. The coordinates are read as ns keeps them, bytes or ints.
     """
-    c = ns.coords
+    c = ns._coords
     tables = ns.triangulation._normal_tables
     offset = [0, *accumulate(disc_counts)]  # offset[t]: the first disc of tetrahedron t
     discs = offset[-1]
     parent = list(range(discs))
     flip = [0] * discs  # 1 when a disc and its parent disagree in orientation
     size = [1] * discs  # discs under each root
-    arcs = 0
     joins = 0
     orientable = True
     for a, b, template in tables.triangle_templates:
@@ -451,7 +469,6 @@ def _sweep(ns: NormalSurface, row_ids: Sequence[int], disc_counts: Sequence[int]
                 _JOINS[key] = pairs
         if pairs is None:
             raise _weight_error(ns)
-        arcs += len(pairs)
         base_a = offset[a]
         base_b = offset[b]
         for x, y, s in pairs:
@@ -475,6 +492,7 @@ def _sweep(ns: NormalSurface, row_ids: Sequence[int], disc_counts: Sequence[int]
                 orientable = False
     components = discs - joins
     weights = tuple([c[a] + c[b] + c[x] + c[y] for a, b, x, y in tables.class_terms])
+    arcs = (3 * discs + sum(c[4::7]) + sum(c[5::7]) + sum(c[6::7])) // 2
 
     parts = None
     if components > 1:
@@ -564,20 +582,37 @@ def census(tr: Triangulation) -> list[CensusEntry]:
 
     Every surface subpolyhedron contributes itself (type I); every nonempty
     simple subpolyhedron contributes its neighborhood boundary (type II).
-    Each surface is split into components as it is built, and a component
-    whose normal coordinates were already seen is dropped before it is
-    swept. Sorted by coordinate vector.
+    Each surface is built from the germ patterns its subpolyhedron kept and
+    split into components as it is built, and a component whose normal
+    coordinates were already seen is dropped before it is swept. The
+    coordinates are keyed as bytes, which sort as the int tuples do, since
+    every count is below 256 and the lengths are equal: the entries are
+    sorted by coordinate vector. Entries with the same summary share one
+    frozen report.
     """
-    seen: dict[tuple[int, ...], NormalSurface] = {}
+    seen: dict[bytes, NormalSurface] = {}
 
     def keep(ns: NormalSurface) -> None:
         for comp in split_components(ns):
-            seen.setdefault(comp.coords, comp)
+            # a part's coordinates are a tuple of counts no larger than its
+            # surface's, so they fit in bytes too
+            seen.setdefault(bytes(comp._coords), comp)
 
     for q in enumerate_simple_subpolyhedra(dual_spine(tr)):
         if q.is_empty:
             continue
         if q.is_surface:
-            keep(type_I_surface(tr, q))
-        keep(type_II_surface(tr, q))
-    return [CensusEntry(surface=seen[key], report=reconstruct(seen[key])) for key in sorted(seen)]
+            keep(_census_surface(tr, q.faces, q.patterns, "I", _TYPE_I_ROWS, _TYPE_I_IDS))
+        keep(_census_surface(tr, q.faces, q.patterns, "II", _TYPE_II_ROWS, _TYPE_II_IDS))
+    # one report per distinct summary: what reconstruct reads off a surface
+    reports: dict[tuple[int, bool, int, int, bool], SurfaceReport] = {}
+    entries = []
+    for key in sorted(seen):
+        ns = seen[key]
+        topo = ns._topology
+        summary = (topo.chi, topo.orientable, topo.components, max(topo.weights), ns.is_trivial)
+        report = reports.get(summary)
+        if report is None:
+            report = reports[summary] = reconstruct(ns)
+        entries.append(CensusEntry(surface=ns, report=report))
+    return entries

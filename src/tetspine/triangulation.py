@@ -71,10 +71,12 @@ _INVERSE: tuple[int, ...] = tuple(_PERM_INDEX[perm_inverse(p)] for p in ALL_PERM
 
 
 def edge_slot(t: int, u: int, v: int) -> int:
-    """Index of the undirected edge slot {u, v} of tetrahedron t."""
-    if u > v:
-        u, v = v, u
-    return t * 6 + PAIR_INDEX[(u, v)]
+    """Index of the undirected edge slot {u, v} of tetrahedron t. Raises
+    IndexError unless u and v are two distinct vertices 0..3."""
+    offset = PAIR_INDEX.get((u, v) if u < v else (v, u))
+    if offset is None:
+        raise IndexError(f"no edge slot for the vertex pair ({u}, {v})")
+    return t * 6 + offset
 
 
 # the offsets within its tetrahedron of the three edges of face f, in FACE_EDGES order

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -19,6 +20,7 @@ from tetspine.spine import (
     SubPolyhedron,
     dual_spine,
     enumerate_simple_subpolyhedra,
+    germ_patterns,
     subpolyhedron,
     t_manifold,
     t_spine,
@@ -331,6 +333,21 @@ def test_frozen_invariants_of_331_subjects():
     assert digest.hexdigest() == (
         "79a541e592b554d8943f411249f5e05115b0f0eaffd928526cb3ee7952d2ede2"
     )
+
+
+def test_subpolyhedra_keep_the_germ_patterns_of_their_mask():
+    # the census reads its rows from the kept patterns, so every cached
+    # subpolyhedron of the pinned subjects must hold its own mask's; the
+    # patterns take no part in equality, hashing or repr
+    count = 0
+    for tri in invariant_subjects():
+        spine = dual_spine(tri)
+        for q in enumerate_simple_subpolyhedra(spine):
+            assert q.patterns == germ_patterns(spine, q.faces), q.faces
+            count += 1
+        bare = dataclasses.replace(q, patterns=b"")
+        assert (bare, hash(bare), repr(bare)) == (q, hash(q), repr(q))
+    assert count == 25745
 
 
 def test_frozen_lattice_and_census_of_331_subjects():

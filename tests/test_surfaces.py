@@ -6,13 +6,13 @@ from math import gcd
 
 import pytest
 
-from fixtures_data import DOUBLE, RP2LINK, S3_ONE_TET, T41, T52, TWO_KLEIN
+from fixtures_data import CUSPED, DOUBLE, RP2LINK, S3_ONE_TET, T41, T52, TWO_KLEIN
 from spine_oracles import quad_free_tetrahedra, universal_subpolyhedron
 from test_disc_complex import QSEP
 from test_weight_oracle import arc_count
 from tetspine.errors import InternalLinkError, MatchingViolationError, NotASurfaceError
 from tetspine.lens import build_Tpq
-from tetspine.moves import random_pachner_walk
+from tetspine.moves import SplitMix64, iter_pachner_walk, random_pachner_walk
 from tetspine.spine import (
     dual_spine,
     enumerate_simple_subpolyhedra,
@@ -547,3 +547,48 @@ def test_frozen_lens_census():
                        r.connected, r.components, r.classification, r.trivial, r.max_edge_weight)
                 h.update(repr(row).encode())
     assert h.hexdigest() == "5572f987deed682ffaf3f1fbea938e2576472fc6ce047e338947a680904c4088"
+
+
+def external_path_subjects():
+    """The six fixtures of the text-format tests, every coprime T_(p,q) with
+    4 <= p <= 12, and the states `verify existence --seeds 1 --steps 3`
+    walks: its bases, in order, each walked 3 steps with the next seed of
+    SplitMix64(0)."""
+    subjects = [parse_triangulation(text) for text in (T41, T52, S3_ONE_TET, DOUBLE, CUSPED, RP2LINK)]
+    subjects += [build_Tpq(p, q) for p in range(4, 13) for q in range(1, p) if gcd(p, q) == 1]
+    master = SplitMix64(0)
+    for p, q in ((4, 1), (5, 1), (5, 2), (7, 2)):
+        subjects += iter_pachner_walk(build_Tpq(p, q), 3, master.next())
+    return subjects
+
+
+def test_census_entries_agree_with_their_coordinates_given_from_outside():
+    # the census keeps its coordinates as bytes and shares its reports; the
+    # same coordinates given as ints take the tuple path and the disc
+    # complex's own checks, and must give an equal report and equal views
+    entries = 0
+    for tr in external_path_subjects():
+        previous = ()
+        for e in census(tr):
+            ns = e.surface
+            coords = ns.coords
+            assert type(coords) is tuple and all(type(k) is int for k in coords)
+            assert previous < coords
+            previous = coords
+            outside = NormalSurface(tr, coords, ns.provenance)
+            assert reconstruct(outside) == e.report, coords
+            assert (outside.tri, outside.quad, outside.is_trivial) == (ns.tri, ns.quad, ns.is_trivial)
+            entries += 1
+    assert entries == 605
+
+
+def test_coordinates_above_255_from_outside_get_their_summary():
+    # 300 copies of the vertex link of the one-tetrahedron T_5_2: counts
+    # that no byte holds
+    coords = (300, 300, 300, 300, 0, 0, 0)
+    ns = NormalSurface(build_Tpq(5, 2), coords, ("external", 0))
+    assert ns.coords == coords
+    report = reconstruct(ns)
+    assert (report.components, report.chi, report.max_edge_weight) == (300, 600, 600)
+    assert (report.classification, report.trivial) == ("other(600)", True)
+    assert [part.coords for part in split_components(ns)] == [(1, 1, 1, 1, 0, 0, 0)] * 300

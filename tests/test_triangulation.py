@@ -711,6 +711,16 @@ def test_slot_accessors_refuse_slots_out_of_range(accessor, args):
         getattr(tri, accessor)(*args)
 
 
+@pytest.mark.parametrize("u, v", [(0, 0), (0, 5), (-1, 2), (4, 1), (3, 3)])
+def test_edge_accessors_refuse_a_vertex_pair_that_is_no_edge(u, v):
+    # tetrahedron 0 exists, so only the pair is wrong: two equal vertices,
+    # or one outside 0..3, named in the order given
+    tri = build_Tpq(7, 2)
+    for read in (lambda: edge_slot(0, u, v), lambda: tri.edge_class_of(0, u, v)):
+        with pytest.raises(IndexError, match=rf"^no edge slot for the vertex pair \({u}, {v}\)$"):
+            read()
+
+
 def test_edge_sign_of_rep_is_positive():
     for text in ALL_FIXTURES.values():
         tri = load(text)
