@@ -23,13 +23,14 @@ class GluingError(TetspineError):
 class UngluedFaceError(GluingError):
     """A face slot has no partner; only fully glued complexes are accepted."""
 
-    LISTED = 20  # slots named in the message; the rest are counted
+    LISTED = 20  # slots named in the message and kept in slots; the rest are counted
 
-    def __init__(self, slots: list[tuple[int, int]]) -> None:
-        self.slots = slots
-        pretty = ", ".join(f"({t},{f})" for t, f in slots[: self.LISTED])
-        if len(slots) > self.LISTED:
-            pretty += f", ... and {len(slots) - self.LISTED} more"
+    def __init__(self, slots: list[tuple[int, int]], total: int | None = None) -> None:
+        self.slots = slots[: self.LISTED]
+        self.total = len(slots) if total is None else total  # all the unglued slots
+        pretty = ", ".join(f"({t},{f})" for t, f in self.slots)
+        if self.total > self.LISTED:
+            pretty += f", ... and {self.total - self.LISTED} more"
         super().__init__(f"unglued face slots: {pretty}")
 
 

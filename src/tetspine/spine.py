@@ -119,9 +119,9 @@ def germ_patterns(spine: SpecialSpine, faces: int) -> bytes:
     return germs.to_bytes(spine.num_vertices, "little")
 
 
-# per germ pattern, the germ count in each face of the tetrahedron; a face
-# is a side of the spine edge dual to its triangle class, so this is that
-# edge's germ count in Q
+# per germ pattern, the germ count in each face of the tetrahedron, a side
+# of the spine edge dual to its triangle class: the germ rules of both
+# subpolyhedron and the type I and II rows of `surfaces`
 _FACE_COUNTS = [[sum(g >> p & 1 for p in slots) for slots in FACE_EDGE_OFFSETS] for g in range(256)]
 _HAS_ONE_GERM_FACE = bytes(1 in counts for counts in _FACE_COUNTS)
 _HAS_THREE_GERM_FACE = bytes(3 in counts for counts in _FACE_COUNTS)

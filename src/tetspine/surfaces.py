@@ -11,10 +11,13 @@ tetrahedron holding the 6-bit pattern of its edge slots in Q, and join
 the tetrahedra's 7-byte coordinate rows from a 64-entry table built at
 import by one complement rule: inside a tetrahedron the type II surface has
 one disc per region of the complement of Q (see `_type_II_row`), and the
-type I surface is half of it. The census reads the patterns that
-`spine.subpolyhedron` kept on each Q; `type_I_surface` and
-`type_II_surface` compute them from Q's mask. A census surface keeps the
-joined bytes as its coordinates, and the census dedups and sorts on them.
+type I surface is half of it. Which patterns have a row is read from
+`spine`'s germ tables. One builder, `_census_surface`, serves the census,
+`type_I_surface`, `type_II_surface` and the vertex links: the census reads
+the patterns that `spine.subpolyhedron` kept on each Q, the two functions
+compute them from Q's mask, and the vertex links are the type II surface of
+the whole spine, pattern 63 in every tetrahedron. A surface so built keeps
+the joined bytes as its coordinates, and the census dedups and sorts on them.
 
 Topology comes from one sweep over the disc complex, one triangle class at
 a time, read through flat integer tables cached per triangulation
@@ -51,8 +54,9 @@ from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from .errors import InternalLinkError, MatchingViolationError, NotASurfaceError
-from .spine import SubPolyhedron, dual_spine, enumerate_simple_subpolyhedra, germ_patterns
-from .triangulation import ALL_PERMS, EDGE_PAIRS, FACE_EDGES, FACE_VERTS, Triangulation
+from .spine import _HAS_ONE_GERM_FACE, _HAS_THREE_GERM_FACE, SubPolyhedron, dual_spine
+from .spine import enumerate_simple_subpolyhedra, germ_patterns
+from .triangulation import ALL_PERMS, EDGE_PAIRS, FACE_VERTS, Triangulation
 
 # Normal coordinates are flat, 7 per tetrahedron t: the triangle cutting off
 # corner v at 7t + v, then the quad of type k at 7t + 4 + k. Quad type k
@@ -212,18 +216,17 @@ def _type_II_row(pattern: int) -> tuple[int, ...] | None:
     Bit p of the pattern is edge slot p (see EDGE_PAIRS), set when that
     edge's dual face lies in Q; a row is the tetrahedron's 7 coordinates.
     None when a face of the tetrahedron holds exactly one germ, which no
-    simple subpolyhedron allows. Otherwise the corners joined by edges
-    outside Q form the regions of the tetrahedron minus Q, and the boundary
-    of Q's neighbourhood has one disc per region: the triangle at a lone
-    corner, the quad separating a pair of corners, the triangle at the
-    corner a triple leaves out, and nothing for all four.
+    simple subpolyhedron allows (`spine._HAS_ONE_GERM_FACE`). Otherwise the
+    corners joined by edges outside Q form the regions of the tetrahedron
+    minus Q, and the boundary of Q's neighbourhood has one disc per region:
+    the triangle at a lone corner, the quad separating a pair of corners,
+    the triangle at the corner a triple leaves out, and nothing for all four.
     """
-    inside = {EDGE_PAIRS[p] for p in range(6) if pattern >> p & 1}
-    if any(sum(e in inside for e in edges) == 1 for edges in FACE_EDGES):
+    if _HAS_ONE_GERM_FACE[pattern]:
         return None
     region = list(range(4))  # a label per corner, shared within a region
-    for u, v in EDGE_PAIRS:
-        if (u, v) not in inside:
+    for p, (u, v) in enumerate(EDGE_PAIRS):
+        if not pattern >> p & 1:
             old = region[v]
             region = [region[u] if r == old else r for r in region]
     row = [0] * 7
@@ -240,11 +243,11 @@ def _type_II_row(pattern: int) -> tuple[int, ...] | None:
 
 # per 6-bit germ pattern: its type II row, and its type I row, which is half
 # of it, as 7 bytes; empty for a pattern no simple subpolyhedron has, and a
-# type I row is empty where the type II row has an odd entry, a pattern no
-# surface has
+# type I row is empty where a face holds three germs, a pattern no surface has
 _TYPE_II_ROWS = tuple(bytes(_type_II_row(pattern) or ()) for pattern in range(64))
 _TYPE_I_ROWS = tuple(
-    b"" if any(k % 2 for k in row) else bytes(k // 2 for k in row) for row in _TYPE_II_ROWS
+    b"" if _HAS_THREE_GERM_FACE[p] else bytes(k // 2 for k in row)
+    for p, row in enumerate(_TYPE_II_ROWS)
 )
 
 
@@ -278,6 +281,8 @@ def _row_registry(
 # _ROW_DISCS translates a row id to the row's disc count.
 _ROW_ID, (_TYPE_I_IDS, _TYPE_II_IDS) = _row_registry((_TYPE_I_ROWS, _TYPE_II_ROWS))
 _ROW_DISCS = bytes(map(sum, _ROW_ID)).ljust(256, b"\0")
+# per kind of census surface, its row table and the row id of each pattern
+_ROWS = {"I": (_TYPE_I_ROWS, _TYPE_I_IDS), "II": (_TYPE_II_ROWS, _TYPE_II_IDS)}
 
 # The arcs of a triangle class, as _arc_joins gives them, by its gluing
 # template, the row id on its representative side and the row id on the
@@ -290,21 +295,15 @@ _JOINS: dict[int, tuple[tuple[int, int, int], ...] | None] = {}
 _INTERNED: dict[tuple, tuple] = {}
 
 
-def _census_surface(
-    tr: Triangulation,
-    faces: int,
-    patterns: bytes,
-    kind: str,
-    rows: tuple[bytes, ...],
-    ids: bytes,
-) -> NormalSurface:
-    """The checked surface with rows[pattern] in each tetrahedron, where
-    pattern, read from patterns, is the set of its edge slots whose dual face
-    is in faces (see germ_patterns), and ids[pattern] is that row's id."""
+def _census_surface(tr: Triangulation, faces: int, patterns: bytes, kind: str) -> NormalSurface:
+    """The checked surface of kind "I" or "II" of the face mask faces, swept
+    as it is built: each tetrahedron holds the row of its pattern, read from
+    patterns, the set of its edge slots whose dual face is in faces."""
+    rows, ids = _ROWS[kind]
     coords = b"".join(map(rows.__getitem__, patterns))
     if len(coords) < 7 * tr.n:
         t = next(t for t, pattern in enumerate(patterns) if not rows[pattern])
-        if not _TYPE_II_ROWS[patterns[t]]:
+        if _HAS_ONE_GERM_FACE[patterns[t]]:
             slots = [p for p in range(6) if patterns[t] >> p & 1]
             raise InternalLinkError(f"germ slots {slots} form no admissible link shape")
         raise InternalLinkError(f"surface subpolyhedron has a germ count of 3 in tetrahedron {t}")
@@ -320,8 +319,7 @@ def type_I_surface(tr: Triangulation, q: SubPolyhedron) -> NormalSurface:
         raise NotASurfaceError("subpolyhedron has a germ count of 3 at some edge")
     if q.is_empty:
         raise NotASurfaceError("the empty subpolyhedron has no type I surface")
-    patterns = germ_patterns(dual_spine(tr), q.faces)
-    return _census_surface(tr, q.faces, patterns, "I", _TYPE_I_ROWS, _TYPE_I_IDS)
+    return _census_surface(tr, q.faces, germ_patterns(dual_spine(tr), q.faces), "I")
 
 
 def type_II_surface(tr: Triangulation, q: SubPolyhedron) -> NormalSurface:
@@ -329,8 +327,7 @@ def type_II_surface(tr: Triangulation, q: SubPolyhedron) -> NormalSurface:
     tr's dual spine."""
     if q.is_empty:
         raise ValueError("type II surface needs a nonempty subpolyhedron")
-    patterns = germ_patterns(dual_spine(tr), q.faces)
-    return _census_surface(tr, q.faces, patterns, "II", _TYPE_II_ROWS, _TYPE_II_IDS)
+    return _census_surface(tr, q.faces, germ_patterns(dual_spine(tr), q.faces), "II")
 
 
 class _Topology(NamedTuple):
@@ -571,7 +568,7 @@ def split_components(ns: NormalSurface) -> list[NormalSurface]:
     return [NormalSurface(ns.triangulation, part, ns.provenance) for part in parts]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class CensusEntry:
     surface: NormalSurface
     report: SurfaceReport
@@ -602,8 +599,8 @@ def census(tr: Triangulation) -> list[CensusEntry]:
         if q.is_empty:
             continue
         if q.is_surface:
-            keep(_census_surface(tr, q.faces, q.patterns, "I", _TYPE_I_ROWS, _TYPE_I_IDS))
-        keep(_census_surface(tr, q.faces, q.patterns, "II", _TYPE_II_ROWS, _TYPE_II_IDS))
+            keep(_census_surface(tr, q.faces, q.patterns, "I"))
+        keep(_census_surface(tr, q.faces, q.patterns, "II"))
     # one report per distinct summary: what reconstruct reads off a surface
     reports: dict[tuple[int, bool, int, int, bool], SurfaceReport] = {}
     entries = []

@@ -9,11 +9,12 @@ space is a connected closed or ideal pseudo-manifold.
 
 Edge classes come from a signed union-find over the gluings
 (`SignedEdgeUnion`), fed each triangle class once by the constructor, the
-one place edge classes are built. Vertex classes and vertex links come from
-one normal surface, the one with a triangle at every corner: its components
-are the links, one per vertex class, and the disc-complex sweep that
-summarises any normal surface (`surfaces`) gives their Euler characteristics
-and orientability.
+one place edge classes are built. The dual spine is a spine of the manifold
+punctured at its vertices, so the type II surface of the whole spine, a
+triangle at every corner, is the union of the vertex links: its components
+are the vertex classes, and the disc-complex sweep that summarises any
+normal surface (`surfaces`) gives each link's Euler characteristic and
+orientability.
 """
 
 from __future__ import annotations
@@ -233,7 +234,9 @@ class Triangulation:
         if n < 1:
             raise GluingError("need at least one tetrahedron")
         size = 4 * n
-        table: list[tuple[int, int, int] | None] = [None] * size
+        # the entries by face slot; the 4n-slot table is built only once they
+        # are known to fill it, so a short mapping costs its own size, not n's
+        glued: dict[int, tuple[int, int, int]] = {}
         for entry in gluings.items():
             try:
                 (t, f), (t2, f2, perm) = entry
@@ -260,16 +263,19 @@ class Triangulation:
                     )
                 if t2 == t and f2 == f:
                     raise GluingError(f"face slot ({t},{f}) glued to itself")
-                s = 4 * t + f
-                if table[s] is not None:
+                s = (4 * t + f) | 0
+                if s in glued:
                     raise GluingError(f"face slot ({t},{f}) glued twice")
-                table[s] = (t2 | 0, f2 | 0, k)
+                glued[s] = (t2 | 0, f2 | 0, k)
             except TypeError:
                 raise GluingError(
                     f"gluing ({t!r},{f!r}) -> ({t2!r},{f2!r}): slot numbers must be integers"
                 ) from None
-        if None in table:
-            raise UngluedFaceError([(s >> 2, s & 3) for s in range(size) if table[s] is None])
+        if len(glued) < size:
+            unglued = (s for s in range(size) if s not in glued)
+            listed = [(s >> 2, s & 3) for s in itertools.islice(unglued, UngluedFaceError.LISTED)]
+            raise UngluedFaceError(listed, size - len(glued))
+        table = list(map(glued.__getitem__, range(size)))
         for s, (t2, f2, k) in enumerate(table):
             if table[4 * t2 + f2] != (s >> 2, s & 3, _INVERSE[k]):
                 raise GluingError(
@@ -340,28 +346,23 @@ class Triangulation:
 
     @cached_property
     def _vertex_data(self) -> tuple[tuple[VertexClass, ...], tuple[VertexLinkSurface, ...]]:
-        # The vertex links are the components of the normal surface with one
-        # triangle at every corner. Its discs are numbered in slot order, so
-        # its components, in order of first disc, are the vertex classes in
-        # order of smallest slot, and each component's own summary gives that
-        # link's chi and orientability. Normal surfaces are defined in a
-        # module that imports this one, hence the import here.
-        from .surfaces import NormalSurface
+        # The dual spine punctures the manifold at its vertices, so the
+        # boundary of its regular neighbourhood, the type II surface of the
+        # whole spine (germ pattern 63 in every tetrahedron), is the union of
+        # the vertex links. Its discs are numbered in slot order, so its
+        # components, in order of first disc, are the vertex classes in order
+        # of smallest slot; a link's triangles are its class's vertex slots.
+        # That surface is built in a module that imports this one.
+        from .surfaces import NormalSurface, _census_surface
 
-        n = self.n
-        external = ("external", 0)
-        whole = NormalSurface(self, (1, 1, 1, 1, 0, 0, 0) * n, external)
+        whole = _census_surface(self, (1 << len(self.edge_classes)) - 1, b"\x3f" * self.n, "II")
         parts = whole._topology.parts
-        surfaces = [whole] if parts is None else [NormalSurface(self, p, external) for p in parts]
-        classes = []
-        links = []
-        for idx, surface in enumerate(surfaces):
-            c = surface.coords
-            slots = tuple(s for s in range(4 * n) if c[7 * (s // 4) + s % 4])
-            classes.append(VertexClass(idx, slots))
-            topo = surface._topology
-            links.append(VertexLinkSurface(topo.chi, topo.orientable))
-        return tuple(classes), tuple(links)
+        links = [whole] if parts is None else [NormalSurface(self, p, whole.provenance) for p in parts]
+        classes = tuple(
+            VertexClass(i, tuple(4 * t + v for t, row in enumerate(lk.tri) for v in range(4) if row[v]))
+            for i, lk in enumerate(links)
+        )
+        return classes, tuple(VertexLinkSurface(lk._topology.chi, lk._topology.orientable) for lk in links)
 
     @property
     def vertex_classes(self) -> tuple[VertexClass, ...]:

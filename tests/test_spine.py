@@ -321,6 +321,21 @@ def invariant_subjects():
     return subjects
 
 
+def test_surface_nullity_is_the_z2_homology_of_the_punctured_manifold():
+    # Poincare duality for M minus its v vertex balls: the surface
+    # subpolyhedra number 2^(dim H1(M; Z/2) + v - 1). h1 is an integer Smith
+    # form on the triangulation, the nullity a GF(2) rank on the spine, and
+    # dim H1(M; Z/2) is the Betti number plus the even torsion factors
+    closed = 0
+    for tri in invariant_subjects():
+        if tri.is_closed:
+            betti, torsion = h1(tri)
+            z2 = betti + sum(d % 2 == 0 for d in torsion)
+            assert surface_space_nullity(dual_spine(tri)) == z2 + len(tri.vertex_classes) - 1
+            closed += 1
+    assert closed == 328
+
+
 def test_frozen_invariants_of_331_subjects():
     # t of the spine, t of the manifold and, when closed, H1, in subject order
     digest = hashlib.sha256()

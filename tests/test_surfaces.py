@@ -14,6 +14,8 @@ from tetspine.errors import InternalLinkError, MatchingViolationError, NotASurfa
 from tetspine.lens import build_Tpq
 from tetspine.moves import SplitMix64, iter_pachner_walk, random_pachner_walk
 from tetspine.spine import (
+    _HAS_ONE_GERM_FACE,
+    _HAS_THREE_GERM_FACE,
     dual_spine,
     enumerate_simple_subpolyhedra,
     subpolyhedron,
@@ -36,7 +38,7 @@ from tetspine.surfaces import (
     type_I_surface,
     type_II_surface,
 )
-from tetspine.triangulation import EDGE_PAIRS, parse_triangulation
+from tetspine.triangulation import EDGE_PAIRS, FACE_EDGE_OFFSETS, parse_triangulation
 
 
 def corpus():
@@ -101,6 +103,21 @@ def test_germ_pattern_tables_are_frozen():
     # rows are 7 bytes, empty for a pattern with no row
     assert {p: tuple(r) for p, r in enumerate(_TYPE_II_ROWS) if r} == ADMISSIBLE_TYPE_II_ROWS
     assert {p: tuple(r) for p, r in enumerate(_TYPE_I_ROWS) if r} == TYPE_I_ROWS
+
+
+def test_germ_rules_agree_with_a_count_of_germs_per_face():
+    # the germs of each face of a tetrahedron, counted here for all 64
+    # patterns: spine's tables mark a face of one and of three germs, a
+    # pattern has no type II row exactly when a face holds one germ, and a
+    # row with an odd entry exactly when a face holds three and none one
+    for pattern in range(64):
+        counts = [sum(pattern >> p & 1 for p in offsets) for offsets in FACE_EDGE_OFFSETS]
+        one, three = 1 in counts, 3 in counts
+        assert (_HAS_ONE_GERM_FACE[pattern], _HAS_THREE_GERM_FACE[pattern]) == (one, three)
+        row = _TYPE_II_ROWS[pattern]
+        assert (not row, any(k % 2 for k in row)) == (one, three and not one), pattern
+        assert bool(_TYPE_I_ROWS[pattern]) == (not one and not three), pattern
+    assert sum(map(bool, _TYPE_II_ROWS)) == 15 and sum(map(bool, _TYPE_I_ROWS)) == 8
 
 
 def test_row_registry_numbers_every_row_once():
@@ -313,6 +330,32 @@ def test_double_type_II_of_full_spine_splits_into_vertex_links():
         sub = reconstruct(part)
         assert sub.classification == "sphere"
         assert part.is_trivial
+
+
+def test_whole_spine_type_II_surface_is_the_vertex_links():
+    # germ pattern 63 everywhere: a triangle at every corner, whose
+    # components hold the vertex classes' slots
+    fixtures = [parse_triangulation(text) for text in (CUSPED, RP2LINK, TWO_KLEIN)]
+    for name, tri in [*corpus().items(), *zip(("CUSPED", "RP2LINK", "TWO_KLEIN"), fixtures)]:
+        sp = dual_spine(tri)
+        whole = type_II_surface(tri, subpolyhedron(sp, (1 << sp.num_faces) - 1))
+        assert whole.coords == (1, 1, 1, 1, 0, 0, 0) * tri.n, name
+        slots = [
+            tuple(4 * t + v for t, row in enumerate(part.tri) for v in range(4) if row[v])
+            for part in split_components(whole)
+        ]
+        assert slots == [vc.slots for vc in tri.vertex_classes], name
+
+
+def test_census_entries_have_no_dict_and_refuse_assignment():
+    entry = trivial_sphere_t52()
+    assert not hasattr(entry, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        entry.report = None
+    # a new name has no slot; frozen slotted dataclasses refuse it with a
+    # TypeError on some Python versions and a FrozenInstanceError on others
+    with pytest.raises((AttributeError, TypeError)):
+        entry.other = None
 
 
 def test_split_components_on_connected_surface_is_identity():

@@ -206,8 +206,25 @@ def test_constructor_rejects_unglued_faces():
 def test_unglued_face_message_is_bounded():
     with pytest.raises(UngluedFaceError) as exc:
         Triangulation(30, {})
-    assert len(exc.value.slots) == 120
+    assert exc.value.total == 120 and len(exc.value.slots) == 20
     assert str(exc.value).endswith("(4,3), ... and 100 more")
+
+
+def test_unglued_faces_are_refused_before_the_slot_table_is_built():
+    # a table of 4 * 10**9 slots would take tens of gigabytes; a mapping that
+    # cannot fill it costs its own size, and its entries are checked first
+    start = time.perf_counter()
+    with pytest.raises(UngluedFaceError) as exc:
+        Triangulation(10**9, {(0, 0): (1, 1, (1, 0, 2, 3))})
+    assert time.perf_counter() - start < 1
+    assert exc.value.total == 4 * 10**9 - 1
+    assert exc.value.slots == [(0, 1), (0, 2), (0, 3)] + [(t, f) for t in range(1, 5) for f in range(4)] + [(5, 0)]
+    assert str(exc.value).endswith("(5,0), ... and 3999999979 more")
+    with pytest.raises(GluingError, match=r"^face slot \(0,0\) glued to itself$"):
+        Triangulation(10**9, {(0, 0): (0, 0, (0, 1, 2, 3))})
+    # a list of slots names them all
+    short = UngluedFaceError([(0, 1)])
+    assert (short.slots, short.total, str(short)) == ([(0, 1)], 1, "unglued face slots: (0,1)")
 
 
 def test_constructor_rejects_range_errors():
