@@ -194,8 +194,9 @@ def cmd_pachner(args) -> int:
     tri = _load(args.file)
     kind, _, idx_text = args.move.partition(":")
     try:
-        idx = int(idx_text) if idx_text.isdigit() else -1
-    except ValueError:  # "²" passes isdigit(), as do more than 4300 digits
+        # ASCII digits only: "١" passes isdigit() and int() reads it as 1
+        idx = int(idx_text) if idx_text.isascii() and idx_text.isdigit() else -1
+    except ValueError:  # more than 4300 digits
         idx = -1
     if kind not in ("23", "32") or idx < 0:
         raise _UsageError(f"--move must be 23:<face> or 32:<edge>, got {args.move!r}")

@@ -11,11 +11,12 @@ eps^2 = eps + 1.
 A spine is plain incidence tables with no reference back to its
 triangulation. Each triangulation keeps its one dual spine (`dual_spine`),
 and the spine keeps its one enumeration of simple subpolyhedra, so the
-census and the t-invariant of a triangulation share both. They share its
-germ table too: `germ_patterns` gives Q's pattern of edge slots in each
-tetrahedron, from which `subpolyhedron` reads its counts; it keeps the
-patterns on the subpolyhedron, and the census reads its normal
-coordinates from them.
+census and the t-invariant of a triangulation share both. They share Q's
+germ patterns too, one byte per tetrahedron: the enumeration kernel ORs the
+spine's face bytes on its stack, `subpolyhedron` reads its counts from
+them unchecked and keeps them on Q, and the census reads its normal
+coordinates from them. A mask from outside gets its patterns from
+`germ_patterns` and is checked for simplicity.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class SpecialSpine:
     edge_germs: tuple[tuple[int, int, int], ...]
     face_degrees: tuple[int, ...]
     # per face: bit 8t + p set for each of its edge slots p of tetrahedron t
-    # (see EDGE_PAIRS); germ_patterns() ORs them over a mask
+    # (see EDGE_PAIRS); the kernel and germ_patterns() OR them over a mask
     face_bytes: tuple[int, ...] = field(repr=False)
     # every simple subpolyhedron, in mask order, once
     # enumerate_simple_subpolyhedra has enumerated them
@@ -71,7 +72,7 @@ class SubPolyhedron:
     chi: int
     is_surface: bool
     is_empty: bool
-    # germ_patterns(spine, faces) as subpolyhedron() computed them, for the
+    # germ_patterns(spine, faces) as subpolyhedron() read them, for the
     # census; no part of the value, and empty on a hand-made instance
     patterns: bytes = field(default=b"", compare=False, repr=False)
 
@@ -128,47 +129,55 @@ _HAS_THREE_GERM_FACE = bytes(3 in counts for counts in _FACE_COUNTS)
 _FACES_WITH_TWO_OR_THREE = bytes(sum(c >= 2 for c in counts) for counts in _FACE_COUNTS)
 
 
-def subpolyhedron(spine: SpecialSpine, faces: int) -> SubPolyhedron:
-    """Validate a face bitmask and compute its invariants.
+def subpolyhedron(spine: SpecialSpine, faces: int, germs: int | None = None) -> SubPolyhedron:
+    """The subpolyhedron of a face bitmask, with its invariants.
 
-    Read from Q's germ pattern at each spine vertex (`germ_patterns`): Q is
-    simple when no face of a tetrahedron holds exactly one germ, and a
-    surface when none holds three. The triangle dual to a spine edge has two
-    sides, each a face of a tetrahedron, so the spine edges in Q are half the
-    faces holding two or three germs. Raises NotSimpleError listing, in
-    ascending order, the spine edges whose germ count is 1.
+    Read from Q's germ pattern at each spine vertex: Q is simple when no
+    face of a tetrahedron holds exactly one germ, and a surface when none
+    holds three. The triangle dual to a spine edge has two sides, each a
+    face of a tetrahedron, so the spine edges in Q are half the faces holding
+    two or three germs. A mask from outside is validated: its patterns come
+    from `germ_patterns`, and NotSimpleError lists, in ascending order, the
+    spine edges whose germ count is 1. The enumeration kernel passes germs,
+    the OR of face_bytes it gathered on its stack for a mask it found simple
+    (see `enumerate_simple_subpolyhedra`); they are taken as Q's patterns,
+    unchecked.
     """
-    patterns = germ_patterns(spine, faces)
-    if b"\1" in patterns.translate(_HAS_ONE_GERM_FACE):
-        germ_counts = (sum(faces >> f & 1 for f in germs) for germs in spine.edge_germs)
-        raise NotSimpleError(tuple(e for e, count in enumerate(germ_counts) if count == 1))
+    if germs is None:
+        patterns = germ_patterns(spine, faces)
+        if b"\1" in patterns.translate(_HAS_ONE_GERM_FACE):
+            germ_counts = (sum(faces >> f & 1 for f in edge) for edge in spine.edge_germs)
+            raise NotSimpleError(tuple(e for e, count in enumerate(germ_counts) if count == 1))
+    else:
+        patterns = germs.to_bytes(spine.num_vertices, "little")
     touched = spine.num_vertices - patterns.count(0)
     edges_in = sum(patterns.translate(_FACES_WITH_TWO_OR_THREE)) // 2
+    # positional, in field order: this runs once per mask, and keywords cost
     return SubPolyhedron(
-        faces=faces,
-        v_q=patterns.count(63),
-        chi=touched - edges_in + faces.bit_count(),
-        is_surface=b"\1" not in patterns.translate(_HAS_THREE_GERM_FACE),
-        is_empty=faces == 0,
-        patterns=patterns,
+        faces,
+        patterns.count(63),  # v_q
+        touched - edges_in + faces.bit_count(),  # chi
+        b"\1" not in patterns.translate(_HAS_THREE_GERM_FACE),  # is_surface
+        faces == 0,  # is_empty
+        patterns,
     )
 
 
 def _resolve_budget() -> int:
+    """The face budget: SPINE_FACE_BUDGET when set, read as the file parser
+    reads its integers, ASCII decimal digits and nothing else."""
     env = os.environ.get(BUDGET_ENV_VAR)
     if env is None:
         return DEFAULT_FACE_BUDGET
-    try:
-        budget = int(env)
-    except ValueError:
-        raise InvalidBudgetError(
-            f"{BUDGET_ENV_VAR} must be an integer, got {env!r}"
-        ) from None
-    if budget < 0:
-        raise InvalidBudgetError(
-            f"the enumeration budget must not be negative, got {budget}"
-        )
-    return budget
+    unsigned = env[1:] if env[:1] == "-" else env
+    if unsigned.isascii() and unsigned.isdigit():
+        if unsigned is not env:
+            raise InvalidBudgetError(f"the enumeration budget must not be negative, got {env}")
+        try:
+            return int(env)
+        except ValueError:  # more digits than int() reads
+            pass
+    raise InvalidBudgetError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}")
 
 
 def enumerate_simple_subpolyhedra(spine: SpecialSpine) -> list[SubPolyhedron]:
@@ -176,10 +185,12 @@ def enumerate_simple_subpolyhedra(spine: SpecialSpine) -> list[SubPolyhedron]:
 
     Deterministic: sorted by face bitmask. Refuses spines with more faces
     than the budget (default 40, env SPINE_FACE_BUDGET); a budget that is
-    negative or not an integer raises InvalidBudgetError. The budget is
+    not ASCII decimal digits alone raises InvalidBudgetError. The budget is
     resolved and checked on every call, before the cache is read, but the
     enumeration runs once per spine: its result is kept on the spine, and
-    each call returns a new list of the same frozen subpolyhedra.
+    each call returns a new list of the same frozen subpolyhedra. The
+    kernel (`_enum.enumerate_masks`) yields each simple mask with its germ
+    patterns, and each pair goes through `subpolyhedron` once.
     """
     cap = _resolve_budget()
     if spine.num_faces > cap:
@@ -187,9 +198,8 @@ def enumerate_simple_subpolyhedra(spine: SpecialSpine) -> list[SubPolyhedron]:
             f"{spine.num_faces} faces exceeds the enumeration budget {cap}"
         )
     if spine._subpolyhedra is None:
-        subs = tuple(
-            subpolyhedron(spine, m) for m in enumerate_masks(spine.num_faces, spine.edge_germs)
-        )
+        found = enumerate_masks(spine.num_faces, spine.edge_germs, spine.face_bytes)
+        subs = tuple([subpolyhedron(spine, mask, germs) for mask, germs in found])
         # the spine's tables are frozen; this cache is its one late field
         object.__setattr__(spine, "_subpolyhedra", subs)
     return list(spine._subpolyhedra)

@@ -5,17 +5,18 @@ counts (indexed by the cut-off corner) and 3 quadrilateral counts. Quad type
 q separates the edge {0, q+1} from the opposite edge. Two constructions are
 provided: a surface subpolyhedron is itself normal (type I), and the
 boundary of a small regular neighborhood of any simple subpolyhedron is
-normal (type II). Both read Q's germ patterns off the dual spine
-(`spine.germ_patterns`; spine face f is edge class f), one byte per
-tetrahedron holding the 6-bit pattern of its edge slots in Q, and join
+normal (type II). Both read Q's germ patterns off the dual spine (see
+`spine`; spine face f is edge class f), one byte per tetrahedron holding
+the 6-bit pattern of its edge slots in Q, and join
 the tetrahedra's 7-byte coordinate rows from a 64-entry table built at
 import by one complement rule: inside a tetrahedron the type II surface has
 one disc per region of the complement of Q (see `_type_II_row`), and the
 type I surface is half of it. Which patterns have a row is read from
 `spine`'s germ tables. One builder, `_census_surface`, serves the census,
 `type_I_surface`, `type_II_surface` and the vertex links: the census reads
-the patterns that `spine.subpolyhedron` kept on each Q, the two functions
-compute them from Q's mask, and the vertex links are the type II surface of
+the patterns that the enumeration kernel gathered and `spine.subpolyhedron`
+kept on each Q, the two functions compute them from Q's mask
+(`spine.germ_patterns`), and the vertex links are the type II surface of
 the whole spine, pattern 63 in every tetrahedron. A surface so built keeps
 the joined bytes as its coordinates, and the census dedups and sorts on them.
 
@@ -34,8 +35,9 @@ even, flipped once per quad that faces away from the arc's corner (see
 in a union-find that links the smaller set under the larger, so its finds
 only read and stay within log2 of the disc count; it yields the components
 and orientability, and with the edge weights and the disc counts
-chi = V - E + F. The result is
-a small summary cached on the surface. Computing it is the surface's one
+chi = V - E + F, the weights and quad count of registry rows read off
+per-row byte tables too. The result is a small summary cached on the
+surface. Computing it is the surface's one
 validation: no negative count and at most one quad type per tetrahedron,
 which the registry guarantees for census rows and `_disc_complex` checks
 for other coordinates, and the same arc count on the two sides of every
@@ -51,7 +53,8 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import accumulate
-from typing import NamedTuple, Sequence
+from operator import itemgetter
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import InternalLinkError, MatchingViolationError, NotASurfaceError
 from .spine import _HAS_ONE_GERM_FACE, _HAS_THREE_GERM_FACE, SubPolyhedron, dual_spine
@@ -70,12 +73,12 @@ QTYPE_OF_PAIR: dict[tuple[int, int], int] = {
 
 class NormalTables(NamedTuple):
     """Flat lookup tables that read normal coordinates on one triangulation:
-    one weight term per edge class and one gluing template per triangle
+    a reader of the edge-class weights and one gluing template per triangle
     class; none grows with the surface."""
 
-    # per edge class: the four coordinate indices that sum to its weight at
-    # its smallest slot
-    class_terms: tuple[tuple[int, int, int, int], ...]
+    # reads the weight of each edge class at its smallest slot off a
+    # sequence of weights per edge slot 6t + p, as a tuple
+    class_weights: Callable[[Sequence[int]], tuple[int, ...]]
     # per triangle class: (representative tetrahedron, other tetrahedron,
     # template 24 f + i into _ARC_RUNS), where f is the representative face
     # and ALL_PERMS[i] carries its vertex labels to the other side's
@@ -129,17 +132,22 @@ _WEIGHT_OFFSETS: tuple[tuple[int, int, int, int], ...] = tuple(
 _ARC_RUNS = _arc_run_templates()
 
 
+def _slot_weights(c: Sequence[int]) -> list[int]:
+    """The weight of each edge slot 6t + p of the flat coordinates c."""
+    return [
+        c[i + a] + c[i + b] + c[i + x] + c[i + y] for i in range(0, len(c), 7) for a, b, x, y in _WEIGHT_OFFSETS
+    ]
+
+
 def build_normal_tables(tr: Triangulation) -> NormalTables:
     """The tables of tr; read them through tr._normal_tables, which caches them."""
-    class_terms = []
-    for ec in tr.edge_classes:
-        t, p = divmod(ec.rep, 6)
-        a, b, x, y = _WEIGHT_OFFSETS[p]
-        class_terms.append((7 * t + a, 7 * t + b, 7 * t + x, 7 * t + y))
+    reps = [ec.rep for ec in tr.edge_classes]
+    # itemgetter of one index returns the item, not a 1-tuple
+    class_weights = itemgetter(*reps) if len(reps) > 1 else lambda w: (w[reps[0]],)
     triangle_templates = tuple(
         (s >> 2, t2, 24 * (s & 3) + k) for s, (t2, f2, k) in enumerate(tr._glue) if s < 4 * t2 + f2
     )
-    return NormalTables(tuple(class_terms), triangle_templates)
+    return NormalTables(class_weights, triangle_templates)
 
 
 class NormalSurface:
@@ -281,6 +289,11 @@ def _row_registry(
 # _ROW_DISCS translates a row id to the row's disc count.
 _ROW_ID, (_TYPE_I_IDS, _TYPE_II_IDS) = _row_registry((_TYPE_I_ROWS, _TYPE_II_ROWS))
 _ROW_DISCS = bytes(map(sum, _ROW_ID)).ljust(256, b"\0")
+# per row id, the weights of the row's 6 edge slots, and a translation from
+# row id to the row's quad count: what the sweep of a surface all of whose
+# rows are registry rows reads its edge weights and arc count from
+_ROW_SLOT_WEIGHTS = tuple(bytes(_slot_weights(row)) for row in _ROW_ID)
+_ROW_QUADS = bytes(sum(row[4:]) for row in _ROW_ID).ljust(256, b"\0")
 # per kind of census surface, its row table and the row id of each pattern
 _ROWS = {"I": (_TYPE_I_ROWS, _TYPE_I_IDS), "II": (_TYPE_II_ROWS, _TYPE_II_IDS)}
 
@@ -368,7 +381,7 @@ def _disc_complex(ns: NormalSurface) -> _Topology:
             raise MatchingViolationError(f"tetrahedron {i // 7} holds two quad types: {row[4:]}")
         row_ids.append(k)
         disc_counts.append(sum(row))
-    return _sweep(ns, row_ids, disc_counts)
+    return _sweep(ns, bytes(row_ids), disc_counts)
 
 
 def _arc_joins(
@@ -413,7 +426,7 @@ def _arc_joins(
     return tuple(out)
 
 
-def _sweep(ns: NormalSurface, row_ids: Sequence[int], disc_counts: Sequence[int]) -> _Topology:
+def _sweep(ns: NormalSurface, row_ids: bytes, disc_counts: Sequence[int]) -> _Topology:
     """Find edge weights, chi, orientability and components of ns in one
     sweep of its discs, one triangle class at a time, checking the matching.
 
@@ -441,6 +454,10 @@ def _sweep(ns: NormalSurface, row_ids: Sequence[int], disc_counts: Sequence[int]
     weights; a triangle has 3 arcs and a quad 4, each arc bounding two
     discs, so E = (3T + 4Q) / 2 for T triangles and Q quads; and chi =
     V - E + F. The coordinates are read as ns keeps them, bytes or ints.
+    Each class's weight is read at its smallest slot. When every row is a
+    registry row, the slot weights and Q are read off the rows' tables
+    (_ROW_SLOT_WEIGHTS, _ROW_QUADS) by row id; otherwise they are summed
+    from the coordinates.
     """
     c = ns._coords
     tables = ns.triangulation._normal_tables
@@ -488,8 +505,14 @@ def _sweep(ns: NormalSurface, row_ids: Sequence[int], disc_counts: Sequence[int]
             elif s:
                 orientable = False
     components = discs - joins
-    weights = tuple([c[a] + c[b] + c[x] + c[y] for a, b, x, y in tables.class_terms])
-    arcs = (3 * discs + sum(c[4::7]) + sum(c[5::7]) + sum(c[6::7])) // 2
+    if _OUTSIDE in row_ids:
+        slot_weights = _slot_weights(c)
+        quads = sum(c[4::7]) + sum(c[5::7]) + sum(c[6::7])
+    else:
+        slot_weights = b"".join(map(_ROW_SLOT_WEIGHTS.__getitem__, row_ids))
+        quads = sum(row_ids.translate(_ROW_QUADS))
+    weights = tables.class_weights(slot_weights)
+    arcs = (3 * discs + quads) // 2
 
     parts = None
     if components > 1:
@@ -515,9 +538,7 @@ def _weight_error(ns: NormalSurface) -> MatchingViolationError:
     class's smallest slot, with every weight the class sees."""
     c = ns.coords
     classes, class_of, _ = ns.triangulation._edge_data
-    slot_weights = [
-        sum(c[7 * (s // 6) + o] for o in _WEIGHT_OFFSETS[s % 6]) for s in range(len(class_of))
-    ]
+    slot_weights = _slot_weights(c)
     bad = next(
         k for s, k in enumerate(class_of) if slot_weights[s] != slot_weights[classes[k].rep]
     )
@@ -611,5 +632,5 @@ def census(tr: Triangulation) -> list[CensusEntry]:
         report = reports.get(summary)
         if report is None:
             report = reports[summary] = reconstruct(ns)
-        entries.append(CensusEntry(surface=ns, report=report))
+        entries.append(CensusEntry(ns, report))
     return entries

@@ -351,13 +351,17 @@ class Triangulation:
         # whole spine (germ pattern 63 in every tetrahedron), is the union of
         # the vertex links. Its discs are numbered in slot order, so its
         # components, in order of first disc, are the vertex classes in order
-        # of smallest slot; a link's triangles are its class's vertex slots.
-        # That surface is built in a module that imports this one.
+        # of smallest slot; a link's triangles are its class's vertex slots,
+        # all 4n of them when there is one class. That surface is built in a
+        # module that imports this one.
         from .surfaces import NormalSurface, _census_surface
 
         whole = _census_surface(self, (1 << len(self.edge_classes)) - 1, b"\x3f" * self.n, "II")
-        parts = whole._topology.parts
-        links = [whole] if parts is None else [NormalSurface(self, p, whole.provenance) for p in parts]
+        topo = whole._topology
+        if topo.parts is None:
+            link = VertexLinkSurface(topo.chi, topo.orientable)
+            return (VertexClass(0, tuple(range(4 * self.n))),), (link,)
+        links = [NormalSurface(self, p, whole.provenance) for p in topo.parts]
         classes = tuple(
             VertexClass(i, tuple(4 * t + v for t, row in enumerate(lk.tri) for v in range(4) if row[v]))
             for i, lk in enumerate(links)

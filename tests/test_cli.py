@@ -632,6 +632,50 @@ def test_negative_budget_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert "must not be negative, got -3" in captured.err
 
 
+@pytest.mark.parametrize(
+    "value",
+    ["4_0", "\u0664\u0660", "+40", " 40 ", "40\n", "\uff14\uff10", "-\u0664", pytest.param("1" * 5000, id="5000-digits")],
+)
+def test_budget_of_other_than_ascii_digits_is_a_usage_error(tmp_path, capsys, monkeypatch, value):
+    # int() reads each of the first six as 40; the budget is read as the
+    # file parser reads its integers, so all are refused
+    monkeypatch.setenv("SPINE_FACE_BUDGET", value)
+    path = write(tmp_path, "t72.txt", open_lens_text())
+    assert main(["invariant", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: SPINE_FACE_BUDGET must be an integer, got {value!r}\n"
+
+
+@pytest.mark.parametrize("value", ["-40", "-0"])
+def test_budget_with_a_leading_minus_is_refused_as_negative(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("SPINE_FACE_BUDGET", value)
+    path = write(tmp_path, "t72.txt", open_lens_text())
+    assert main(["invariant", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the enumeration budget must not be negative, got {value}\n"
+
+
+def test_budget_with_leading_zeros_is_read(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SPINE_FACE_BUDGET", "040")
+    path = write(tmp_path, "t72.txt", open_lens_text())
+    assert main(["invariant", path]) == 0
+    assert "t = 1+e" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("move", ["23:\u0661", "23:\uff11", "23:\u0967", "32:\u0660", "23:+1", "23:1_0", "23: 1"])
+def test_pachner_move_index_of_other_than_ascii_digits_is_a_usage_error(tmp_path, capsys, move):
+    # 23:1 applies to T_7_2, and int() reads the first three indices as 1
+    path = write(tmp_path, "t72.txt", open_lens_text())
+    assert main(["pachner", path, "--move", "23:1"]) == 0
+    capsys.readouterr()
+    assert main(["pachner", path, "--move", move]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --move must be 23:<face> or 32:<edge>, got {move!r}\n"
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

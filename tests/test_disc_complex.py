@@ -54,7 +54,9 @@ from tetspine.triangulation import (
     EDGE_PAIRS,
     FACE_VERTS,
     TriangleClass,
+    Triangulation,
     parse_triangulation,
+    perm_inverse,
 )
 
 # The flood fill's own quad tables, written out by hand: the quad type of
@@ -387,6 +389,25 @@ def test_census_summaries_equal_the_flood_fill():
             assert ns._topology == want == _disc_complex(surface(tr, ns.coords)), ns.coords
             count += 1
     assert count >= 150, count
+
+
+def test_one_edge_class_gives_a_one_tuple_of_weights():
+    # the Gieseking manifold: one tetrahedron, one edge class and one
+    # Klein-bottle cusp. A surface of registry rows reads its weights through
+    # an itemgetter of the edge classes' smallest slots, which for one slot
+    # would return the weight itself; it must give a 1-tuple, as the flood
+    # fill does
+    p, q = (1, 2, 0, 3), (0, 2, 3, 1)
+    tr = Triangulation(
+        1, {(0, 0): (0, 1, p), (0, 1): (0, 0, perm_inverse(p)), (0, 2): (0, 3, q), (0, 3): (0, 2, perm_inverse(q))}
+    )
+    assert len(tr.edge_classes) == 1
+    assert [(lk.chi, lk.orientable) for lk in tr.vertex_links] == [(0, False)]
+    surfaces = census_surfaces(tr)
+    for ns in surfaces:
+        assert ns._topology == flood_fill_complex(surface(tr, ns.coords)), ns.coords
+        assert len(ns._topology.weights) == 1
+    assert surfaces
 
 
 def test_arc_joins_equal_the_flood_fill_on_every_template_and_row_pair():

@@ -365,6 +365,54 @@ def test_subpolyhedra_keep_the_germ_patterns_of_their_mask():
     assert count == 25745
 
 
+def test_kernel_subpolyhedra_equal_the_validating_path():
+    # the kernel hands subpolyhedron() the germ patterns it gathered on its
+    # stack, and subpolyhedron() then neither recomputes them nor rechecks
+    # simplicity; this oracle stands in for that check: every enumerated Q
+    # equals the one a mask from outside gives, patterns included, and a
+    # mask from outside that is not simple is still refused with the spine
+    # edges of germ count 1, recounted here from the edge germs
+    rng = random.Random(36)
+    masks = refused = 0
+    for tri in invariant_subjects():
+        spine = dual_spine(tri)
+        found = enumerate_simple_subpolyhedra(spine)
+        for q in found:
+            outside = subpolyhedron(spine, q.faces)
+            assert outside == q and outside.patterns == q.patterns, q.faces
+            masks += 1
+        simple = {q.faces for q in found}
+        for _ in range(4):
+            mask = rng.getrandbits(spine.num_faces)
+            ones = tuple(
+                e for e, edge in enumerate(spine.edge_germs) if sum(mask >> f & 1 for f in edge) == 1
+            )
+            assert (not ones) == (mask in simple), mask
+            if ones:
+                with pytest.raises(NotSimpleError) as exc:
+                    subpolyhedron(spine, mask)
+                assert exc.value.edges == ones
+                refused += 1
+    assert (masks, refused) == (25745, 879)
+
+
+def test_census_edge_weights_are_at_most_two():
+    # a triangulation edge meets the spine once, in its dual face, so a type
+    # I surface meets it 0 or 1 times and a type II surface 0 or 2 times, and
+    # a component no more often than its surface. So the second failure of
+    # cli._existence_check, "no non-trivial surface with edge weights <= 2",
+    # cannot occur on a real census; the branch stays, and only a test that
+    # replaces the census reaches it
+    entries = type_I = 0
+    for tri in invariant_subjects():
+        for e in census(tri):
+            bound = 1 if e.surface.provenance[0] == "I" else 2
+            assert e.report.max_edge_weight <= bound, e.surface.coords
+            entries += 1
+            type_I += bound == 1
+    assert (entries, type_I) == (25501, 105)
+
+
 def test_frozen_lattice_and_census_of_331_subjects():
     # (faces, v_Q, chi, is_surface) of every simple subpolyhedron of the 331
     # subjects, then every census row (coordinates, provenance, report) of
